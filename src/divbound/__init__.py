@@ -31,6 +31,7 @@ from .errors import (
     DegenerateDenominator,
     DivboundError,
     LengthMismatch,
+    NonFiniteValue,
     NonPositiveArgument,
     NonPositiveMass,
     NotNormalized,
@@ -93,6 +94,7 @@ __all__ = [
     "LengthMismatch",
     "MeasureId",
     "MeasureKind",
+    "NonFiniteValue",
     "NonPositiveArgument",
     "NonPositiveMass",
     "NotNormalized",

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -25,7 +28,7 @@ from .bounds import (
     family_generators,
     sandwich_check,
 )
-from .errors import DivboundError, RegionViolation
+from .errors import DivboundError, NonFiniteValue, RegionViolation
 from .families import Family, FamilyId, family_value, in_convex_range
 from .measures import MeasureId, MeasureKind, evaluate
 from .simplex import load_distribution, ratio_bounds
@@ -86,7 +89,9 @@ def _cmd_compute(args) -> int:
                 "[0, 4]; the value is not a certified divergence",
                 file=sys.stderr,
             )
-        value = family_value(FamilyId(family, args.s), P, Q)
+        # an overflowing term is reported below as an error, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = family_value(FamilyId(family, args.s), P, Q)
         s_field = args.s
     else:
         try:
@@ -96,6 +101,10 @@ def _cmd_compute(args) -> int:
             return EXIT_INPUT
         value = evaluate(mid, P, Q)
         s_field = None
+    if not math.isfinite(value):
+        raise NonFiniteValue(
+            f"{name} evaluates to {value!r}: a term of the sum overflows double precision"
+        )
     if args.format == "json":
         _emit(json.dumps({"name": name, "s": s_field, "value": value}))
     elif args.format == "csv":

@@ -45,6 +45,10 @@ class SamplingExhausted(DivboundError):
     """The rejection loop in the Dirichlet sampler hit its retry budget."""
 
 
+class NonFiniteValue(DivboundError):
+    """A computed value overflowed double precision to inf or NaN."""
+
+
 class NonPositiveArgument(DivboundError):
     """A generating function was evaluated at x <= 0."""
 

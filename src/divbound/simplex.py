@@ -75,19 +75,28 @@ def _check_masses(a: np.ndarray, eps_sum: float, eps_mass: float) -> None:
         raise NotNormalized(total, eps_sum)
 
 
+def _as_masses(raw) -> np.ndarray:
+    # lists, tuples and arrays go to numpy directly; any other iterable
+    # (a generator, a range, ...) is materialised first, and a scalar or a
+    # 0-d array is rejected by list() with TypeError
+    if not (isinstance(raw, (list, tuple)) or (isinstance(raw, np.ndarray) and raw.ndim)):
+        raw = list(raw)
+    return np.asarray(raw, dtype=np.float64)
+
+
 def validate(raw, eps_sum: float = EPS_SUM, eps_mass: float = EPS_MASS) -> Distribution:
     """Check ``raw`` against the simplex invariants and wrap it.
 
-    The input is used as given; it is not rescaled.  Raises
-    :class:`TooShort`, :class:`NonPositiveMass` or :class:`NotNormalized`.
+    ``raw`` may be any iterable of numbers.  The input is used as given; it
+    is not rescaled.  Raises :class:`TooShort`, :class:`NonPositiveMass` or
+    :class:`NotNormalized`.
     """
-    a = np.asarray(list(raw), dtype=np.float64)
-    return Distribution(a, eps_sum, eps_mass)
+    return Distribution(_as_masses(raw), eps_sum, eps_mass)
 
 
 def normalize(raw) -> Distribution:
     """Explicitly rescale ``raw`` to unit sum, then validate."""
-    a = np.asarray(list(raw), dtype=np.float64)
+    a = _as_masses(raw)
     total = float(np.sum(a))
     if total <= 0.0:
         raise NotNormalized(total, EPS_SUM)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -92,6 +93,20 @@ class TestCompute:
         _, q = pair_files
         code, _, err = invoke(capsys, "compute", "kl", "--p", "/nonexistent", "--q", q)
         assert code == 1
+
+    def test_overflowing_term_is_an_input_error(self, capsys, tmp_path):
+        # both inputs are valid, but q_i (p_i/q_i)^40 overflows for the second mass
+        p = tmp_path / "p.json"
+        q = tmp_path / "q.json"
+        p.write_text("[0.5, 0.5]")
+        q.write_text("[0.999999999998, 2e-12]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning reaches stderr
+            code, out, err = invoke(capsys, "compute", "phi", "--s", "40",
+                                    "--p", str(p), "--q", str(q))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "overflows" in err
 
     def test_normalize_flag(self, capsys, tmp_path, pair_files):
         raw = tmp_path / "raw.csv"

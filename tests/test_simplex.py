@@ -71,6 +71,24 @@ class TestValidate:
         with pytest.raises(ValueError):
             d.masses[0] = 0.9
 
+    @pytest.mark.parametrize("make", [
+        lambda: (0.25, 0.75),
+        lambda: np.array([0.25, 0.75]),
+        lambda: np.array([0.25, 0.75], dtype=np.float32),
+        lambda: (x for x in [0.25, 0.75]),
+        lambda: {0.25: "a", 0.75: "b"},
+    ])
+    def test_any_iterable_accepted(self, make):
+        np.testing.assert_array_equal(validate(make()).masses, [0.25, 0.75])
+        np.testing.assert_array_equal(normalize(make()).masses, [0.25, 0.75])
+
+    @pytest.mark.parametrize("raw", [0.5, np.float64(0.5), np.array(0.5), None])
+    def test_non_iterable_rejected(self, raw):
+        with pytest.raises(TypeError):
+            validate(raw)
+        with pytest.raises(TypeError):
+            normalize(raw)
+
     def test_direct_construction_checks(self):
         with pytest.raises(NonPositiveMass):
             Distribution(np.array([1.0, 0.0]))
