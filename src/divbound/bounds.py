@@ -53,7 +53,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .errors import DegenerateDenominator, NonPositiveArgument, RegionViolation
+from .errors import (
+    DegenerateDenominator,
+    NonFiniteValue,
+    NonPositiveArgument,
+    RegionViolation,
+)
 from .generators import Gen, GeneratorSpec, gen_d2, gen_d2_scalar
 from .generators import csiszar
 from .simplex import Distribution, ratio_bounds
@@ -308,7 +313,7 @@ def g_ratio(num: GeneratorSpec, den: GeneratorSpec, x):
     if not x > 0.0:
         raise NonPositiveArgument(f"curvature ratio needs x > 0, got {x}")
     d = float(gen_d2(den, x))
-    if d <= 0.0:
+    if not d > 0.0:
         raise DegenerateDenominator(
             f"{den.gen.value}(s={den.s}) has curvature {d} at x={x}"
         )
@@ -345,6 +350,16 @@ def _golden_min(f, a: float, b: float, rel: float = 1e-12) -> float:
     return best
 
 
+_OVERFLOW = "overflows double precision"
+
+
+def _non_finite(num: GeneratorSpec, den: GeneratorSpec, r: float, R: float, what: str):
+    return NonFiniteValue(
+        f"curvature ratio {num.gen.value}(s={num.s}) / {den.gen.value}(s={den.s}) "
+        f"on [{r}, {R}] {what}"
+    )
+
+
 def numeric_mM(
     num: GeneratorSpec, den: GeneratorSpec, r: float, R: float, grid: int = 4097
 ) -> tuple[float, float]:
@@ -353,18 +368,32 @@ def numeric_mM(
     Log-spaced grid scan followed by golden-section refinement of the cells
     bracketing the grid extrema, down to relative interval width 1e-12.
     Exact endpoint values are always included, so for monotone ratios the
-    result is exact up to evaluation rounding.
+    result is exact up to evaluation rounding.  Raises
+    :class:`NonFiniteValue` when a curvature overflows double precision or
+    an extremum is not finite.
     """
     if not (r > 0.0 and R > 0.0):
         raise NonPositiveArgument(f"interval must be positive, got [{r}, {R}]")
     if not r <= R:
         raise ValueError(f"need r <= R, got [{r}, {R}]")
+    try:
+        m, M = _scan_mM(num, den, r, R, grid)
+    except OverflowError as exc:
+        raise _non_finite(num, den, r, R, _OVERFLOW) from exc
+    if not (math.isfinite(m) and math.isfinite(M)):
+        raise _non_finite(num, den, r, R, f"has non-finite extrema m = {m!r}, M = {M!r}")
+    return m, M
+
+
+def _scan_mM(
+    num: GeneratorSpec, den: GeneratorSpec, r: float, R: float, grid: int
+) -> tuple[float, float]:
     fn = gen_d2_scalar(num)
     fd = gen_d2_scalar(den)
 
     def g(x: float) -> float:
         d = fd(x)
-        if d <= 0.0:
+        if not d > 0.0:
             raise DegenerateDenominator(
                 f"{den.gen.value}(s={den.s}) has curvature {d} at x={x}"
             )
@@ -534,6 +563,8 @@ def closed_form_mM(
         )
     if r == R:
         v = g_ratio(num, den, r)
+        if not math.isfinite(v):
+            raise _non_finite(num, den, r, R, f"is {v!r} at x = {r!r}")
         return BoundCertificate(
             family, s, t, r, R, v, v, CertificateSource.CLOSED_FORM, True
         )
@@ -541,7 +572,10 @@ def closed_form_mM(
     m = g_ratio(num, den, lo)
     M = g_ratio(num, den, hi)
     erratum = None
-    printed = printed_mM(family, s, t, r, R)
+    try:
+        printed = printed_mM(family, s, t, r, R)
+    except OverflowError as exc:
+        raise _non_finite(num, den, r, R, _OVERFLOW) from exc
     if printed is not None and not (_agrees(printed[0], m) and _agrees(printed[1], M)):
         erratum = (
             f"catalog text for tag ({br.tag}) disagrees with the curvature-ratio "
@@ -565,6 +599,8 @@ def closed_form_mM(
                 f"endpoint values of tag ({br.tag}) fail the numeric cross-check "
                 f"at (s={s}, t={t}); numeric extrema shipped"
             )
+    if not (math.isfinite(m) and math.isfinite(M)):
+        raise _non_finite(num, den, r, R, f"has non-finite extrema m = {m!r}, M = {M!r}")
     return BoundCertificate(family, s, t, r, R, m, M, source, True, erratum)
 
 

@@ -130,11 +130,12 @@ def _cmd_bounds(args) -> int:
     else:
         print("error: provide either --r/--R or --p/--q", file=sys.stderr)
         return EXIT_INPUT
-    cert = closed_form_mM(family, args.s, args.t, r, R, strict=args.strict_closed_form)
-    payload = cert.to_dict()
-    if P is not None:
-        rep = sandwich_check(family, args.s, args.t, P, Q)
-        payload["sandwich"] = rep.to_dict()
+    # an overflowing constant is reported as an error, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = closed_form_mM(family, args.s, args.t, r, R, strict=args.strict_closed_form)
+        payload = cert.to_dict()
+        if P is not None:
+            payload["sandwich"] = sandwich_check(family, args.s, args.t, P, Q).to_dict()
     if args.format == "csv":
         keys = [k for k in payload if k != "sandwich"]
         row = [str(payload[k]) if not isinstance(payload[k], float) else _fmt(payload[k])

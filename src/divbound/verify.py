@@ -10,6 +10,14 @@ Determinism: trial ``i`` derives its RNG stream from ``(seed, i)``, so the
 report depends only on the configuration, not on batching or scheduling.
 Identical configurations produce bit-identical report JSON.
 
+Trials are grouped by simplex size into blocks, and the loop over blocks is
+the outer one.  The sandwich checks of one block share one table of
+generator values (:class:`_BlockTable`): a generator named by many checks
+is evaluated once per block (on the monotonicity grid, once per inequality
+family), not once per check.  Only one block's table is alive at a time.
+Pass counts and worst values are reduced block by block with the
+first-index rule of a full-array ``argmax``/``argmin``.
+
 :func:`brute_force_mM` is the deliberately plain oracle for the bound
 engine - a dense linear grid with no refinement, on a different
 discretization than the engine's log-spaced scan - so the two can
@@ -149,6 +157,8 @@ class _Check:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     s: Optional[float] = None
     t: Optional[float] = None
+    # set on sandwich checks, which :func:`run` evaluates from the block table
+    family: Optional[InequalityFamily] = None
 
 
 def _scaled_residual(lhs, rhs):
@@ -272,24 +282,105 @@ def _family_checks() -> list[_Check]:
     return checks
 
 
-def _monotone_direction(num: GeneratorSpec, den: GeneratorSpec, lo: float, hi: float) -> int:
-    """+1 / -1 when the curvature ratio is monotone on [lo, hi], else 0."""
-    if lo == hi:
-        return 1
-    xs = np.geomspace(lo, hi, 2049)
-    d = gen_d2(den, xs)
-    if not np.all(d > 0.0):
-        raise DegenerateDenominator(
-            f"{den.gen.value}(s={den.s}) non-positive on [{lo}, {hi}]"
-        )
-    gs = gen_d2(num, xs) / d
-    diffs = np.diff(gs)
-    wiggle = 1e-12 * np.maximum(np.abs(gs[1:]), np.abs(gs[:-1]))
-    if np.all(diffs >= -wiggle):
-        return 1
-    if np.all(diffs <= wiggle):
-        return -1
-    return 0
+class _BlockTable:
+    """Generator values shared by the sandwich checks of one block of pairs.
+
+    Holds the block's rows ``P``, ``Q``, each row's ratio envelope
+    ``[r, R]`` and one log-spaced grid over the block's pooled envelope.
+    Per generator, its curvature on the grid, its curvature at ``r`` and
+    ``R`` and its f-divergence on every row are computed on first use and
+    then reused by every check that names the same generator.
+
+    The grid curvatures are the large items (2049 values each), so they
+    are kept only while the sandwich checks stay on one family, and a
+    denominator's only while they stay on that denominator; :func:`run`
+    orders the checks to match (:func:`_block_order`).  A dropped value is
+    recomputed if asked for again, so the order never changes a result.
+    """
+
+    GRID = 2049
+
+    def __init__(self, P: np.ndarray, Q: np.ndarray):
+        self.P, self.Q = P, Q
+        ratios = P / Q
+        self.r = ratios.min(axis=1)
+        self.R = ratios.max(axis=1)
+        self.lo, self.hi = float(self.r.min()), float(self.R.max())
+        self.xs = None if self.lo == self.hi else np.geomspace(self.lo, self.hi, self.GRID)
+        self._grid_d2: dict[GeneratorSpec, np.ndarray] = {}
+        self._end_d2: dict[GeneratorSpec, tuple[np.ndarray, np.ndarray]] = {}
+        self._div: dict[GeneratorSpec, np.ndarray] = {}
+        self._family: Optional[InequalityFamily] = None
+        self._den: Optional[GeneratorSpec] = None
+
+    def grid_d2(self, spec: GeneratorSpec) -> np.ndarray:
+        d = self._grid_d2.get(spec)
+        if d is None:
+            d = self._grid_d2[spec] = gen_d2(spec, self.xs)
+        return d
+
+    def end_d2(self, spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
+        d = self._end_d2.get(spec)
+        if d is None:
+            d = self._end_d2[spec] = (gen_d2(spec, self.r), gen_d2(spec, self.R))
+        return d
+
+    def divergence(self, spec: GeneratorSpec) -> np.ndarray:
+        c = self._div.get(spec)
+        if c is None:
+            c = self._div[spec] = csiszar_bulk(spec, self.P, self.Q)
+        return c
+
+    def direction(self, num: GeneratorSpec, den: GeneratorSpec) -> int:
+        """+1 / -1 when the curvature ratio is monotone on the pooled
+        envelope (sampled on the grid), else 0."""
+        if self.xs is None:
+            return 1
+        d = self.grid_d2(den)
+        if not np.all(d > 0.0):
+            raise DegenerateDenominator(
+                f"{den.gen.value}(s={den.s}) non-positive on [{self.lo}, {self.hi}]"
+            )
+        gs = self.grid_d2(num) / d
+        diffs = np.diff(gs)
+        wiggle = 1e-12 * np.maximum(np.abs(gs[1:]), np.abs(gs[:-1]))
+        if np.all(diffs >= -wiggle):
+            return 1
+        if np.all(diffs <= wiggle):
+            return -1
+        return 0
+
+    def constants(self, num: GeneratorSpec, den: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row sandwich constants m, M of the curvature ratio on [r, R].
+
+        Endpoint values are used only after the ratio is verified monotone
+        on the pooled envelope; otherwise each row falls back to the
+        numeric scanner.  Sound for erratum corners by construction.
+        """
+        direction = self.direction(num, den)
+        if direction != 0:
+            num_r, num_R = self.end_d2(num)
+            den_r, den_R = self.end_d2(den)
+            m, M = num_r / den_r, num_R / den_R
+            return (m, M) if direction > 0 else (M, m)
+        m = np.empty_like(self.r)
+        M = np.empty_like(self.r)
+        for i in range(self.r.shape[0]):
+            m[i], M[i] = numeric_mM(num, den, float(self.r[i]), float(self.R[i]))
+        return m, M
+
+    def sandwich_slack(self, family: InequalityFamily, s: float, t: float) -> np.ndarray:
+        num, den = family_generators(family, s, t)
+        if family is not self._family:
+            self._grid_d2.clear()
+        elif den != self._den:
+            self._grid_d2.pop(self._den, None)
+        self._family, self._den = family, den
+        m, M = self.constants(num, den)
+        c1 = self.divergence(num)
+        c2 = self.divergence(den)
+        scale = np.maximum(1.0, np.abs(c1))
+        return np.minimum(c1 - m * c2, M * c2 - c1) / scale
 
 
 def sandwich_slack_bulk(
@@ -297,29 +388,11 @@ def sandwich_slack_bulk(
 ) -> np.ndarray:
     """Per-row normalized sandwich slack min(C1 - m C2, M C2 - C1) / max(1, |C1|).
 
-    Endpoint constants are used only after the curvature ratio is verified
-    monotone on the rows' pooled ratio envelope; otherwise each row falls
-    back to the numeric scanner.  Sound for erratum corners by construction.
+    The rows form one block: endpoint constants are used only after the
+    curvature ratio is verified monotone on the rows' pooled ratio
+    envelope; otherwise each row falls back to the numeric scanner.
     """
-    num, den = family_generators(family, s, t)
-    ratios = P / Q
-    r = ratios.min(axis=1)
-    R = ratios.max(axis=1)
-    direction = _monotone_direction(num, den, float(r.min()), float(R.max()))
-    if direction != 0:
-        lo = np.where(direction > 0, r, R)
-        hi = np.where(direction > 0, R, r)
-        m = gen_d2(num, lo) / gen_d2(den, lo)
-        M = gen_d2(num, hi) / gen_d2(den, hi)
-    else:
-        m = np.empty_like(r)
-        M = np.empty_like(r)
-        for i in range(r.shape[0]):
-            m[i], M[i] = numeric_mM(num, den, float(r[i]), float(R[i]))
-    c1 = csiszar_bulk(num, P, Q)
-    c2 = csiszar_bulk(den, P, Q)
-    scale = np.maximum(1.0, np.abs(c1))
-    return np.minimum(c1 - m * c2, M * c2 - c1) / scale
+    return _BlockTable(P, Q).sandwich_slack(family, s, t)
 
 
 def _corollary_checks() -> list[_Check]:
@@ -327,7 +400,7 @@ def _corollary_checks() -> list[_Check]:
         _Check(
             f"corollary/{c.name}", "slack",
             lambda P, Q, c=c: sandwich_slack_bulk(c.family, c.s, c.t, P, Q),
-            s=c.s, t=c.t,
+            s=c.s, t=c.t, family=c.family,
         )
         for c in corollary_table()
     ]
@@ -341,10 +414,24 @@ def _bounds_grid_checks() -> list[_Check]:
                 _Check(
                     f"bounds-grid/{family.value}/s={s:g},t={t:g}", "slack",
                     lambda P, Q, f=family, a=s, b=t: sandwich_slack_bulk(f, a, b, P, Q),
-                    s=s, t=t,
+                    s=s, t=t, family=family,
                 )
             )
     return checks
+
+
+_FAMILY_RANK = {f: i for i, f in enumerate(InequalityFamily)}
+
+
+def _block_order(checks: list[_Check]) -> list[int]:
+    """Indices of the checks in the order a block evaluates them: the plain
+    checks first, then the sandwich checks family by family and, within a
+    family, denominator by denominator (see :class:`_BlockTable`)."""
+    def key(k: int):
+        c = checks[k]
+        return (-1, 0.0, 0.0) if c.family is None else (_FAMILY_RANK[c.family], c.t, c.s)
+
+    return sorted(range(len(checks)), key=key)
 
 
 def _build_checks(subjects: tuple[str, ...]) -> list[_Check]:
@@ -368,10 +455,12 @@ def _build_checks(subjects: tuple[str, ...]) -> list[_Check]:
 
 
 def _sample_trials(config: VerifyConfig):
-    """Per-trial pairs, grouped by simplex size; streams keyed by (seed, i)."""
+    """Per-trial pairs, grouped by simplex size; streams keyed by (seed, i).
+
+    Returns ``(idx, P, Q)`` per size in increasing size order: the trial
+    indices of the block (increasing) and its stacked rows."""
     lo, hi = config.n_range
-    by_n: dict[int, list[int]] = {}
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    by_n: dict[int, tuple[list[int], list[np.ndarray], list[np.ndarray]]] = {}
     for i in range(config.trials):
         rng = np.random.default_rng([config.seed, i])
         n = int(rng.integers(lo, hi + 1))
@@ -379,16 +468,54 @@ def _sample_trials(config: VerifyConfig):
                           simplex.MAX_REJECTIONS)
         q = simplex._draw(rng, n, config.concentration, simplex.EPS_MASS,
                           simplex.MAX_REJECTIONS)
-        rows.append((p, q))
-        by_n.setdefault(n, []).append(i)
-    groups = {}
-    for n, idx in sorted(by_n.items()):
-        groups[n] = (
-            np.array(idx),
-            np.vstack([rows[i][0] for i in idx]),
-            np.vstack([rows[i][1] for i in idx]),
-        )
-    return rows, groups
+        idx, ps, qs = by_n.setdefault(n, ([], [], []))
+        idx.append(i)
+        ps.append(p)
+        qs.append(q)
+    return [
+        (np.array(idx), np.vstack(ps), np.vstack(qs))
+        for _, (idx, ps, qs) in sorted(by_n.items())
+    ]
+
+
+class _Tally:
+    """Pass count and worst value of one check, reduced block by block.
+
+    The worst value is the first-index ``argmax`` (residual) or ``argmin``
+    (slack) over all trials, as if the blocks were one array in trial
+    order: NaN is worse than any number, and ties go to the lowest trial.
+    """
+
+    __slots__ = ("kind", "rel_tol", "passes", "worst", "trial", "row")
+
+    def __init__(self, kind: str, rel_tol: float):
+        self.kind = kind
+        self.rel_tol = rel_tol
+        self.passes = 0
+        self.worst = np.nan
+        self.trial = -1
+        self.row: Optional[tuple[int, int]] = None  # (block, row in block)
+
+    def add(self, block: int, idx: np.ndarray, values: np.ndarray) -> None:
+        if self.kind == "residual":
+            self.passes += int(np.count_nonzero(values <= self.rel_tol))
+            j = int(np.argmax(values))
+        else:
+            self.passes += int(np.count_nonzero(values >= -self.rel_tol))
+            j = int(np.argmin(values))
+        v, i = float(values[j]), int(idx[j])
+        if self.trial < 0 or self._beats(v, i):
+            self.worst, self.trial, self.row = v, i, (block, j)
+
+    def _beats(self, v: float, i: int) -> bool:
+        w = self.worst
+        if w != w:
+            return v != v and i < self.trial
+        if v != v:
+            return True
+        if v == w:
+            return i < self.trial
+        return v > w if self.kind == "residual" else v < w
 
 
 def _shrink_witness(check: _Check, p: np.ndarray, q: np.ndarray, rel_tol: float) -> Witness:
@@ -409,28 +536,36 @@ def _shrink_witness(check: _Check, p: np.ndarray, q: np.ndarray, rel_tol: float)
 def run(config: VerifyConfig) -> VerificationReport:
     """Execute every selected check on every sampled pair.
 
-    Violations are recorded (with a shrunk witness), never raised.
+    The loop over size blocks is the outer one: the sandwich checks of a
+    block read one shared :class:`_BlockTable`, which is dropped before
+    the next block is built.  Violations are recorded (with a shrunk
+    witness), never raised.
     """
     start = time.perf_counter()
-    rows, groups = _sample_trials(config)
+    blocks = _sample_trials(config)
+    checks = _build_checks(config.subjects)
+    tallies = [_Tally(check.kind, config.rel_tol) for check in checks]
+    order = _block_order(checks)
+    for b, (idx, P, Q) in enumerate(blocks):
+        table = _BlockTable(P, Q)
+        for k in order:
+            check, tally = checks[k], tallies[k]
+            values = np.empty(idx.shape[0])
+            if check.family is not None:
+                values[:] = table.sandwich_slack(check.family, check.s, check.t)
+            else:
+                values[:] = check.fn(P, Q)
+            tally.add(b, idx, values)
+        del table
     results: dict[str, CheckResult] = {}
-    for check in _build_checks(config.subjects):
-        values = np.empty(config.trials)
-        for _, (idx, P, Q) in groups.items():
-            values[idx] = check.fn(P, Q)
-        if check.kind == "residual":
-            ok = values <= config.rel_tol
-            worst_i = int(np.argmax(values))
-        else:
-            ok = values >= -config.rel_tol
-            worst_i = int(np.argmin(values))
-        passes = int(np.count_nonzero(ok))
+    for check, tally in zip(checks, tallies):
         witness = None
-        if passes < config.trials:
-            p, q = rows[worst_i]
-            witness = _shrink_witness(check, p, q, config.rel_tol)
+        if tally.passes < config.trials:
+            b, j = tally.row
+            _, P, Q = blocks[b]
+            witness = _shrink_witness(check, P[j], Q[j], config.rel_tol)
         results[check.id] = CheckResult(
-            check.kind, config.trials, passes, float(values[worst_i]), witness
+            check.kind, config.trials, tally.passes, tally.worst, witness
         )
     return VerificationReport(config, results, time.perf_counter() - start)
 
@@ -599,18 +734,12 @@ def tightness_scan(
         p = simplex._draw(rng, n, concentration, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
         q = simplex._draw(rng, n, concentration, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
         for _ in range(shrink_levels):
-            r = float(np.min(p / q))
-            R = float(np.max(p / q))
-            if r < R:
-                direction = _monotone_direction(num, den, r, R)
-                if direction != 0:
-                    lo, hi = (r, R) if direction > 0 else (R, r)
-                    m = float(gen_d2(num, lo) / gen_d2(den, lo))
-                    M = float(gen_d2(num, hi) / gen_d2(den, hi))
-                else:
-                    m, M = numeric_mM(num, den, r, R)
-                c1 = float(np.atleast_1d(csiszar_bulk(num, p[None, :], q[None, :]))[0])
-                c2 = float(np.atleast_1d(csiszar_bulk(den, p[None, :], q[None, :]))[0])
+            pair = _BlockTable(p[None, :], q[None, :])
+            if pair.lo < pair.hi:
+                m, M = pair.constants(num, den)
+                m, M = float(m[0]), float(M[0])
+                c1 = float(pair.divergence(num)[0])
+                c2 = float(pair.divergence(den)[0])
                 if c2 > 1e-300:
                     min_low = min(min_low, (c1 - m * c2) / c2)
                     min_high = min(min_high, (M * c2 - c1) / c2)

@@ -18,8 +18,10 @@ from divbound.bounds import (
     region_grid,
     sandwich_check,
 )
+from divbound import bounds
 from divbound.errors import (
     DegenerateDenominator,
+    NonFiniteValue,
     NonPositiveArgument,
     RegionViolation,
 )
@@ -62,6 +64,11 @@ class TestGRatio:
         with pytest.raises(DegenerateDenominator):
             g_ratio(PHI2, GeneratorSpec(Gen.XI, 5.0), 0.1)
 
+    def test_nan_denominator_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(bounds, "gen_d2", lambda spec, x: math.nan)
+        with pytest.raises(DegenerateDenominator):
+            g_ratio(PSI2, PHI2, 2.0)
+
 
 class TestNumericMM:
     def test_degenerate_interval(self):
@@ -88,6 +95,23 @@ class TestNumericMM:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateDenominator):
             numeric_mM(PHI2, GeneratorSpec(Gen.XI, 5.0), 0.1, 10.0)
+
+    def test_nan_denominator_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(bounds, "gen_d2_scalar", lambda spec: lambda x: math.nan)
+        with pytest.raises(DegenerateDenominator):
+            numeric_mM(PSI2, PHI2, 2.0, 2.0)
+
+    def test_overflow_is_non_finite(self):
+        # (x+1)/(2x) ** (t-2) overflows math.exp at t = -2000
+        num, den = family_generators(F.V, 0.0, -2000.0)
+        with pytest.raises(NonFiniteValue):
+            numeric_mM(num, den, 1e200, 1e200)
+
+    def test_infinite_extremum_is_non_finite(self):
+        # f'' of PSI at s = 400 overflows to inf on the grid near x = 1e-6
+        num, den = family_generators(F.I, 400.0, 0.0)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+            numeric_mM(num, den, 1e-6, 1.0)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(NonPositiveArgument):
@@ -122,6 +146,15 @@ class TestClosedForm:
     def test_strict_mode_raises(self):
         with pytest.raises(RegionViolation):
             closed_form_mM(F.I, 0.0, 0.0, 0.5, 2.0, strict=True)
+
+    def test_printed_text_overflow_is_non_finite(self):
+        # in region (33); the printed coefficient overflows Python floats
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+            closed_form_mM(F.I, 400.0, 0.0, 1e-6, 1e6)
+
+    def test_infinite_point_ratio_is_non_finite(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+            closed_form_mM(F.I, 400.0, 0.0, 1e-6, 1e-6)
 
     def test_ix_misprint_corrected(self):
         # printed upper repeats the R coefficient; corrected value matches

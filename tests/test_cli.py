@@ -149,6 +149,20 @@ class TestBounds:
         data = json.loads(out)
         assert code == 0 and data["erratum"]
 
+    @pytest.mark.parametrize("argv", [
+        # the printed catalog text overflows Python float arithmetic
+        ("--family", "I", "--s", "400", "--t", "0", "--r", "1e-6", "--R", "1e6"),
+        # r == R goes to the scalar curvature, whose exp overflows
+        ("--family", "V", "--s", "0", "--t", "-2000", "--r", "1e200", "--R", "1e200"),
+    ])
+    def test_overflowing_constants_are_an_input_error(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning reaches stderr
+            code, out, err = invoke(capsys, "bounds", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "overflows double precision" in err
+
     def test_needs_interval_or_pair(self, capsys):
         code, _, err = invoke(capsys, "bounds", "--family", "I", "--s", "2", "--t", "2")
         assert code == 1

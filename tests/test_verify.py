@@ -6,10 +6,15 @@ from divbound.errors import ConfigInvalid, RegionViolation
 from divbound.generators import Gen, GeneratorSpec
 from divbound.measures import triangular
 from divbound.verify import (
+    CheckResult,
+    VerificationReport,
     VerifyConfig,
     Witness,
+    _build_checks,
     _Check,
+    _sample_trials,
     _shrink_witness,
+    _Tally,
     brute_force_mM,
     run,
     sandwich_slack_bulk,
@@ -72,6 +77,101 @@ class TestRun:
         rep = run(VerifyConfig(trials=5, seed=0, subjects=("identities",)))
         assert "wall_time" not in rep.to_json()
         assert "wall_time" in rep.to_json(include_timing=True)
+
+
+def _unshared_report(config: VerifyConfig) -> str:
+    """The report built check by check: every sandwich check calls
+    sandwich_slack_bulk on each block alone, and the worst trial is the
+    full-array argmax/argmin over all trials."""
+    blocks = _sample_trials(config)
+    checks = {}
+    for check in _build_checks(config.subjects):
+        values = np.empty(config.trials)
+        for idx, P, Q in blocks:
+            if check.family is not None:
+                values[idx] = sandwich_slack_bulk(check.family, check.s, check.t, P, Q)
+            else:
+                values[idx] = check.fn(P, Q)
+        if check.kind == "residual":
+            passes = int(np.count_nonzero(values <= config.rel_tol))
+            worst = int(np.argmax(values))
+        else:
+            passes = int(np.count_nonzero(values >= -config.rel_tol))
+            worst = int(np.argmin(values))
+        witness = None
+        if passes < config.trials:
+            for idx, P, Q in blocks:
+                j = np.flatnonzero(idx == worst)
+                if j.size:
+                    witness = _shrink_witness(check, P[j[0]], Q[j[0]], config.rel_tol)
+        checks[check.id] = CheckResult(
+            check.kind, config.trials, passes, float(values[worst]), witness
+        )
+    return VerificationReport(config, checks, 0.0).to_json()
+
+
+class TestSharedBlockTable:
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-300])
+    def test_report_matches_unshared_path(self, rel_tol):
+        cfg = VerifyConfig(trials=40, seed=4, n_range=(2, 6), rel_tol=rel_tol,
+                           subjects=("all", "bounds-grid"))
+        report = run(cfg)
+        witnesses = [k for k, c in report.checks.items() if c.witness is not None]
+        if rel_tol == 1e-300:
+            # sandwich checks at tight corners fail by rounding and get witnesses
+            assert any(k.startswith("bounds-grid/") for k in witnesses)
+        else:
+            assert not witnesses
+        assert report.to_json() == _unshared_report(cfg)
+
+
+def _tally_blocks(kind, values, n_blocks, rng):
+    """Reduce ``values`` through a _Tally over a random interleaved split
+    of the trials into blocks (each block's indices increasing)."""
+    label = rng.integers(n_blocks, size=values.size)
+    tally = _Tally(kind, 1e-10)
+    blocks = [np.flatnonzero(label == b) for b in range(n_blocks)]
+    blocks = [idx for idx in blocks if idx.size]
+    rng.shuffle(blocks)
+    for b, idx in enumerate(blocks):
+        tally.add(b, idx, values[idx])
+    return tally, blocks
+
+
+class TestTally:
+    @pytest.mark.parametrize("kind", ["residual", "slack"])
+    def test_matches_full_array_reduction(self, kind):
+        rng = np.random.default_rng(99)
+        pool = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 1e-12, 1.0, np.inf])
+        for _ in range(400):
+            values = rng.choice(pool[rng.permutation(pool.size)[: rng.integers(1, 6)]],
+                                size=int(rng.integers(1, 30)))
+            tally, blocks = _tally_blocks(kind, values, int(rng.integers(1, 6)), rng)
+            full = np.argmax(values) if kind == "residual" else np.argmin(values)
+            ok = values <= 1e-10 if kind == "residual" else values >= -1e-10
+            assert tally.trial == full
+            assert tally.passes == np.count_nonzero(ok)
+            assert repr(tally.worst) == repr(float(values[full]))  # NaN and the sign of 0
+            b, j = tally.row
+            assert blocks[b][j] == full
+
+    @pytest.mark.parametrize("kind", ["residual", "slack"])
+    def test_ties_and_nan_go_to_the_first_trial(self, kind):
+        tally = _Tally(kind, 1e-10)
+        worse = 5.0 if kind == "residual" else -5.0
+        tally.add(0, np.array([3, 7]), np.array([worse, worse]))
+        tally.add(1, np.array([1, 9]), np.array([0.0, worse]))
+        assert (tally.trial, tally.worst, tally.row) == (3, worse, (0, 0))
+        tally.add(2, np.array([2]), np.array([worse]))
+        assert (tally.trial, tally.row) == (2, (2, 0))
+        tally.add(3, np.array([8, 11]), np.array([np.nan, np.nan]))
+        tally.add(4, np.array([4]), np.array([worse * 10]))
+        assert tally.trial == 8 and np.isnan(tally.worst) and tally.row == (3, 0)
+        tally.add(5, np.array([0, 6]), np.array([worse, np.nan]))
+        assert tally.trial == 6 and tally.row == (5, 1)
+        tally.add(6, np.array([5]), np.array([np.nan]))
+        assert tally.trial == 5 and tally.row == (6, 0)
+        assert tally.passes == 1
 
 
 class TestWitnessShrinking:
