@@ -3,8 +3,8 @@
 Phi_s generalizes relative information, Omega_s unifies the relative
 Jensen-Shannon and arithmetic-geometric divergences, and Zeta_s generalizes
 the relative J-divergence.  Sweeping s shows the classical measures sitting
-at special parameter values, with exact limit branches at the removable
-singularities.
+at special parameter values; the kernels are exact for every real s, the
+removable singularities s = 0, 1 included.
 """
 
 from divbound import validate

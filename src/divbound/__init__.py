@@ -5,11 +5,15 @@ The package is organized as a small numpy library:
 
     simplex     validated distributions, ratio intervals, Dirichlet sampling
     measures    the twelve classical measures and their decomposition identities
-    families    the Phi/Omega/Zeta type-s families with exact limit branches
+    families    the Phi/Omega/Zeta type-s families, exact for every real s
     generators  convex generating functions, derivatives, f-divergence engine
     bounds      curvature-ratio extrema, the ten-family certificate catalog
     verify      Monte-Carlo harness and independent numeric oracles
     cli         the `divbound` command-line front end
+
+families and generators branch on neither s == 0 nor s == 1: they use
+(y^a - 1)/a = ln(y) expm1(a ln y)/(a ln y), exact through a = 0, in one
+of two algebraically equal forms chosen by s >= 1/2.
 """
 
 from .bounds import (

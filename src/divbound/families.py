@@ -1,7 +1,7 @@
 """One-parameter (type-s) generalizations of the non-symmetric measures.
 
-Three families, each smooth in the real parameter s except for removable
-singularities that are handled by exact limit branches:
+Three families, each smooth in the real parameter s; their singular points
+s = 0, 1 are removable:
 
     Phi_s(P||Q)   = [s(s-1)]^-1 [ sum p^s q^(1-s) - 1 ]          s not in {0, 1}
                   = K(Q||P) at s = 0,   K(P||Q) at s = 1
@@ -18,12 +18,19 @@ Zeta_2 = chi2(P||Q)/2; the full list is pinned down by the test suite.
 The swap duality Phi_s(P||Q) = Phi_(1-s)(Q||P) holds for every real s
 (immediate from s(s-1) = (1-s)(-s); verified empirically in the tests).
 
-Branch selection is by exact comparison with 0 and 1; there is no switching
-band.  Certified constants must be deterministic functions of s, so we
-accept that the generic formula loses roughly 1/|s| ulp of accuracy near
-the singular parameters instead of silently changing formulas.  Powers are
-computed as exp(s * ln(x)) with x > 0 guaranteed by simplex validation,
-which treats integer and non-integer s uniformly.
+The kernels have no limit branches.  With L_a(y) = (y^a - 1)/a =
+ln(y) expm1(a ln y)/(a ln y), exact for every real a (L_0 = ln), and
+m = (p+q)/2, they sum, for s >= 1/2 and for s < 1/2 respectively,
+
+    Phi_s:    [p L_(s-1)(p/q) - (p-q)] / s,    [q L_s(p/q) - (p-q)] / (s-1)
+    Omega_s:  [m L_(s-1)(m/p) - (m-p)] / s,    [p L_s(m/p) - (m-p)] / (s-1)
+    Zeta_s:   (p-q) L_(s-1)(m/q) for every s
+
+The two forms are algebraically equal and each is regular on its own side
+of s = 1/2, so the choice is not a switching band.  Subtracting the linear
+term per term keeps the kernels equal to the engine on validated pairs
+whose masses add up to 1 only within tolerance.  The kernels never call
+the generator engine, so the two stay independent computations.
 
 The Zeta generators are convex only for 0 <= s <= 4; outside that range the
 value is still defined and computable, but it is not a certified divergence
@@ -38,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from ._accum import comp_sum
-from .measures import kl, rel_ag, rel_j, rel_js
+from .generators import _lpow
 from .simplex import Distribution, require_same_length
 
 ZETA_CONVEX_RANGE = (0.0, 4.0)
@@ -72,37 +79,33 @@ def in_convex_range(family: Family, s: float) -> bool:
 
 def phi_s(s: float, p, q):
     """Relative information of type s; arrays of shape (..., n) reduce."""
-    if s == 0.0:
-        return kl(q, p)
-    if s == 1.0:
-        return kl(p, q)
     p, q = np.asarray(p, float), np.asarray(q, float)
-    terms = q * np.exp(s * np.log(p / q))
-    return (comp_sum(terms) - 1.0) / (s * (s - 1.0))
+    if s >= 0.5:
+        terms = (p * _lpow(s - 1.0, p / q) - (p - q)) / s
+    else:
+        terms = (q * _lpow(s, p / q) - (p - q)) / (s - 1.0)
+    return comp_sum(terms)
 
 
 def omega_s(s: float, p, q, adjoint: bool = False):
     """Unified relative JS/AG divergence of type s (adjoint swaps p and q)."""
     if adjoint:
         p, q = q, p
-    if s == 0.0:
-        return rel_js(p, q)
-    if s == 1.0:
-        return rel_ag(p, q)
     p, q = np.asarray(p, float), np.asarray(q, float)
-    terms = p * np.exp(s * np.log((p + q) / (2.0 * p)))
-    return (comp_sum(terms) - 1.0) / (s * (s - 1.0))
+    m = (p + q) / 2.0
+    if s >= 0.5:
+        terms = (m * _lpow(s - 1.0, m / p) - (m - p)) / s
+    else:
+        terms = (p * _lpow(s, m / p) - (m - p)) / (s - 1.0)
+    return comp_sum(terms)
 
 
 def zeta_s(s: float, p, q, adjoint: bool = False):
     """Relative J-divergence of type s (adjoint swaps p and q)."""
     if adjoint:
         p, q = q, p
-    if s == 1.0:
-        return rel_j(p, q)
     p, q = np.asarray(p, float), np.asarray(q, float)
-    terms = (p - q) * np.exp((s - 1.0) * np.log((p + q) / (2.0 * q)))
-    return comp_sum(terms) / (s - 1.0)
+    return comp_sum((p - q) * _lpow(s - 1.0, (p + q) / (2.0 * q)))
 
 
 def family_value(fid: FamilyId, P: Distribution, Q: Distribution) -> float:

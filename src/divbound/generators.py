@@ -20,12 +20,24 @@ With u = (x+1)/2 and v = (x+1)/(2x), the generators and their curvatures:
     XI        (x-1)(u^(s-1) - 1) / (s-1)                    u^(s-3) (s x + 4 - s) / 4
     VARSIGMA  (1-x)(v^(s-1) - 1) / (s-1)                    v^(s-3) ((4-s) x + s) / (4 x^4)
 
-PHI, PSI and UPSILON have exact limit branches at s in {0, 1}; XI and
-VARSIGMA only at s = 1.  The second-derivative closed forms are uniform in
-s (they cover the limit branches too) and every one of them is held to a
+The points s = 0, 1 of these formulas are removable singularities.  f and
+f' have no limit branch: they use L_a(y) = (y^a - 1)/a = ln(y) exprel(a ln y),
+exprel(z) = expm1(z)/z, exact for every real a (L_0 = ln), and the PHI
+generator phi_s(y) = [y L_(s-1)(y) - (y-1)]/s for s >= 1/2, else
+[L_s(y) - (y-1)]/(s-1):
+
+    PHI       f = phi_s(x)            f' = L_(s-1)(x)
+    PSI       f = x phi_s(v)          f' = phi_s(v) - L_(s-1)(v) / (2x)
+    UPSILON   f = phi_s(u)            f' = L_(s-1)(u) / 2
+    XI        f = (x-1) L_(s-1)(u)    f' = L_(s-1)(u) + (x-1) u^(s-2) / 2
+    VARSIGMA  f = (1-x) L_(s-1)(v)    f' = -L_(s-1)(v) + (x-1) v^(s-2) / (2x^2)
+
+The two phi_s forms are algebraically equal and each is regular on its own
+side of s = 1/2, so the choice is not a switching band.  The f'' closed
+forms are uniform in s as written, and each is held to a
 central-finite-difference oracle by the test suite before anything
-downstream trusts them: bound certificates are built from curvature ratios,
-so d2 is analytic code, never numerical differentiation.
+downstream trusts them: certificates are built from curvature ratios, so
+d2 is analytic code, never numerical differentiation.
 
 All generators satisfy f(1) = 0 and f'(1) = 0, hence C_f(P||P) = 0 and
 C_f inherits nonnegativity from convexity.
@@ -79,41 +91,41 @@ def _pow(x, e):
     return np.exp(e * np.log(x))
 
 
+def _lpow(a, y):
+    """L_a(y) = (y^a - 1)/a = ln(y) exprel(a ln y), exact through a = 0 (ln y).
+
+    exprel(z) = expm1(z)/z is set to its limit 1 at z = 0; the 0/0 it
+    computes there first is silenced here and nowhere else.  ``[()]`` turns
+    the 0-d array of a scalar argument back into a scalar.
+    """
+    lny = np.log(y)
+    z = a * lny
+    with np.errstate(invalid="ignore"):
+        return lny * np.where(z == 0.0, 1.0, np.expm1(z) / z)[()]
+
+
+def _phi(s, y):
+    """The PHI generator in the form that is regular at s (module docstring)."""
+    if s >= 0.5:
+        return (y * _lpow(s - 1.0, y) - (y - 1.0)) / s
+    return (_lpow(s, y) - (y - 1.0)) / (s - 1.0)
+
+
 def gen_value(spec: GeneratorSpec, x):
     """f(x) for positive x (scalar or array); no domain check."""
     s = spec.s
     g = spec.gen
     x = np.asarray(x, float) if np.ndim(x) else x
     if g is Gen.PHI:
-        if s == 0.0:
-            return x - 1.0 - np.log(x)
-        if s == 1.0:
-            return 1.0 - x + x * np.log(x)
-        return (_pow(x, s) - 1.0 - s * (x - 1.0)) / (s * (s - 1.0))
+        return _phi(s, x)
     if g is Gen.PSI:
-        v = (x + 1.0) / (2.0 * x)
-        if s == 0.0:
-            return (1.0 - x) / 2.0 - x * np.log(v)
-        if s == 1.0:
-            return (x - 1.0) / 2.0 + ((x + 1.0) / 2.0) * np.log(v)
-        return (x * _pow(v, s) - x - s * (1.0 - x) / 2.0) / (s * (s - 1.0))
+        return x * _phi(s, (x + 1.0) / (2.0 * x))
     if g is Gen.UPSILON:
-        u = (x + 1.0) / 2.0
-        if s == 0.0:
-            return (x - 1.0) / 2.0 - np.log(u)
-        if s == 1.0:
-            return (1.0 - x) / 2.0 + u * np.log(u)
-        return (_pow(u, s) - 1.0 - s * (x - 1.0) / 2.0) / (s * (s - 1.0))
+        return _phi(s, (x + 1.0) / 2.0)
     if g is Gen.XI:
-        u = (x + 1.0) / 2.0
-        if s == 1.0:
-            return (x - 1.0) * np.log(u)
-        return (x - 1.0) * (_pow(u, s - 1.0) - 1.0) / (s - 1.0)
+        return (x - 1.0) * _lpow(s - 1.0, (x + 1.0) / 2.0)
     if g is Gen.VARSIGMA:
-        v = (x + 1.0) / (2.0 * x)
-        if s == 1.0:
-            return (1.0 - x) * np.log(v)
-        return (1.0 - x) * (_pow(v, s - 1.0) - 1.0) / (s - 1.0)
+        return (1.0 - x) * _lpow(s - 1.0, (x + 1.0) / (2.0 * x))
     raise KeyError(f"unknown generator {g!r}")
 
 
@@ -123,39 +135,18 @@ def gen_d1(spec: GeneratorSpec, x):
     g = spec.gen
     x = np.asarray(x, float) if np.ndim(x) else x
     if g is Gen.PHI:
-        if s == 0.0:
-            return 1.0 - 1.0 / x
-        if s == 1.0:
-            return np.log(x)
-        return (_pow(x, s - 1.0) - 1.0) / (s - 1.0)
+        return _lpow(s - 1.0, x)
     if g is Gen.PSI:
         v = (x + 1.0) / (2.0 * x)
-        if s == 0.0:
-            return -0.5 - np.log(v) + 1.0 / (x + 1.0)
-        if s == 1.0:
-            return 0.5 + 0.5 * np.log(v) - 1.0 / (2.0 * x)
-        return ((1.0 - s) * _pow(v, s) + (s / 2.0) * _pow(v, s - 1.0) - 1.0 + s / 2.0) / (
-            s * (s - 1.0)
-        )
+        return _phi(s, v) - _lpow(s - 1.0, v) / (2.0 * x)
     if g is Gen.UPSILON:
-        u = (x + 1.0) / 2.0
-        if s == 0.0:
-            return 0.5 - 1.0 / (x + 1.0)
-        if s == 1.0:
-            return 0.5 * np.log(u)
-        return (_pow(u, s - 1.0) - 1.0) / (2.0 * (s - 1.0))
+        return _lpow(s - 1.0, (x + 1.0) / 2.0) / 2.0
     if g is Gen.XI:
         u = (x + 1.0) / 2.0
-        if s == 1.0:
-            return np.log(u) + (x - 1.0) / (x + 1.0)
-        return (_pow(u, s - 1.0) - 1.0) / (s - 1.0) + (x - 1.0) * _pow(u, s - 2.0) / 2.0
+        return _lpow(s - 1.0, u) + (x - 1.0) * _pow(u, s - 2.0) / 2.0
     if g is Gen.VARSIGMA:
         v = (x + 1.0) / (2.0 * x)
-        if s == 1.0:
-            return -np.log(v) + (x - 1.0) / (x * (x + 1.0))
-        return -(_pow(v, s - 1.0) - 1.0) / (s - 1.0) + (x - 1.0) * _pow(v, s - 2.0) / (
-            2.0 * x * x
-        )
+        return -_lpow(s - 1.0, v) + (x - 1.0) * _pow(v, s - 2.0) / (2.0 * x * x)
     raise KeyError(f"unknown generator {g!r}")
 
 

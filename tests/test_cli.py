@@ -1,9 +1,27 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from divbound import cli
+from divbound.measures import kl, rel_ag, rel_j, rel_js, triangular
+
+WORKED_P, WORKED_Q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+
+# the classical measure each family takes at s = 0 and at s = 1
+CLASSICAL_AT = {
+    ("phi", 0): kl(WORKED_Q, WORKED_P),
+    ("omega", 0): rel_js(WORKED_P, WORKED_Q),
+    ("omega-adj", 0): rel_js(WORKED_Q, WORKED_P),
+    ("zeta", 0): triangular(WORKED_P, WORKED_Q),
+    ("zeta-adj", 0): triangular(WORKED_P, WORKED_Q),
+    ("phi", 1): kl(WORKED_P, WORKED_Q),
+    ("omega", 1): rel_ag(WORKED_P, WORKED_Q),
+    ("omega-adj", 1): rel_ag(WORKED_Q, WORKED_P),
+    ("zeta", 1): rel_j(WORKED_P, WORKED_Q),
+    ("zeta-adj", 1): rel_j(WORKED_Q, WORKED_P),
+}
 
 
 @pytest.fixture
@@ -107,6 +125,20 @@ class TestCompute:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "overflows" in err
+
+    # one ulp or less away from the removable points; argparse needs the
+    # --s=VALUE spelling for a negative value
+    @pytest.mark.parametrize(
+        "s_arg,s0",
+        [("--s=1e-17", 0), ("--s=-1e-17", 0), ("--s=1.0000000000000002", 1),
+         ("--s=0.9999999999999999", 1)],
+    )
+    @pytest.mark.parametrize("family", ["phi", "omega", "omega-adj", "zeta", "zeta-adj"])
+    def test_family_next_to_removable_point(self, capsys, pair_files, family, s_arg, s0):
+        p, q = pair_files
+        code, out, _ = invoke(capsys, "compute", family, s_arg, "--p", p, "--q", q)
+        assert code == 0
+        assert float(out) == pytest.approx(CLASSICAL_AT[family, s0], rel=1e-14)
 
     def test_normalize_flag(self, capsys, tmp_path, pair_files):
         raw = tmp_path / "raw.csv"

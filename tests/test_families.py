@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SIZES, scaled_ok
+from conftest import SIZES, continuity_violations, mass_lists, scaled_ok
 from divbound.errors import LengthMismatch
 from divbound.families import (
     Family,
@@ -16,9 +16,17 @@ from divbound.families import (
     zeta_s,
 )
 from divbound.measures import chi_square, hellinger, kl, rel_ag, rel_j, rel_js, triangular
-from divbound.simplex import validate
+from divbound.simplex import normalize, validate
 
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+
+KERNELS = {
+    "phi": phi_s,
+    "omega": omega_s,
+    "omega-adj": lambda s, p, q: omega_s(s, p, q, adjoint=True),
+    "zeta": zeta_s,
+    "zeta-adj": lambda s, p, q: zeta_s(s, p, q, adjoint=True),
+}
 
 
 class TestWorkedExample:
@@ -117,15 +125,34 @@ class TestStructure:
                 omega_s(s, P, Q, adjoint=True), phi_s(s, mid, Q), 1e-10
             ), s
 
-    def test_continuity_at_removable_singularities(self, fixed_pair):
+    def test_continuity_at_removable_singularities(self, fixed_pair, pair_matrices):
+        """Continuous in s through the removable points s = 0, 1 and the form
+        choice at s = 1/2, at offsets from 1e-15 to 1e-3 on either side."""
         P, Q = fixed_pair
-        p, q = P.masses, Q.masses
-        d = 1e-6
-        assert abs(phi_s(d, p, q) - phi_s(0.0, p, q)) <= 1e-4
-        assert abs(phi_s(1.0 + d, p, q) - phi_s(1.0, p, q)) <= 1e-4
-        assert abs(omega_s(d, p, q) - omega_s(0.0, p, q)) <= 1e-4
-        assert abs(omega_s(1.0 - d, p, q) - omega_s(1.0, p, q)) <= 1e-4
-        assert abs(zeta_s(1.0 + d, p, q) - zeta_s(1.0, p, q)) <= 1e-4
+        for p, q in ((P.masses, Q.masses), pair_matrices[5]):
+            for name, kernel in KERNELS.items():
+                for s0 in (0.0, 0.5, 1.0):
+                    bad = continuity_violations(lambda s: kernel(s, p, q), s0)
+                    assert not bad, (name, s0, bad)
+
+    def test_continuity_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(
+            mass_lists(st),
+            st.sampled_from(list(KERNELS)),
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-3.0, 5.0)),
+            st.floats(-15.0, -4.0),
+            st.sampled_from([1.0, -1.0]),
+        )
+        def check(pq, name, s0, log_d, sign):
+            p, q = normalize(pq[0]).masses, normalize(pq[1]).masses
+            d = sign * 10.0**log_d
+            assert not continuity_violations(lambda s: KERNELS[name](s, p, q), s0, (d,))
+
+        check()
 
     def test_nonnegativity(self, pair_matrices):
         zeta_grid = [s for s in S_GRID if ZETA_CONVEX_RANGE[0] <= s <= ZETA_CONVEX_RANGE[1]]
@@ -149,8 +176,16 @@ class TestFamilyValue:
         P, Q = fixed_pair
         p, q = P.masses, Q.masses
         assert family_value(FamilyId(Family.PHI, 2.0), P, Q) == phi_s(2.0, p, q)
-        assert family_value(FamilyId(Family.OMEGA, 0.0), P, Q) == rel_js(p, q)
-        assert family_value(FamilyId(Family.OMEGA_ADJOINT, 1.0), P, Q) == rel_ag(q, p)
+        assert family_value(FamilyId(Family.OMEGA, 0.0), P, Q) == omega_s(0.0, p, q)
+        assert family_value(FamilyId(Family.OMEGA, 0.0), P, Q) == pytest.approx(
+            rel_js(p, q), rel=1e-14
+        )
+        assert family_value(FamilyId(Family.OMEGA_ADJOINT, 1.0), P, Q) == omega_s(
+            1.0, p, q, adjoint=True
+        )
+        assert family_value(FamilyId(Family.OMEGA_ADJOINT, 1.0), P, Q) == pytest.approx(
+            rel_ag(q, p), rel=1e-14
+        )
         assert family_value(FamilyId(Family.ZETA_ADJOINT, 2.0), P, Q) == pytest.approx(
             chi_square(q, p) / 2.0, rel=1e-13
         )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import scaled_ok
+from conftest import continuity_violations, mass_lists, scaled_ok
 from divbound.errors import NonPositiveArgument
 from divbound.families import omega_s, phi_s, zeta_s
 from divbound.generators import (
@@ -16,7 +16,7 @@ from divbound.generators import (
     gen_eval,
     gen_value,
 )
-from divbound.simplex import validate
+from divbound.simplex import normalize, validate
 
 S_GRID = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
 ALL_SPECS = [GeneratorSpec(g, s) for g in Gen for s in S_GRID]
@@ -133,6 +133,61 @@ class TestEngine:
         assert csiszar(GeneratorSpec(Gen.PHI, 2.0), P, Q) == pytest.approx(
             1.0 / 6.0, rel=1e-13
         )
+
+
+class TestUniformInS:
+    """No limit branches: f, f' and the engine are continuous in s through the
+    removable points s = 0, 1 and through the form choice at s = 1/2."""
+
+    @pytest.mark.parametrize("s0", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("gen", list(Gen), ids=lambda g: g.value)
+    def test_value_and_slope_continuous(self, gen, s0):
+        xs = np.geomspace(0.01, 100.0, 201)
+        for fn in (gen_value, gen_d1):
+            bad = continuity_violations(lambda s: fn(GeneratorSpec(gen, s), xs), s0)
+            assert not bad, (fn.__name__, bad)
+
+    @pytest.mark.parametrize("s0", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("gen", list(Gen), ids=lambda g: g.value)
+    def test_engine_continuous(self, gen, s0, pair_matrices):
+        P, Q = pair_matrices[5]
+        bad = continuity_violations(lambda s: csiszar_bulk(GeneratorSpec(gen, s), P, Q), s0)
+        assert not bad, bad
+
+    def test_scalar_in_scalar_out(self):
+        for spec in ALL_SPECS:
+            assert isinstance(gen_value(spec, 2.0), float), spec
+            assert isinstance(gen_d1(spec, 2.0), float), spec
+
+    @pytest.mark.parametrize("gen", list(Gen), ids=lambda g: g.value)
+    def test_matches_kernels_off_unit_sum(self, gen, pair_matrices):
+        """Kernel and engine agree on pairs whose mass sums are off by up to
+        9e-10, which validation accepts, right next to s = 0 and s = 1."""
+        kernel = ENGINE_EQUIV[gen]
+        P, Q = pair_matrices[5]
+        for a, b in ((1.0 + 9e-10, 1.0 - 9e-10), (1.0 - 9e-10, 1.0 + 9e-10), (1.0 + 9e-10, 1.0)):
+            p = np.array([validate(row * a).masses for row in P[:60]])
+            q = np.array([validate(row * b).masses for row in Q[:60]])
+            for s0 in (0.0, 1.0):
+                for d in (0.0, 1e-9, -1e-9, 1e-12, -1e-15):
+                    s = s0 + d
+                    assert scaled_ok(
+                        csiszar_bulk(GeneratorSpec(gen, s), p, q), kernel(s, p, q), 1e-12
+                    ), (gen, a, b, s)
+
+    def test_matches_kernels_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        near = st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-1e-6, 1e-6)).map(sum)
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(mass_lists(st), st.sampled_from(list(Gen)), st.one_of(near, st.floats(-3.0, 5.0)))
+        def check(pq, gen, s):
+            p, q = normalize(pq[0]).masses, normalize(pq[1]).masses
+            engine = csiszar_bulk(GeneratorSpec(gen, s), p, q)
+            assert scaled_ok(engine, ENGINE_EQUIV[gen](s, p, q), 1e-12)
+
+        check()
 
 
 class TestConvexityScan:
