@@ -3,9 +3,9 @@
 For a pair with mass ratios inside [r, R], the ratio of two divergences is
 sandwiched by the extrema of the curvature ratio of their generators over
 [r, R].  The catalog covers ten family pairs with closed-form endpoint
-constants; each certificate is cross-checked against a numeric extremum
-scan, and corners where the cataloged text is misprinted ship corrected
-values with an erratum flag.
+constants; each certificate is cross-checked against a numeric enclosure
+of the extrema, and corners where the cataloged text is misprinted ship
+corrected values with an erratum flag.
 """
 
 from divbound import (
@@ -34,7 +34,7 @@ print(f"  sandwich: {rep.lhs:.9f} <= {rep.mid:.9f} <= {rep.rhs:.9f}"
 print("  here the middle is chi2(P||Q)/8 and the outer terms are m*K, M*K")
 
 print()
-print("the numeric scanner handles parameters outside every cataloged region:")
+print("the numeric enclosure handles parameters outside every cataloged region:")
 cert = closed_form_mM(InequalityFamily.I, 0.0, 0.0, rb.r, rb.R)
 print(f"  family I at s=t=0: m = {cert.m:.9f}, M = {cert.M:.9f}, "
       f"source = {cert.source.value}, region_ok = {cert.region_ok}")

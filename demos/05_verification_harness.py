@@ -33,12 +33,12 @@ print(f"largest identity residual : {worst_res.worst_slack:.3e}")
 print(f"smallest inequality slack : {worst_slk.worst_slack:.3e}")
 
 print()
-print("refined scanner vs plain-grid oracle on family X at s=3, t=2:")
+print("numeric enclosure vs plain-grid oracle on family X at s=3, t=2:")
 num, den = family_generators(InequalityFamily.X, 3.0, 2.0)
 for (r, R) in [(0.25, 4.0), (0.6, 1.8), (1.0, 15.0)]:
     nm, nM = numeric_mM(num, den, r, R)
     bm, bM = brute_force_mM(num, den, r, R, 100_000)
-    print(f"  [{r:>5}, {R:>5}]  scanner ({nm:.10f}, {nM:.10f})"
+    print(f"  [{r:>5}, {R:>5}]  enclosure ({nm:.10f}, {nM:.10f})"
           f"  grid ({bm:.10f}, {bM:.10f})")
 
 print()

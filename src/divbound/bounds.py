@@ -12,15 +12,16 @@ M f2 - f1 plus nonnegativity of normalized convex f-divergences).
 The sharp constants are m = inf g and M = sup g over [r, R].  This module
 computes them two ways:
 
-* :func:`numeric_mM` - dense log-spaced grid plus golden-section
-  refinement; works for any generator pair with positive denominator
-  curvature, monotone or not.
+* :func:`numeric_mM` - an outward enclosure by cell proofs on ln|g|
+  (:class:`_Ratio`); works for any generator pair with positive
+  denominator curvature, monotone or not, and returns m <= inf g and
+  M >= sup g.
 
 * :func:`closed_form_mM` - the cataloged endpoint formulas for the ten
   inequality families below.  Within each family's validity region the
   ratio g is monotone, so the extrema sit at the interval endpoints.
   Every closed-form certificate is cross-checked against the numeric
-  scanner; if the cataloged text disagrees with the scan (two corners of
+  enclosure; if the cataloged text disagrees with it (two corners of
   the catalog are misprinted, see ``erratum`` on the certificate), the
   numeric values are shipped.  A certificate is therefore always sound.
 
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -59,7 +61,7 @@ from .errors import (
     NonPositiveArgument,
     RegionViolation,
 )
-from .generators import Gen, GeneratorSpec, gen_d2, gen_d2_scalar
+from .generators import Gen, GeneratorSpec, gen_d2, log_d2
 from .generators import csiszar
 from .simplex import Distribution, ratio_bounds
 
@@ -320,36 +322,6 @@ def g_ratio(num: GeneratorSpec, den: GeneratorSpec, x):
     return float(gen_d2(num, x)) / d
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, a: float, b: float, rel: float = 1e-12) -> float:
-    """Least probed value of f over [a, b] (endpoints included)."""
-    best = min(f(a), f(b))
-    h = b - a
-    tol = rel * max(1.0, abs(b))
-    if h <= tol:
-        return best
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    best = min(best, yc, yd)
-    while h > tol:
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = b - _INV_PHI * h
-            yc = f(c)
-            best = min(best, yc)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
-            yd = f(d)
-            best = min(best, yd)
-    return best
-
-
 _OVERFLOW = "overflows double precision"
 
 
@@ -361,23 +333,27 @@ def _non_finite(num: GeneratorSpec, den: GeneratorSpec, r: float, R: float, what
 
 
 def numeric_mM(
-    num: GeneratorSpec, den: GeneratorSpec, r: float, R: float, grid: int = 4097
+    num: GeneratorSpec, den: GeneratorSpec, r: float, R: float
 ) -> tuple[float, float]:
-    """inf and sup of the curvature ratio over [r, R].
+    """inf and sup of the curvature ratio over [r, R], enclosed from outside.
 
-    Log-spaced grid scan followed by golden-section refinement of the cells
-    bracketing the grid extrema, down to relative interval width 1e-12.
-    Exact endpoint values are always included, so for monotone ratios the
-    result is exact up to evaluation rounding.  Raises
-    :class:`NonFiniteValue` when a curvature overflows double precision or
-    an extremum is not finite.
+    Works on ln|g| by cell proofs (:class:`_Ratio`): a ratio proven
+    monotone costs its two endpoint values, and only cells that may hold
+    an interior extremum are refined, until each extremum is enclosed to
+    about 1e-13 relative.  The result is padded outward by the rounding
+    allowance of the evaluations, so ``m <= inf g`` and ``M >= sup g``;
+    for r == R both are the computed value at r.  Curvatures beyond the
+    double range are fine as long as the extrema are not.  Raises
+    :class:`DegenerateDenominator` when the denominator curvature is not
+    positive on [r, R] and :class:`NonFiniteValue` when an extremum
+    overflows double precision or a non-zero one underflows it.
     """
     if not (r > 0.0 and R > 0.0):
         raise NonPositiveArgument(f"interval must be positive, got [{r}, {R}]")
     if not r <= R:
         raise ValueError(f"need r <= R, got [{r}, {R}]")
     try:
-        m, M = _scan_mM(num, den, r, R, grid)
+        m, M, _ = _Ratio(num, den, r, R).extrema()
     except OverflowError as exc:
         raise _non_finite(num, den, r, R, _OVERFLOW) from exc
     if not (math.isfinite(m) and math.isfinite(M)):
@@ -385,39 +361,342 @@ def numeric_mM(
     return m, M
 
 
-def _scan_mM(
-    num: GeneratorSpec, den: GeneratorSpec, r: float, R: float, grid: int
-) -> tuple[float, float]:
-    fn = gen_d2_scalar(num)
-    fd = gen_d2_scalar(den)
+# --------------------------------------------------------------------------
+# cell proofs on ln|g|
 
-    def g(x: float) -> float:
-        d = fd(x)
-        if not d > 0.0:
+#: rounding allowance per unit of term magnitude, in ln|g| and in its slope
+_ERR = 8.0 * sys.float_info.epsilon
+#: target width of the enclosure of an extremum of ln|g| (relative in g)
+_TOL = 1e-13
+#: ln of the least normal double
+_LOG_TINY = math.log(sys.float_info.min)
+#: refinements one enclosure may spend before it settles for its bounds
+_MAX_SPLITS = 400
+#: bisections the monotonicity proof may spend before it gives up
+_MAX_PROOF_SPLITS = 64
+
+
+def _mean_value(fa: float, fb: float, lo: float, hi: float, h: float) -> tuple[float, float]:
+    """(upper, lower) bound of f on a cell of width h from its end values and
+    lo <= f' <= hi: f lies below both lines fa + hi t and fb - lo (h - t)
+    and above fa + lo t and fb - hi (h - t).  Each pair of lines crosses
+    inside the cell; the crossing is the bound unless f is monotone there,
+    when the end values are."""
+    dd = hi - lo
+    if not dd > 0.0:
+        return max(fa, fb), min(fa, fb)
+    up = fa + hi * min(max((fb - fa - lo * h) / dd, 0.0), h)
+    low = fa + lo * min(max((fa - fb + hi * h) / dd, 0.0), h)
+    return max(fa, fb, up), min(fa, fb, low)
+
+
+class _Pt:
+    """ln|g| at one point: ``y = ln x``, ``l1 = ln(1+x)``, value ``L`` with
+    rounding allowance ``e``, the sign ``s`` of g (0 at a zero of g), the
+    terms ``lv``, ``lw`` of the linear factors, the slope ``D`` with its
+    Moebius terms ``bm``, ``t1``, ``t2`` and their allowance ``dp``, and the
+    slope's own slope terms x/(1+x)^2, t1(1-t1), t2(1-t2) with allowance
+    ``kp``."""
+
+    __slots__ = ("x", "y", "l1", "L", "e", "s", "lv", "lw", "bm", "t1", "t2", "dp", "D",
+                 "hb", "h1", "h2", "kp")
+
+
+class _Ratio:
+    """ln|g| of g = f1''/f2'' on [lo, hi], from the :func:`log_d2` records:
+
+        ln|g| = A ln x + B ln(1+x) + ln|p1 x + q1| - ln(p2 x + q2) + C.
+
+    In y = ln x its slope is D = A + B x/(1+x) + t1 - t2 with
+    t_i = p_i x / (p_i x + q_i).  Each term is monotone on either side of
+    its pole, so on a cell [a, b] that holds no zero of p1 x + q1 the terms'
+    end values bound D.  A cell where D keeps one sign holds its extrema
+    at its ends; elsewhere the mean-value form bounds them, with a width
+    that shrinks with the square of the cell.  Cells ending at a zero of g
+    are bounded directly: every term of ln|g| is monotone or, for the
+    numerator factor, quasi-convex, so the sum of the terms' end maxima
+    bounds ln|g| from above.  Every bound is widened by the rounding
+    allowance of the values it uses (``_ERR`` per unit of magnitude,
+    including the conditioning of p x + q).  The zero of g is taken at the
+    rounded -q1/p1, so within a few ulps of it the sign of g, and values
+    of order eps (|p1 x| + |q1|) relative to the rest of g, are as rounded.
+    """
+
+    def __init__(self, num: GeneratorSpec, den: GeneratorSpec, lo: float, hi: float):
+        a, b = log_d2(num), log_d2(den)
+        if not (b.sign > 0.0 and math.isfinite(b.alpha + b.beta + b.c)) or (
+            b.p and not (b.p * lo + b.q > 0.0 and b.p * hi + b.q > 0.0)
+        ):
             raise DegenerateDenominator(
-                f"{den.gen.value}(s={den.s}) has curvature {d} at x={x}"
+                f"{den.gen.value}(s={den.s}) has non-positive curvature on [{lo}, {hi}]"
             )
-        return fn(x) / d
+        self.num, self.den, self.lo, self.hi = num, den, lo, hi
+        self.A = a.alpha - b.alpha
+        self.B = a.beta - b.beta
+        self.C = a.c - b.c
+        self.sign = a.sign
+        self.p1, self.q1, self.p2, self.q2 = a.p, a.q, b.p, b.q
+        # where t_i(1 - t_i) peaks, if it does for x > 0
+        self.peak1 = a.q / a.p if a.p * a.q > 0.0 else math.nan
+        self.peak2 = b.q / b.p if b.p * b.q > 0.0 else math.nan
+        # magnitudes behind the rounding of A, B and C
+        self.sa = abs(a.alpha) + abs(b.alpha)
+        self.sb = abs(a.beta) + abs(b.beta)
+        self.sc = abs(a.c) + abs(b.c)
 
-    if r == R:
-        v = g(r)
-        return v, v
-    xs = np.geomspace(r, R, grid)
-    dvals = gen_d2(den, xs)
-    if not np.all(dvals > 0.0):
-        raise DegenerateDenominator(
-            f"{den.gen.value}(s={den.s}) has non-positive curvature on [{r}, {R}]"
-        )
-    gs = gen_d2(num, xs) / dvals
-    i_min = int(np.argmin(gs))
-    i_max = int(np.argmax(gs))
-    lo = _golden_min(g, float(xs[max(0, i_min - 1)]), float(xs[min(grid - 1, i_min + 1)]))
-    hi = -_golden_min(
-        lambda x: -g(x),
-        float(xs[max(0, i_max - 1)]),
-        float(xs[min(grid - 1, i_max + 1)]),
-    )
-    return min(float(gs[i_min]), lo), max(float(gs[i_max]), hi)
+    def point(self, x: float, zero: bool = False) -> _Pt:
+        """ln|g| at x; ``zero`` marks x as the zero of p1 x + q1."""
+        pt = _Pt()
+        pt.x = x
+        pt.y = y = math.log(x)
+        pt.l1 = l1 = math.log1p(x)
+        L = self.A * y + self.B * l1 + self.C
+        e = self.sa * abs(y) + self.sb * l1 + self.sc + 1.0
+        pt.bm = bm = self.B * x / (1.0 + x)
+        pt.hb = hb = x / ((1.0 + x) * (1.0 + x))
+        dp = abs(self.A) + abs(bm)
+        kp = abs(self.B) * (hb + 0.25)
+        s = self.sign
+        pt.lv = pt.lw = pt.t1 = pt.t2 = pt.h1 = pt.h2 = 0.0
+        if self.p1:
+            v = 0.0 if zero else self.p1 * x + self.q1
+            if v:
+                pt.lv = lv = math.log(abs(v))
+                k = (abs(self.p1 * x) + abs(self.q1)) / abs(v)
+                pt.t1 = t1 = self.p1 * x / v
+                pt.h1 = h1 = t1 * self.q1 / v
+                L += lv
+                e += abs(lv) + k
+                dp += abs(t1) * (1.0 + k)
+                kp += 2.0 * abs(h1) * (1.0 + k)
+                if v < 0.0:
+                    s = -s
+            else:
+                pt.lv = L = -math.inf
+                s = 0.0
+        if self.p2:
+            w = self.p2 * x + self.q2
+            pt.lw = lw = math.log(w)
+            k = (abs(self.p2 * x) + abs(self.q2)) / w
+            pt.t2 = t2 = self.p2 * x / w
+            pt.h2 = h2 = t2 * self.q2 / w
+            L -= lw
+            e += abs(lw) + k
+            dp += abs(t2) * (1.0 + k)
+            kp += 2.0 * abs(h2) * (1.0 + k)
+        if s and not math.isfinite(L):
+            raise _non_finite(self.num, self.den, self.lo, self.hi,
+                              f"has log-curvature {L!r} at x = {x!r}")
+        pt.L, pt.s = L, s
+        pt.e = _ERR * (e + abs(L)) if s else _ERR * e
+        pt.dp = _ERR * dp
+        pt.kp = _ERR * kp
+        pt.D = self.A + bm + pt.t1 - pt.t2
+        return pt
+
+    def slope(self, a: _Pt, b: _Pt) -> tuple[float, float]:
+        """Bounds on D over the cell [a, b]; a and b share a non-zero sign.
+
+        The terms' end values give the first bound.  When it straddles 0,
+        the mean-value form of D itself tightens it: D' = B x/(1+x)^2 +
+        t1(1-t1) - t2(1-t2), each term monotone or with a single peak of
+        1/4 (at x = 1 and at x = q/p), so the terms' end values and peaks
+        bound D' as well.  Terms that cancel loosen the first bound by the
+        cell width, the second only by its square.
+        """
+        pad = max(a.dp, b.dp)
+        lo = self.A + min(a.bm, b.bm) + min(a.t1, b.t1) - max(a.t2, b.t2) - pad
+        hi = self.A + max(a.bm, b.bm) + max(a.t1, b.t1) - min(a.t2, b.t2) + pad
+        if lo < 0.0 < hi:
+            xa, xb = a.x, b.x
+            hb = max(a.hb, b.hb) if not xa < 1.0 < xb else 0.25
+            hb = (self.B * min(a.hb, b.hb), self.B * hb)
+            h1 = max(a.h1, b.h1) if not xa < self.peak1 < xb else 0.25
+            h2 = max(a.h2, b.h2) if not xa < self.peak2 < xb else 0.25
+            h = b.y - a.y
+            up, low = _mean_value(
+                a.D, b.D,
+                min(hb) + min(a.h1, b.h1) - h2,
+                max(hb) + h1 - min(a.h2, b.h2),
+                h,
+            )
+            pad += h * max(a.kp, b.kp)
+            lo, hi = max(lo, low - pad), min(hi, up + pad)
+        return lo, hi
+
+    def _cell(self, a: _Pt, b: _Pt):
+        """(upper bound of sup, lower bound of inf, rounding allowance) of
+        ln|g| on [a, b], or None when the cell is proven monotone (its
+        extrema are a and b)."""
+        if a.s and a.s == b.s:
+            lo, hi = self.slope(a, b)
+            if lo >= 0.0 or hi <= 0.0:
+                return None
+            ub, lb = _mean_value(a.L, b.L, lo, hi, b.y - a.y)
+            return ub, lb, max(a.e, b.e)
+        # one end is a zero of g, where t1 runs off to -inf (from the left)
+        # or +inf (from the right): the other end's t1 bounds D on one side
+        pad = max(a.dp, b.dp)
+        if a.s:
+            hi = self.A + max(a.bm, b.bm) + a.t1 - min(a.t2, b.t2) + pad
+            if hi <= 0.0:
+                return None
+        else:
+            lo = self.A + min(a.bm, b.bm) + b.t1 - max(a.t2, b.t2) - pad
+            if lo >= 0.0:
+                return None
+        ub = (self.C + max(self.A * a.y, self.A * b.y) + max(self.B * a.l1, self.B * b.l1)
+              + max(a.lv, b.lv) - min(a.lw, b.lw))
+        return ub, -math.inf, max(a.e, b.e)
+
+    def _split(self, a: _Pt, b: _Pt) -> list[_Pt]:
+        """New points inside (a, b): a pair close around the root of D when
+        its end values bracket one, else the midpoint in ln x."""
+        ya, yb = a.y, b.y
+        if a.s and a.s == b.s and (a.D > a.dp and b.D < -b.dp or a.D < -a.dp and b.D > b.dp):
+            y, curv = self._root(a, b)
+            if curv > 0.0:
+                delta = math.sqrt(0.5 * _TOL / curv)
+                if ya < y - delta and y + delta < yb:
+                    x1, x2 = math.exp(y - delta), math.exp(y + delta)
+                    if a.x < x1 < x2 < b.x:
+                        return [self.point(x1), self.point(x2)]
+        x = math.exp(0.5 * (ya + yb))
+        return [self.point(x)] if a.x < x < b.x else []
+
+    def _root(self, a: _Pt, b: _Pt) -> tuple[float, float]:
+        """Newton on D in y, kept inside the bracket [a, b]; returns the
+        root and the magnitude of D's slope terms there."""
+        A, B, p1, q1, p2, q2 = self.A, self.B, self.p1, self.q1, self.p2, self.q2
+        ya, yb, up = a.y, b.y, a.D < 0.0
+        y = ya + (yb - ya) * a.D / (a.D - b.D)
+        curv = 0.0
+        for _ in range(40):
+            x = math.exp(y)
+            m = x / (1.0 + x)
+            d, d1 = A + B * m, B * m * (1.0 - m)
+            curv = abs(d1)
+            if p1:
+                t = p1 * x / (p1 * x + q1)
+                d += t
+                d1 += t * (1.0 - t)
+                curv += abs(t * (1.0 - t))
+            if p2:
+                t = p2 * x / (p2 * x + q2)
+                d -= t
+                d1 -= t * (1.0 - t)
+                curv += abs(t * (1.0 - t))
+            if (d < 0.0) == up:
+                ya = y
+            else:
+                yb = y
+            step = d / d1 if d1 else math.inf
+            yn = y - step
+            if not ya < yn < yb:
+                yn = 0.5 * (ya + yb)
+            if abs(yn - y) <= 1e-14 * (1.0 + abs(y)):
+                return yn, curv
+            y = yn
+        return y, curv
+
+    def _enclose(self, a: _Pt, b: _Pt, need_inf: bool):
+        """Enclosures of sup and inf of ln|g| between a and b, where g keeps
+        one sign: (sup upper bound, sup attained, inf lower bound, inf
+        attained).  Cells are refined only while their bound reaches more
+        than ``_TOL`` past the best value attained so far."""
+        hi_att, lo_att = max(a.L, b.L), min(a.L, b.L)
+        hi_ub, lo_lb = max(a.L + a.e, b.L + b.e), min(a.L - a.e, b.L - b.e)
+        cells = [(a, b)]
+        splits = _MAX_SPLITS
+        while cells:
+            a, b = cells.pop()
+            bound = self._cell(a, b)
+            if bound is None:
+                continue
+            ub, lb, e = bound
+            if ub > hi_att + _TOL or (need_inf and lb < lo_att - _TOL):
+                new = self._split(a, b) if splits else []
+                if new:
+                    splits -= 1
+                    for p in new:
+                        hi_att, lo_att = max(hi_att, p.L), min(lo_att, p.L)
+                        hi_ub, lo_lb = max(hi_ub, p.L + p.e), min(lo_lb, p.L - p.e)
+                    chain = [a, *new, b]
+                    cells.extend(zip(chain, chain[1:]))
+                    continue
+            hi_ub = max(hi_ub, ub + e)
+            if need_inf:
+                lo_lb = min(lo_lb, lb - e)
+        return hi_ub, hi_att, lo_lb, lo_att
+
+    def extrema(self) -> tuple[float, float, float]:
+        """(m, M, width) with m <= inf g and M >= sup g on [lo, hi]; width
+        bounds the relative distance of m and M from the extrema."""
+        r, R = self.lo, self.hi
+        a = self.point(r)
+        if r == R:
+            v = a.s * self._magnitude(a.L) if a.s else 0.0
+            return v, v, 0.0
+        b = self.point(R)
+        pts = [a, b]
+        if self.p1:
+            x0 = -self.q1 / self.p1
+            if r < x0 < R:
+                pts.insert(1, self.point(x0, zero=True))
+            elif a.s * b.s < 0.0:
+                # the zero lies within rounding of r or R: take that end as it
+                k = 0 if abs(x0 - r) <= abs(x0 - R) else 1
+                pts[k] = self.point(pts[k].x, zero=True)
+        has_zero = not all(p.s for p in pts)
+        lows, highs = ([0.0], [0.0]) if has_zero else ([], [])
+        width = 0.0
+        for a, b in zip(pts, pts[1:]):
+            s = a.s or b.s
+            sup_ub, sup_att, inf_lb, inf_att = self._enclose(a, b, not has_zero)
+            width = max(width, sup_ub - sup_att)
+            (highs if s > 0.0 else lows).append(s * self._magnitude(sup_ub))
+            if not has_zero:
+                width = max(width, inf_att - inf_lb)
+                (lows if s > 0.0 else highs).append(s * math.exp(inf_lb))
+        return min(lows), max(highs), width
+
+    def _magnitude(self, L: float) -> float:
+        """exp(L) for a bound on |g| that must not round toward 0: below the
+        normal range of doubles it cannot keep its outward padding, and
+        above it :func:`math.exp` raises OverflowError."""
+        if L < _LOG_TINY:
+            raise _non_finite(self.num, self.den, self.lo, self.hi,
+                              f"underflows double precision (ln|g| about {L:.6g})")
+        return math.exp(L)
+
+    def direction(self) -> int:
+        """+1 / -1 when g is proven monotone on [lo, hi] (+1 when flat), 0
+        when the proof does not close or g has a zero on the range."""
+        if self.p1 and (self.p1 * self.lo + self.q1) * (self.p1 * self.hi + self.q1) <= 0.0:
+            return 0
+        a, b = self.point(self.lo), self.point(self.hi)
+        sign = a.s
+        up = down = False
+        cells = [(a, b)]
+        splits = _MAX_PROOF_SPLITS
+        while cells:
+            a, b = cells.pop()
+            lo, hi = self.slope(a, b)
+            if lo >= 0.0 or hi <= 0.0:  # monotone on the cell; flat if both
+                up = up or (lo >= 0.0 and hi > 0.0)
+                down = down or (hi <= 0.0 and lo < 0.0)
+                if up and down:
+                    return 0
+                continue
+            if a.D > a.dp and b.D < -b.dp or a.D < -a.dp and b.D > b.dp or not splits:
+                return 0
+            x = math.exp(0.5 * (a.y + b.y))
+            if not a.x < x < b.x:
+                return 0
+            splits -= 1
+            m = self.point(x)
+            cells += [(a, m), (m, b)]
+        return int(-sign) if down else int(sign)
 
 
 # --------------------------------------------------------------------------
@@ -493,8 +772,8 @@ class BoundCertificate:
     """A verified sandwich  m*C_f2 <= C_f1 <= M*C_f2  on [r, R].
 
     ``source`` records whether the constants came from the cataloged
-    endpoint formulas or the numeric scanner; ``erratum`` documents any
-    disagreement between the printed catalog text and the scan.  In-region
+    endpoint formulas or the numeric enclosure; ``erratum`` documents any
+    disagreement between the printed catalog text and the enclosure.  In-region
     certificates satisfy 0 <= m <= M; out-of-region numeric certificates
     only guarantee m <= M (a non-convex numerator can push m below zero).
     """
@@ -583,7 +862,7 @@ def closed_form_mM(
         )
     source = CertificateSource.CLOSED_FORM
     if m > M:
-        # branch direction contradicted by the actual values: scan instead
+        # branch direction contradicted by the actual values: enclose instead
         m, M = numeric_mM(num, den, r, R)
         source = CertificateSource.NUMERIC
         erratum = (

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,33 +172,56 @@ def gen_d2(spec: GeneratorSpec, x):
     raise KeyError(f"unknown generator {g!r}")
 
 
-def gen_d2_scalar(spec: GeneratorSpec) -> Callable[[float], float]:
-    """A plain-float f'' evaluator (math module) for tight scalar loops.
+class LogD2(NamedTuple):
+    """f''(x) = sign * exp(alpha ln x + beta ln(1+x) + c) * (p x + q), with
+    the last factor read as 1 when p = q = 0.
 
-    Same closed forms as :func:`gen_d2`; used by the golden-section
-    refinement where per-call numpy overhead dominates.
+    The linear factor is present only when ``p`` and ``q`` are both
+    non-zero and differ; otherwise it is folded into the other fields
+    (``p x`` into ``alpha``, ``q`` into ``c``, ``p (1+x)`` into ``beta``) and
+    ``p = q = 0``.  Each term is monotone in x on either side of the zero
+    of ``p x + q``, which is what the bound engine's cell proofs rely on.
     """
+
+    alpha: float
+    beta: float
+    c: float
+    sign: float
+    p: float = 0.0
+    q: float = 0.0
+
+
+_LN2 = math.log(2.0)
+
+
+def log_d2(spec: GeneratorSpec) -> LogD2:
+    """The closed form of :func:`gen_d2` as a :class:`LogD2` record; with
+    u = (1+x)/2 and v = u/x, ln u = ln(1+x) - ln 2 and ln v = ln u - ln x."""
     s = spec.s
     g = spec.gen
     if g is Gen.PHI:
-        return lambda x: math.exp((s - 2.0) * math.log(x))
+        return LogD2(s - 2.0, 0.0, 0.0, 1.0)
     if g is Gen.PSI:
-        return lambda x: math.exp((s - 2.0) * math.log((x + 1.0) / (2.0 * x))) / (
-            4.0 * x * x * x
-        )
+        return LogD2(-s - 1.0, s - 2.0, -s * _LN2, 1.0)
     if g is Gen.UPSILON:
-        return lambda x: math.exp((s - 2.0) * math.log((x + 1.0) / 2.0)) / 4.0
+        return LogD2(0.0, s - 2.0, -s * _LN2, 1.0)
     if g is Gen.XI:
-        return lambda x: (
-            math.exp((s - 3.0) * math.log((x + 1.0) / 2.0)) * (s * x + 4.0 - s) / 4.0
-        )
+        return _fold(0.0, s - 3.0, -(s - 1.0) * _LN2, s, 4.0 - s)
     if g is Gen.VARSIGMA:
-        return lambda x: (
-            math.exp((s - 3.0) * math.log((x + 1.0) / (2.0 * x)))
-            * ((4.0 - s) * x + s)
-            / (4.0 * x * x * x * x)
-        )
+        return _fold(-s - 1.0, s - 3.0, -(s - 1.0) * _LN2, 4.0 - s, s)
     raise KeyError(f"unknown generator {g!r}")
+
+
+def _fold(alpha: float, beta: float, c: float, p: float, q: float) -> LogD2:
+    # a factor proportional to 1, x or 1+x is a power, not a Moebius term:
+    # folding it keeps ratios such as XI(2)/PHI(2) == 1 exactly flat
+    if p == 0.0:
+        return LogD2(alpha, beta, c + math.log(abs(q)), math.copysign(1.0, q))
+    if q == 0.0:
+        return LogD2(alpha + 1.0, beta, c + math.log(abs(p)), math.copysign(1.0, p))
+    if p == q:
+        return LogD2(alpha, beta + 1.0, c + math.log(abs(p)), math.copysign(1.0, p))
+    return LogD2(alpha, beta, c, 1.0, p, q)
 
 
 def _require_positive(x) -> None:

@@ -13,14 +13,15 @@ Identical configurations produce bit-identical report JSON.
 Trials are grouped by simplex size into blocks, and the loop over blocks is
 the outer one.  The sandwich checks of one block share one table of
 generator values (:class:`_BlockTable`): a generator named by many checks
-is evaluated once per block (on the monotonicity grid, once per inequality
-family), not once per check.  Only one block's table is alive at a time.
+is evaluated once per block, not once per check, and the monotonicity
+proof of a curvature ratio on the block's pooled ratio envelope is made
+once per generator pair.  Only one block's table is alive at a time.
 Pass counts and worst values are reduced block by block with the
 first-index rule of a full-array ``argmax``/``argmin``.
 
 :func:`brute_force_mM` is the deliberately plain oracle for the bound
 engine - a dense linear grid with no refinement, on a different
-discretization than the engine's log-spaced scan - so the two can
+discretization than the engine's cell proofs - so the two can
 cross-validate each other.
 """
 
@@ -38,6 +39,7 @@ from . import measures as ms
 from . import simplex
 from .bounds import (
     PARAM_GRID,
+    _Ratio,
     InequalityFamily,
     corollary_table,
     family_generators,
@@ -286,19 +288,12 @@ class _BlockTable:
     """Generator values shared by the sandwich checks of one block of pairs.
 
     Holds the block's rows ``P``, ``Q``, each row's ratio envelope
-    ``[r, R]`` and one log-spaced grid over the block's pooled envelope.
-    Per generator, its curvature on the grid, its curvature at ``r`` and
-    ``R`` and its f-divergence on every row are computed on first use and
-    then reused by every check that names the same generator.
-
-    The grid curvatures are the large items (2049 values each), so they
-    are kept only while the sandwich checks stay on one family, and a
-    denominator's only while they stay on that denominator; :func:`run`
-    orders the checks to match (:func:`_block_order`).  A dropped value is
-    recomputed if asked for again, so the order never changes a result.
+    ``[r, R]`` and the block's pooled envelope ``[lo, hi]``.  Per
+    generator, its curvature at ``r`` and ``R`` and its f-divergence on
+    every row are computed on first use and then reused by every check
+    that names the same generator; per (numerator, denominator) pair, so
+    is the monotonicity proof of the curvature ratio on ``[lo, hi]``.
     """
-
-    GRID = 2049
 
     def __init__(self, P: np.ndarray, Q: np.ndarray):
         self.P, self.Q = P, Q
@@ -306,18 +301,9 @@ class _BlockTable:
         self.r = ratios.min(axis=1)
         self.R = ratios.max(axis=1)
         self.lo, self.hi = float(self.r.min()), float(self.R.max())
-        self.xs = None if self.lo == self.hi else np.geomspace(self.lo, self.hi, self.GRID)
-        self._grid_d2: dict[GeneratorSpec, np.ndarray] = {}
         self._end_d2: dict[GeneratorSpec, tuple[np.ndarray, np.ndarray]] = {}
         self._div: dict[GeneratorSpec, np.ndarray] = {}
-        self._family: Optional[InequalityFamily] = None
-        self._den: Optional[GeneratorSpec] = None
-
-    def grid_d2(self, spec: GeneratorSpec) -> np.ndarray:
-        d = self._grid_d2.get(spec)
-        if d is None:
-            d = self._grid_d2[spec] = gen_d2(spec, self.xs)
-        return d
+        self._direction: dict[tuple[GeneratorSpec, GeneratorSpec], int] = {}
 
     def end_d2(self, spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
         d = self._end_d2.get(spec)
@@ -332,30 +318,22 @@ class _BlockTable:
         return c
 
     def direction(self, num: GeneratorSpec, den: GeneratorSpec) -> int:
-        """+1 / -1 when the curvature ratio is monotone on the pooled
-        envelope (sampled on the grid), else 0."""
-        if self.xs is None:
+        """+1 / -1 when the curvature ratio is proven monotone on the pooled
+        envelope (the cell proof of :func:`numeric_mM`), else 0."""
+        if self.lo == self.hi:
             return 1
-        d = self.grid_d2(den)
-        if not np.all(d > 0.0):
-            raise DegenerateDenominator(
-                f"{den.gen.value}(s={den.s}) non-positive on [{self.lo}, {self.hi}]"
-            )
-        gs = self.grid_d2(num) / d
-        diffs = np.diff(gs)
-        wiggle = 1e-12 * np.maximum(np.abs(gs[1:]), np.abs(gs[:-1]))
-        if np.all(diffs >= -wiggle):
-            return 1
-        if np.all(diffs <= wiggle):
-            return -1
-        return 0
+        key = (num, den)
+        d = self._direction.get(key)
+        if d is None:
+            d = self._direction[key] = _Ratio(num, den, self.lo, self.hi).direction()
+        return d
 
     def constants(self, num: GeneratorSpec, den: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
         """Per-row sandwich constants m, M of the curvature ratio on [r, R].
 
-        Endpoint values are used only after the ratio is verified monotone
-        on the pooled envelope; otherwise each row falls back to the
-        numeric scanner.  Sound for erratum corners by construction.
+        Endpoint values are used only after the ratio is proven monotone
+        on the pooled envelope; otherwise each row falls back to
+        :func:`numeric_mM`.  Sound for erratum corners by construction.
         """
         direction = self.direction(num, den)
         if direction != 0:
@@ -371,11 +349,6 @@ class _BlockTable:
 
     def sandwich_slack(self, family: InequalityFamily, s: float, t: float) -> np.ndarray:
         num, den = family_generators(family, s, t)
-        if family is not self._family:
-            self._grid_d2.clear()
-        elif den != self._den:
-            self._grid_d2.pop(self._den, None)
-        self._family, self._den = family, den
         m, M = self.constants(num, den)
         c1 = self.divergence(num)
         c2 = self.divergence(den)
@@ -389,8 +362,8 @@ def sandwich_slack_bulk(
     """Per-row normalized sandwich slack min(C1 - m C2, M C2 - C1) / max(1, |C1|).
 
     The rows form one block: endpoint constants are used only after the
-    curvature ratio is verified monotone on the rows' pooled ratio
-    envelope; otherwise each row falls back to the numeric scanner.
+    curvature ratio is proven monotone on the rows' pooled ratio
+    envelope; otherwise each row falls back to :func:`numeric_mM`.
     """
     return _BlockTable(P, Q).sandwich_slack(family, s, t)
 
@@ -418,20 +391,6 @@ def _bounds_grid_checks() -> list[_Check]:
                 )
             )
     return checks
-
-
-_FAMILY_RANK = {f: i for i, f in enumerate(InequalityFamily)}
-
-
-def _block_order(checks: list[_Check]) -> list[int]:
-    """Indices of the checks in the order a block evaluates them: the plain
-    checks first, then the sandwich checks family by family and, within a
-    family, denominator by denominator (see :class:`_BlockTable`)."""
-    def key(k: int):
-        c = checks[k]
-        return (-1, 0.0, 0.0) if c.family is None else (_FAMILY_RANK[c.family], c.t, c.s)
-
-    return sorted(range(len(checks)), key=key)
 
 
 def _build_checks(subjects: tuple[str, ...]) -> list[_Check]:
@@ -545,11 +504,9 @@ def run(config: VerifyConfig) -> VerificationReport:
     blocks = _sample_trials(config)
     checks = _build_checks(config.subjects)
     tallies = [_Tally(check.kind, config.rel_tol) for check in checks]
-    order = _block_order(checks)
     for b, (idx, P, Q) in enumerate(blocks):
         table = _BlockTable(P, Q)
-        for k in order:
-            check, tally = checks[k], tallies[k]
+        for check, tally in zip(checks, tallies):
             values = np.empty(idx.shape[0])
             if check.family is not None:
                 values[:] = table.sandwich_slack(check.family, check.s, check.t)
@@ -660,7 +617,7 @@ def brute_force_mM(
     """Plain dense-grid min/max of the curvature ratio; no refinement.
 
     Linear spacing, intentionally simpler and on a different discretization
-    and algebraic path than the engine's scanner: the ratio is scanned in
+    and algebraic path than the engine's enclosure: the ratio is scanned in
     log space (the extrema commute with the monotone exp), falling back to
     direct evaluation when the numerator curvature changes sign.  Use
     points >= 1e5 for oracle duty.

@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import dense_log_extrema, dense_log_ratio
 
 from divbound.bounds import (
     CROSS_CHECK_TOL,
@@ -36,6 +40,7 @@ from divbound.measures import (
     triangular,
 )
 from divbound.simplex import ratio_bounds, sample_pair, validate
+from divbound.verify import brute_force_mM
 
 F = InequalityFamily
 PSI2 = GeneratorSpec(Gen.PSI, 2.0)
@@ -97,9 +102,16 @@ class TestNumericMM:
             numeric_mM(PHI2, GeneratorSpec(Gen.XI, 5.0), 0.1, 10.0)
 
     def test_nan_denominator_is_degenerate(self, monkeypatch):
-        monkeypatch.setattr(bounds, "gen_d2_scalar", lambda spec: lambda x: math.nan)
-        with pytest.raises(DegenerateDenominator):
-            numeric_mM(PSI2, PHI2, 2.0, 2.0)
+        log_d2 = bounds.log_d2
+
+        def nan_phi(spec):
+            rec = log_d2(spec)
+            return rec._replace(c=math.nan) if spec.gen is Gen.PHI else rec
+
+        monkeypatch.setattr(bounds, "log_d2", nan_phi)
+        for r, R in ((2.0, 2.0), (0.5, 2.0)):
+            with pytest.raises(DegenerateDenominator):
+                numeric_mM(PSI2, PHI2, r, R)
 
     def test_overflow_is_non_finite(self):
         # (x+1)/(2x) ** (t-2) overflows math.exp at t = -2000
@@ -118,6 +130,148 @@ class TestNumericMM:
             numeric_mM(PSI2, PHI2, 0.0, 1.0)
         with pytest.raises(ValueError):
             numeric_mM(PSI2, PHI2, 2.0, 1.0)
+
+
+class TestEnclosure:
+    """numeric_mM encloses the extrema: m <= inf g and M >= sup g."""
+
+    def test_sound_and_tight_on_the_criterion_4_battery(self):
+        battery = json.loads(
+            (Path(__file__).parent / "fixtures" / "closed_form_errata.json").read_text()
+        )["interval_battery"]
+        rng = np.random.default_rng(battery["seed"])
+        intervals = []
+        for _ in range(battery["count"]):
+            a, b = np.sort(
+                np.exp(rng.uniform(np.log(battery["low"]), np.log(battery["high"]), size=2))
+            )
+            intervals.append((float(a), float(b)))
+        for family in F:
+            for s, t in region_grid(family):
+                num, den = family_generators(family, s, t)
+                for r, R in intervals:
+                    m, M, width = bounds._Ratio(num, den, r, R).extrema()
+                    bm, bM = brute_force_mM(num, den, r, R, 100_000)
+                    assert m <= bm and M >= bM, (family, s, t, r, R)
+                    assert width <= 1e-9, (family, s, t, r, R)
+
+    def test_sound_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def requests(draw):
+            family = draw(st.sampled_from(list(F)))
+            s = draw(st.floats(-40.0, 40.0))
+            t = draw(st.floats(0.0, 4.0) if family is F.X else st.floats(-40.0, 40.0))
+            return family, s, t, 10.0 ** draw(st.floats(-12.0, 0.0)), 10.0 ** draw(st.floats(0.0, 12.0))
+
+        @hyp.settings(max_examples=150, deadline=None)
+        @hyp.given(requests())
+        def check(request):
+            family, s, t, r, R = request
+            num, den = family_generators(family, s, t)
+            sign, lg = dense_log_ratio(num, den, r, R, 20_001)
+            try:
+                m, M = numeric_mM(num, den, r, R)
+            except NonFiniteValue:
+                # a bound on |g| left the range of doubles
+                assert np.abs(lg[sign != 0]).max() > 690.0, request
+                return
+            with np.errstate(over="ignore", under="ignore"):
+                g = sign * np.exp(lg)
+            lo, hi = float(g.min()), float(g.max())
+            assert m <= lo + 1e-12 * abs(lo) and M >= hi - 1e-12 * abs(hi), request
+
+        check()
+
+    def test_cell_bounds_hold_inside_the_cell_property(self):
+        # the slope bounds contain the slope, and a cell's bounds (or, for a
+        # cell proven monotone, its end values) contain ln|g|, at points
+        # sampled inside cells that do and do not end at a zero of g
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(st.sampled_from(list(F)), st.floats(-12.0, 12.0), st.floats(0.0, 4.0),
+                   st.floats(-4.0, 4.0), st.floats(-4.0, 1.0), st.booleans())
+        def check(family, s, t, la, lw, at_zero):
+            num, den = family_generators(family, s, t)
+            ratio = bounds._Ratio(num, den, 1e-8, 1e8)
+            xa = 10.0 ** la
+            xb = xa * (1.0 + 10.0 ** lw)
+            x0 = -ratio.q1 / ratio.p1 if ratio.p1 else 0.0
+            if at_zero and 1e-8 < x0 < 1e8:
+                xa, xb = (x0, xb * x0 / xa) if la > 0.0 else (xa * x0 / xb, x0)
+            a = ratio.point(xa, zero=xa == x0)
+            b = ratio.point(xb, zero=xb == x0)
+            inner = [ratio.point(float(x)) for x in np.geomspace(xa, xb, 203)[1:-1]]
+            if any(p.s != (a.s or b.s) for p in inner):
+                return  # a zero of g inside the cell
+            e = max(a.e, b.e, *(p.e for p in inner))
+            if a.s and b.s:
+                lo, hi = ratio.slope(a, b)
+                assert all(lo - p.dp <= p.D <= hi + p.dp for p in inner)
+            bound = ratio._cell(a, b)
+            if bound is None:
+                top, bottom = max(a.L, b.L), min(a.L, b.L)
+            else:
+                top, bottom = bound[0], bound[1]
+            assert all(bottom - e <= p.L <= top + e for p in inner)
+
+        check()
+
+    @pytest.mark.parametrize("r,R", [(1e-6, 1e6), (0.5, 2.0), (1.0, 1.0)])
+    def test_constant_ratio_is_one(self, r, R):
+        # XI(2)'' = 1 = PHI(2)'': only the rounding allowance separates m, M from 1
+        m, M = numeric_mM(GeneratorSpec(Gen.XI, 2.0), PHI2, r, R)
+        assert m <= 1.0 <= M
+        assert 1.0 - m <= 1e-14 and M - 1.0 <= 1e-14
+
+    def test_monotone_ratio_is_its_end_values(self):
+        # proven monotone: the endpoint values, widened by the padding only
+        num, den = family_generators(F.II, 2.0, 1.0)
+        m, M = numeric_mM(num, den, 0.01, 50.0)
+        gr, gR = g_ratio(num, den, 0.01), g_ratio(num, den, 50.0)
+        assert m <= gr and M >= gR
+        assert gr - m <= 1e-13 * gr and M - gR <= 1e-13 * gR
+
+    def test_sign_change_puts_zero_between(self):
+        # XI(5)'' vanishes at x = 1/5, so g takes both signs on [0.1, 10]
+        num = GeneratorSpec(Gen.XI, 5.0)
+        m, M = numeric_mM(num, PHI2, 0.1, 10.0)
+        lo, hi = dense_log_extrema(num, PHI2, 0.1, 10.0)
+        assert m <= lo < 0.0 < hi <= M
+        assert m == pytest.approx(lo, rel=1e-9) and M == pytest.approx(hi, rel=1e-9)
+
+    def test_zero_rounded_onto_an_end(self):
+        # the rounded zero x0 = -q/p of XI(s)'' is r itself, yet the
+        # rounded factor p r + q is -1.1e-16 there: r is taken as the zero
+        s = 4.899999999999997
+        num = GeneratorSpec(Gen.XI, s)
+        r = (s - 4.0) / s
+        assert s * r + (4.0 - s) < 0.0
+        m, M = numeric_mM(num, PHI2, r, 2.0)
+        assert m == 0.0 and M == pytest.approx(dense_log_extrema(num, PHI2, r, 2.0)[1], rel=1e-12)
+
+    @pytest.mark.parametrize("family,s,t,r,R", [
+        # the linear-domain curvatures overflowed at the parent
+        (F.I, 38.5196925608098, -4.0601865298986155, 1.0443060000715921e-09, 9109.32691455385),
+        # PSI's curvature underflowed to 0 and was reported as non-positive
+        (F.VII, -25.790162686137208, -35.49214754779693, 3.100755709662614e-11,
+         908181114707.8119),
+    ])
+    def test_curvatures_past_the_double_range(self, family, s, t, r, R):
+        num, den = family_generators(family, s, t)
+        m, M = numeric_mM(num, den, r, R)
+        lo, hi = dense_log_extrema(num, den, r, R)
+        assert m <= lo + 1e-12 * abs(lo) and M >= hi - 1e-12 * abs(hi)
+        assert m == pytest.approx(lo, rel=1e-6) and M == pytest.approx(hi, rel=1e-6)
+
+    def test_overflowing_extremum_is_non_finite(self):
+        # the true M is about exp(976); not a DegenerateDenominator
+        with pytest.raises(NonFiniteValue, match="overflows double precision"):
+            numeric_mM(*family_generators(F.V, 300.0, -300.0), 0.01, 100.0)
 
 
 class TestClosedForm:

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import dense_log_extrema
 from divbound import cli
+from divbound.bounds import InequalityFamily, family_generators
 from divbound.measures import kl, rel_ag, rel_j, rel_js, triangular
 
 WORKED_P, WORKED_Q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
@@ -181,19 +183,42 @@ class TestBounds:
         data = json.loads(out)
         assert code == 0 and data["erratum"]
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv,what", [
         # the printed catalog text overflows Python float arithmetic
-        ("--family", "I", "--s", "400", "--t", "0", "--r", "1e-6", "--R", "1e6"),
-        # r == R goes to the scalar curvature, whose exp overflows
-        ("--family", "V", "--s", "0", "--t", "-2000", "--r", "1e200", "--R", "1e200"),
+        (("--family", "I", "--s", "400", "--t", "0", "--r", "1e-6", "--R", "1e6"),
+         "overflows double precision"),
+        # the true M is about exp(976)
+        (("--family", "V", "--s", "300", "--t", "-300", "--r", "0.01", "--R", "100"),
+         "overflows double precision"),
+        # g(1e200) is about exp(-925.8), below the least double
+        (("--family", "V", "--s", "0", "--t", "-2000", "--r", "1e200", "--R", "1e200"),
+         "underflows double precision"),
     ])
-    def test_overflowing_constants_are_an_input_error(self, capsys, argv):
+    def test_unrepresentable_constants_are_an_input_error(self, capsys, argv, what):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning reaches stderr
             code, out, err = invoke(capsys, "bounds", *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "overflows double precision" in err
+        assert err.startswith("error: ") and what in err
+
+    @pytest.mark.parametrize("argv", [
+        # curvatures beyond double range, extrema about 9.36e-08 and 8.13e+288
+        ("--family", "I", "--s=38.5196925608098", "--t=-4.0601865298986155",
+         "--r", "1.0443060000715921e-09", "--R", "9109.32691455385"),
+        # the denominator curvature underflows but is positive
+        ("--family", "VII", "--s=-25.790162686137208", "--t=-35.49214754779693",
+         "--r", "3.100755709662614e-11", "--R", "908181114707.8119"),
+    ])
+    def test_constants_past_the_curvature_range_are_certified(self, capsys, argv):
+        code, out, err = invoke(capsys, "bounds", *argv)
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["source"] == "numeric" and not data["region_ok"]
+        num, den = family_generators(InequalityFamily(data["family"]), data["s"], data["t"])
+        lo, hi = dense_log_extrema(num, den, data["r"], data["R"])
+        assert data["m"] <= lo + 1e-12 * abs(lo) and data["M"] >= hi - 1e-12 * abs(hi)
+        assert data["m"] == pytest.approx(lo, rel=1e-6) and data["M"] == pytest.approx(hi, rel=1e-6)
 
     def test_needs_interval_or_pair(self, capsys):
         code, _, err = invoke(capsys, "bounds", "--family", "I", "--s", "2", "--t", "2")

@@ -12,9 +12,9 @@ from divbound.generators import (
     csiszar_bulk,
     gen_d1,
     gen_d2,
-    gen_d2_scalar,
     gen_eval,
     gen_value,
+    log_d2,
 )
 from divbound.simplex import normalize, validate
 
@@ -88,11 +88,28 @@ class TestClosedForms:
         assert scaled_ok(d1, fd, 1e-6), spec
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
-    def test_scalar_backend_agrees(self, spec):
-        f = gen_d2_scalar(spec)
-        arr = gen_d2(spec, X_GRID)
-        scl = np.array([f(float(x)) for x in X_GRID])
-        np.testing.assert_allclose(scl, arr, rtol=1e-14)
+    def test_log_d2_record_agrees(self, spec):
+        # the bound engine reads f'' only through this record
+        d2 = gen_d2(spec, X_GRID)
+        rec = log_d2(spec)
+        lin = rec.p * X_GRID + rec.q if rec.p else np.ones_like(X_GRID)
+        sign = rec.sign * np.sign(lin)
+        log_abs = (rec.alpha * np.log(X_GRID) + rec.beta * np.log1p(X_GRID)
+                   + np.log(np.abs(lin)) + rec.c)
+        assert np.array_equal(sign, np.sign(d2)), spec
+        assert scaled_ok(log_abs, np.log(np.abs(d2)), 1e-14), spec
+
+    @pytest.mark.parametrize("gen,s", [(Gen.XI, 0.0), (Gen.XI, 2.0), (Gen.XI, 4.0),
+                                       (Gen.VARSIGMA, 0.0), (Gen.VARSIGMA, 2.0),
+                                       (Gen.VARSIGMA, 4.0)])
+    def test_log_d2_folds_power_factors(self, gen, s):
+        # a linear factor proportional to 1, x or 1+x is folded into the powers
+        rec = log_d2(GeneratorSpec(gen, s))
+        assert rec.p == rec.q == 0.0 and rec.sign == 1.0
+
+    def test_log_d2_keeps_sign_changing_factor(self):
+        rec = log_d2(GeneratorSpec(Gen.XI, 5.0))  # f'' has the factor 5x - 1
+        assert (rec.p, rec.q, rec.sign) == (5.0, -1.0, 1.0)
 
     def test_rejects_non_positive_argument(self):
         spec = GeneratorSpec(Gen.PHI, 2.0)

@@ -10,6 +10,7 @@ from divbound.verify import (
     VerificationReport,
     VerifyConfig,
     Witness,
+    _BlockTable,
     _build_checks,
     _Check,
     _sample_trials,
@@ -255,6 +256,34 @@ class TestBulkSandwich:
             rep = sandwich_check(F.II, 2.0, 1.0, Pd, Qd)
             direct = min(rep.slack_low, rep.slack_high) / max(1.0, abs(rep.mid))
             assert slacks[i] == pytest.approx(direct, rel=1e-9, abs=1e-15)
+
+
+class TestBlockDirection:
+    # P / Q ratios span the pooled envelope [0.4, 2.0]
+    P = np.array([[0.2, 0.8], [0.6, 0.4]])
+    Q = np.array([[0.5, 0.5], [0.3, 0.7]])
+
+    @pytest.mark.parametrize("family,s,t,expected", [
+        (F.II, 2.0, 1.0, 1),    # x/4
+        (F.I, 2.0, 2.0, -1),    # 1/(4x^3)
+        (F.III, 2.0, 2.0, 1),   # exactly 1: flat counts as increasing
+        (F.I, 0.0, 0.0, 0),     # x/(x+1)^2 peaks at x = 1
+    ])
+    def test_proof_follows_the_ratio(self, family, s, t, expected):
+        table = _BlockTable(self.P, self.Q)
+        assert (table.lo, table.hi) == (0.4, 2.0)
+        assert table.direction(*family_generators(family, s, t)) == expected
+
+    def test_unproven_block_encloses_each_row(self):
+        from divbound.bounds import sandwich_check
+        from divbound.simplex import validate
+
+        slacks = sandwich_slack_bulk(F.I, 0.0, 0.0, self.P, self.Q)
+        for i in range(2):
+            rep = sandwich_check(F.I, 0.0, 0.0, validate(self.P[i]), validate(self.Q[i]))
+            direct = min(rep.slack_low, rep.slack_high) / max(1.0, abs(rep.mid))
+            assert slacks[i] == pytest.approx(direct, rel=1e-9, abs=1e-15)
+            assert slacks[i] >= 0.0
 
 
 class TestTightness:
