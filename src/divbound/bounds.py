@@ -301,13 +301,22 @@ def region_grid(
 
 
 def g_ratio(num: GeneratorSpec, den: GeneratorSpec, x):
-    """f1''(x) / f2''(x) for x > 0; denominator curvature must be positive."""
+    """f1''(x) / f2''(x) for x > 0; denominator curvature must be positive.
+
+    A positive denominator curvature that underflows to 0 raises
+    :class:`NonFiniteValue`, not :class:`DegenerateDenominator`: its sign is
+    read from the log-domain record :func:`log_d2`."""
     if np.ndim(x):
         xs = np.asarray(x, float)
         if not np.all(xs > 0.0):
             raise NonPositiveArgument("curvature ratio needs x > 0")
         d = gen_d2(den, xs)
         if not np.all(d > 0.0):
+            bad = ~(d > 0.0)
+            if np.all((d[bad] == 0.0) & (_curvature_sign(den, xs[bad]) > 0.0)):
+                raise NonFiniteValue(
+                    f"{den.gen.value}(s={den.s}) curvature in the range {_UNDERFLOW}"
+                )
             raise DegenerateDenominator(
                 f"{den.gen.value}(s={den.s}) has non-positive curvature in the range"
             )
@@ -316,13 +325,23 @@ def g_ratio(num: GeneratorSpec, den: GeneratorSpec, x):
         raise NonPositiveArgument(f"curvature ratio needs x > 0, got {x}")
     d = float(gen_d2(den, x))
     if not d > 0.0:
+        if d == 0.0 and _curvature_sign(den, x) > 0.0:
+            raise NonFiniteValue(f"{den.gen.value}(s={den.s}) curvature at x={x} {_UNDERFLOW}")
         raise DegenerateDenominator(
             f"{den.gen.value}(s={den.s}) has curvature {d} at x={x}"
         )
     return float(gen_d2(num, x)) / d
 
 
+def _curvature_sign(spec: GeneratorSpec, x):
+    """Sign of f''(x) from its :class:`LogD2` record, which holds where
+    f''(x) itself under- or overflows."""
+    rec = log_d2(spec)
+    return rec.sign * np.sign(rec.p * x + rec.q) if rec.p else rec.sign
+
+
 _OVERFLOW = "overflows double precision"
+_UNDERFLOW = "underflows double precision"
 
 
 def _non_finite(num: GeneratorSpec, den: GeneratorSpec, r: float, R: float, what: str):
@@ -666,7 +685,7 @@ class _Ratio:
         above it :func:`math.exp` raises OverflowError."""
         if L < _LOG_TINY:
             raise _non_finite(self.num, self.den, self.lo, self.hi,
-                              f"underflows double precision (ln|g| about {L:.6g})")
+                              f"{_UNDERFLOW} (ln|g| about {L:.6g})")
         return math.exp(L)
 
     def direction(self) -> int:

@@ -131,12 +131,11 @@ def ratio_bounds(P: Distribution, Q: Distribution) -> RatioBounds:
     return RatioBounds(float(ratios.min()), float(ratios.max()))
 
 
-def _draw(rng, n, concentration, eps_mass, max_rejections):
-    alpha = np.full(n, concentration)
+def _draw(rng, alpha, eps_mass, max_rejections):
     rejections = 0
     while True:
         x = rng.dirichlet(alpha)
-        if np.all(x > eps_mass):
+        if x.min() > eps_mass:
             return x
         rejections += 1
         if rejections >= max_rejections:
@@ -164,8 +163,9 @@ def sample_pair(
     if not concentration > 0.0:
         raise ValueError(f"concentration must be positive, got {concentration}")
     rng = np.random.default_rng(seed)
-    p = _draw(rng, n, concentration, eps_mass, max_rejections)
-    q = _draw(rng, n, concentration, eps_mass, max_rejections)
+    alpha = np.full(n, concentration)
+    p = _draw(rng, alpha, eps_mass, max_rejections)
+    q = _draw(rng, alpha, eps_mass, max_rejections)
     return Distribution(p), Distribution(q)
 
 
@@ -184,10 +184,11 @@ def sample_pair_matrix(
     """
     P = np.empty((count, n))
     Q = np.empty((count, n))
+    alpha = np.full(n, concentration)
     for i in range(count):
         rng = np.random.default_rng([seed, i])
-        P[i] = _draw(rng, n, concentration, eps_mass, MAX_REJECTIONS)
-        Q[i] = _draw(rng, n, concentration, eps_mass, MAX_REJECTIONS)
+        P[i] = _draw(rng, alpha, eps_mass, MAX_REJECTIONS)
+        Q[i] = _draw(rng, alpha, eps_mass, MAX_REJECTIONS)
     return P, Q
 
 

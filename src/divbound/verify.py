@@ -11,13 +11,17 @@ report depends only on the configuration, not on batching or scheduling.
 Identical configurations produce bit-identical report JSON.
 
 Trials are grouped by simplex size into blocks, and the loop over blocks is
-the outer one.  The sandwich checks of one block share one table of
-generator values (:class:`_BlockTable`): a generator named by many checks
-is evaluated once per block, not once per check, and the monotonicity
-proof of a curvature ratio on the block's pooled ratio envelope is made
-once per generator pair.  Only one block's table is alive at a time.
-Pass counts and worst values are reduced block by block with the
-first-index rule of a full-array ``argmax``/``argmin``.
+the outer one.  Before it, the curvature ratio of each distinct sandwich
+check is proven monotone once, on the envelope of all blocks' ratios; a
+ratio monotone there is monotone on every block, and only a ratio whose
+proof does not close is proven again per block.  The sandwich checks of
+one block share one table of generator values (:class:`_BlockTable`): a
+generator named by many checks is evaluated once per block, not once per
+check, and the checks of one inequality family are evaluated in one array
+step over ``(checks x rows)`` indexed into that table.  Only one block's
+table is alive at a time.  Pass counts and worst values of all checks are
+reduced block by block (:class:`_Tally`) with the first-index rule of a
+full-array ``argmax``/``argmin``.
 
 :func:`brute_force_mM` is the deliberately plain oracle for the bound
 engine - a dense linear grid with no refinement, on a different
@@ -159,8 +163,9 @@ class _Check:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     s: Optional[float] = None
     t: Optional[float] = None
-    # set on sandwich checks, which :func:`run` evaluates from the block table
-    family: Optional[InequalityFamily] = None
+    # (numerator, denominator) of a sandwich check, which :func:`run`
+    # evaluates by family from the block table
+    gens: Optional[tuple[GeneratorSpec, GeneratorSpec]] = None
 
 
 def _scaled_residual(lhs, rhs):
@@ -284,38 +289,76 @@ def _family_checks() -> list[_Check]:
     return checks
 
 
+class _Group:
+    """The sandwich checks of one inequality family, as arrays over the checks.
+
+    ``rows`` are the checks' positions in the run's check list, ``num`` and
+    ``den`` the rows of their generators in the spec table a
+    :class:`_BlockTable` evaluates, and ``direction`` the run-level
+    monotonicity proof of each curvature ratio (0 until proven, or where
+    the proof does not close).
+    """
+
+    def __init__(self, rows, ratios, index: dict[GeneratorSpec, int]):
+        self.rows = np.array(rows)
+        self.ratios = ratios
+        self.num = np.array([index[num] for num, _ in ratios])
+        self.den = np.array([index[den] for _, den in ratios])
+        self.direction = np.zeros(len(ratios), dtype=int)
+
+    def prove(self, lo: float, hi: float, proofs: dict) -> None:
+        """Prove each ratio on [lo, hi] (lo < hi), once per distinct ratio
+        across every group sharing ``proofs``."""
+        for k, ratio in enumerate(self.ratios):
+            d = proofs.get(ratio)
+            if d is None:
+                d = proofs[ratio] = _Ratio(*ratio, lo, hi).direction()
+            self.direction[k] = d
+
+
+def _sandwich_groups(
+    ratios: list[Optional[tuple[GeneratorSpec, GeneratorSpec]]],
+) -> tuple[list[GeneratorSpec], list[_Group]]:
+    """The spec table and the per-family groups of the sandwich checks.
+
+    ``ratios[k]`` is check k's ``(num, den)`` pair, or None for a check
+    that is not a sandwich check.  The generator kinds of a ratio name its
+    inequality family."""
+    index: dict[GeneratorSpec, int] = {}
+    members: dict[tuple, list[int]] = {}
+    for k, ratio in enumerate(ratios):
+        if ratio is not None:
+            for spec in ratio:
+                index.setdefault(spec, len(index))
+            members.setdefault((ratio[0].gen, ratio[1].gen), []).append(k)
+    groups = [_Group(ks, [ratios[k] for k in ks], index) for ks in members.values()]
+    return list(index), groups
+
+
 class _BlockTable:
     """Generator values shared by the sandwich checks of one block of pairs.
 
     Holds the block's rows ``P``, ``Q``, each row's ratio envelope
-    ``[r, R]`` and the block's pooled envelope ``[lo, hi]``.  Per
-    generator, its curvature at ``r`` and ``R`` and its f-divergence on
-    every row are computed on first use and then reused by every check
-    that names the same generator; per (numerator, denominator) pair, so
-    is the monotonicity proof of the curvature ratio on ``[lo, hi]``.
+    ``[r, R]``, the block's pooled envelope ``[lo, hi]`` and, per spec of
+    the run's spec table, its curvature at every ``r`` and ``R`` and its
+    f-divergence on every row.  A group of checks reads these rows by
+    index, in one array step over ``(checks x rows)``.  A ratio the run
+    did not prove monotone is proven here on ``[lo, hi]``, once per block.
     """
 
-    def __init__(self, P: np.ndarray, Q: np.ndarray):
+    def __init__(self, P: np.ndarray, Q: np.ndarray, specs: list[GeneratorSpec]):
         self.P, self.Q = P, Q
         ratios = P / Q
         self.r = ratios.min(axis=1)
         self.R = ratios.max(axis=1)
         self.lo, self.hi = float(self.r.min()), float(self.R.max())
-        self._end_d2: dict[GeneratorSpec, tuple[np.ndarray, np.ndarray]] = {}
-        self._div: dict[GeneratorSpec, np.ndarray] = {}
+        shape = (len(specs), P.shape[0])
+        self.d2_r, self.d2_R, self.div = np.empty(shape), np.empty(shape), np.empty(shape)
+        for i, spec in enumerate(specs):
+            self.d2_r[i] = gen_d2(spec, self.r)
+            self.d2_R[i] = gen_d2(spec, self.R)
+            self.div[i] = csiszar_bulk(spec, P, Q)
         self._direction: dict[tuple[GeneratorSpec, GeneratorSpec], int] = {}
-
-    def end_d2(self, spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
-        d = self._end_d2.get(spec)
-        if d is None:
-            d = self._end_d2[spec] = (gen_d2(spec, self.r), gen_d2(spec, self.R))
-        return d
-
-    def divergence(self, spec: GeneratorSpec) -> np.ndarray:
-        c = self._div.get(spec)
-        if c is None:
-            c = self._div[spec] = csiszar_bulk(spec, self.P, self.Q)
-        return c
 
     def direction(self, num: GeneratorSpec, den: GeneratorSpec) -> int:
         """+1 / -1 when the curvature ratio is proven monotone on the pooled
@@ -328,32 +371,33 @@ class _BlockTable:
             d = self._direction[key] = _Ratio(num, den, self.lo, self.hi).direction()
         return d
 
-    def constants(self, num: GeneratorSpec, den: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row sandwich constants m, M of the curvature ratio on [r, R].
+    def constants(self, group: _Group) -> tuple[np.ndarray, np.ndarray]:
+        """Sandwich constants m, M of each check's curvature ratio on each
+        row's [r, R], as ``(checks x rows)`` arrays.
 
-        Endpoint values are used only after the ratio is proven monotone
-        on the pooled envelope; otherwise each row falls back to
-        :func:`numeric_mM`.  Sound for erratum corners by construction.
+        Endpoint values are used only for a ratio proven monotone, on the
+        run's envelope or else on the block's; otherwise each row falls
+        back to :func:`numeric_mM`.  Sound for erratum corners by
+        construction.
         """
-        direction = self.direction(num, den)
-        if direction != 0:
-            num_r, num_R = self.end_d2(num)
-            den_r, den_R = self.end_d2(den)
-            m, M = num_r / den_r, num_R / den_R
-            return (m, M) if direction > 0 else (M, m)
-        m = np.empty_like(self.r)
-        M = np.empty_like(self.r)
-        for i in range(self.r.shape[0]):
-            m[i], M[i] = numeric_mM(num, den, float(self.r[i]), float(self.R[i]))
+        direction = group.direction.copy()
+        unproven = np.flatnonzero(direction == 0)
+        for k in unproven:
+            direction[k] = self.direction(*group.ratios[k])
+        at_r = self.d2_r[group.num] / self.d2_r[group.den]
+        at_R = self.d2_R[group.num] / self.d2_R[group.den]
+        up = (direction > 0)[:, None]
+        m, M = np.where(up, at_r, at_R), np.where(up, at_R, at_r)
+        for k in unproven[direction[unproven] == 0]:
+            for i in range(self.r.shape[0]):
+                m[k, i], M[k, i] = numeric_mM(*group.ratios[k], float(self.r[i]), float(self.R[i]))
         return m, M
 
-    def sandwich_slack(self, family: InequalityFamily, s: float, t: float) -> np.ndarray:
-        num, den = family_generators(family, s, t)
-        m, M = self.constants(num, den)
-        c1 = self.divergence(num)
-        c2 = self.divergence(den)
-        scale = np.maximum(1.0, np.abs(c1))
-        return np.minimum(c1 - m * c2, M * c2 - c1) / scale
+    def slack(self, group: _Group) -> np.ndarray:
+        """Normalized sandwich slack of each check on each row."""
+        m, M = self.constants(group)
+        c1, c2 = self.div[group.num], self.div[group.den]
+        return np.minimum(c1 - m * c2, M * c2 - c1) / np.maximum(1.0, np.abs(c1))
 
 
 def sandwich_slack_bulk(
@@ -365,7 +409,8 @@ def sandwich_slack_bulk(
     curvature ratio is proven monotone on the rows' pooled ratio
     envelope; otherwise each row falls back to :func:`numeric_mM`.
     """
-    return _BlockTable(P, Q).sandwich_slack(family, s, t)
+    specs, (group,) = _sandwich_groups([family_generators(family, s, t)])
+    return _BlockTable(P, Q, specs).slack(group)[0]
 
 
 def _corollary_checks() -> list[_Check]:
@@ -373,7 +418,7 @@ def _corollary_checks() -> list[_Check]:
         _Check(
             f"corollary/{c.name}", "slack",
             lambda P, Q, c=c: sandwich_slack_bulk(c.family, c.s, c.t, P, Q),
-            s=c.s, t=c.t, family=c.family,
+            s=c.s, t=c.t, gens=family_generators(c.family, c.s, c.t),
         )
         for c in corollary_table()
     ]
@@ -387,7 +432,7 @@ def _bounds_grid_checks() -> list[_Check]:
                 _Check(
                     f"bounds-grid/{family.value}/s={s:g},t={t:g}", "slack",
                     lambda P, Q, f=family, a=s, b=t: sandwich_slack_bulk(f, a, b, P, Q),
-                    s=s, t=t, family=family,
+                    s=s, t=t, gens=family_generators(family, s, t),
                 )
             )
     return checks
@@ -419,14 +464,16 @@ def _sample_trials(config: VerifyConfig):
     Returns ``(idx, P, Q)`` per size in increasing size order: the trial
     indices of the block (increasing) and its stacked rows."""
     lo, hi = config.n_range
+    alphas: dict[int, np.ndarray] = {}
     by_n: dict[int, tuple[list[int], list[np.ndarray], list[np.ndarray]]] = {}
     for i in range(config.trials):
         rng = np.random.default_rng([config.seed, i])
         n = int(rng.integers(lo, hi + 1))
-        p = simplex._draw(rng, n, config.concentration, simplex.EPS_MASS,
-                          simplex.MAX_REJECTIONS)
-        q = simplex._draw(rng, n, config.concentration, simplex.EPS_MASS,
-                          simplex.MAX_REJECTIONS)
+        alpha = alphas.get(n)
+        if alpha is None:
+            alpha = alphas[n] = np.full(n, config.concentration)
+        p = simplex._draw(rng, alpha, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
+        q = simplex._draw(rng, alpha, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
         idx, ps, qs = by_n.setdefault(n, ([], [], []))
         idx.append(i)
         ps.append(p)
@@ -438,43 +485,44 @@ def _sample_trials(config: VerifyConfig):
 
 
 class _Tally:
-    """Pass count and worst value of one check, reduced block by block.
+    """Pass counts and worst values of all checks, reduced block by block.
 
-    The worst value is the first-index ``argmax`` (residual) or ``argmin``
-    (slack) over all trials, as if the blocks were one array in trial
-    order: NaN is worse than any number, and ties go to the lowest trial.
+    Residual checks are keyed negated, so that every check's worst value is
+    the first-index ``argmin`` over all trials, as if the blocks were one
+    array in trial order: NaN is worse than any number, and ties go to the
+    lowest trial.  ``worst`` keeps the value as computed (the sign of a
+    zero included); ``block`` and ``row`` locate its pair.
     """
 
-    __slots__ = ("kind", "rel_tol", "passes", "worst", "trial", "row")
-
-    def __init__(self, kind: str, rel_tol: float):
-        self.kind = kind
+    def __init__(self, kinds, rel_tol: float):
+        n = len(kinds)
+        self.sign = np.where(np.array(kinds) == "residual", -1.0, 1.0)
         self.rel_tol = rel_tol
-        self.passes = 0
-        self.worst = np.nan
-        self.trial = -1
-        self.row: Optional[tuple[int, int]] = None  # (block, row in block)
+        self.passes = np.zeros(n, dtype=np.int64)
+        self.worst = np.full(n, np.nan)
+        self.trial = np.full(n, -1)
+        self.block = np.full(n, -1)
+        self.row = np.full(n, -1)
 
-    def add(self, block: int, idx: np.ndarray, values: np.ndarray) -> None:
-        if self.kind == "residual":
-            self.passes += int(np.count_nonzero(values <= self.rel_tol))
-            j = int(np.argmax(values))
-        else:
-            self.passes += int(np.count_nonzero(values >= -self.rel_tol))
-            j = int(np.argmin(values))
-        v, i = float(values[j]), int(idx[j])
-        if self.trial < 0 or self._beats(v, i):
-            self.worst, self.trial, self.row = v, i, (block, j)
-
-    def _beats(self, v: float, i: int) -> bool:
-        w = self.worst
-        if w != w:
-            return v != v and i < self.trial
-        if v != v:
-            return True
-        if v == w:
-            return i < self.trial
-        return v > w if self.kind == "residual" else v < w
+    def add(self, block: int, idx: np.ndarray, values: np.ndarray, checks: np.ndarray) -> None:
+        """Reduce one block: ``values[c, j]`` is check ``checks[c]`` on the
+        pair of trial ``idx[j]`` (``idx`` increasing)."""
+        sign = self.sign[checks]
+        keyed = values * sign[:, None]
+        self.passes[checks] += np.count_nonzero(keyed >= -self.rel_tol, axis=1)
+        j = np.argmin(keyed, axis=1)
+        c = np.arange(len(checks))
+        v, i = keyed[c, j], idx[j]
+        w, t = self.worst[checks] * sign, self.trial[checks]
+        v_nan, w_nan = np.isnan(v), np.isnan(w)
+        beats = (t < 0) | np.where(
+            w_nan, v_nan & (i < t), v_nan | (v < w) | ((v == w) & (i < t))
+        )
+        won = checks[beats]
+        self.worst[won] = values[c, j][beats]
+        self.trial[won] = i[beats]
+        self.block[won] = block
+        self.row[won] = j[beats]
 
 
 def _shrink_witness(check: _Check, p: np.ndarray, q: np.ndarray, rel_tol: float) -> Witness:
@@ -495,34 +543,44 @@ def _shrink_witness(check: _Check, p: np.ndarray, q: np.ndarray, rel_tol: float)
 def run(config: VerifyConfig) -> VerificationReport:
     """Execute every selected check on every sampled pair.
 
-    The loop over size blocks is the outer one: the sandwich checks of a
-    block read one shared :class:`_BlockTable`, which is dropped before
-    the next block is built.  Violations are recorded (with a shrunk
-    witness), never raised.
+    Each sandwich check's curvature ratio is proven monotone once, on the
+    envelope of all blocks.  The loop over size blocks is then the outer
+    one: the sandwich checks of a block read one shared
+    :class:`_BlockTable`, one inequality family per array step, and the
+    table is dropped before the next block is built.  Violations are
+    recorded (with a shrunk witness), never raised.
     """
     start = time.perf_counter()
     blocks = _sample_trials(config)
     checks = _build_checks(config.subjects)
-    tallies = [_Tally(check.kind, config.rel_tol) for check in checks]
+    plain = np.array([k for k, check in enumerate(checks) if check.gens is None], dtype=int)
+    specs, groups = _sandwich_groups([check.gens for check in checks])
+    lo = min(float((P / Q).min()) for _, P, Q in blocks)
+    hi = max(float((P / Q).max()) for _, P, Q in blocks)
+    if lo < hi:
+        proofs: dict = {}
+        for group in groups:
+            group.prove(lo, hi, proofs)
+    tally = _Tally([check.kind for check in checks], config.rel_tol)
     for b, (idx, P, Q) in enumerate(blocks):
-        table = _BlockTable(P, Q)
-        for check, tally in zip(checks, tallies):
-            values = np.empty(idx.shape[0])
-            if check.family is not None:
-                values[:] = table.sandwich_slack(check.family, check.s, check.t)
-            else:
-                values[:] = check.fn(P, Q)
-            tally.add(b, idx, values)
+        values = np.empty((plain.shape[0], idx.shape[0]))
+        for row, k in enumerate(plain):
+            values[row] = checks[k].fn(P, Q)
+        tally.add(b, idx, values, plain)
+        table = _BlockTable(P, Q, specs)
+        for group in groups:
+            tally.add(b, idx, table.slack(group), group.rows)
         del table
     results: dict[str, CheckResult] = {}
-    for check, tally in zip(checks, tallies):
+    for k, check in enumerate(checks):
+        passes = int(tally.passes[k])
         witness = None
-        if tally.passes < config.trials:
-            b, j = tally.row
-            _, P, Q = blocks[b]
+        if passes < config.trials:
+            _, P, Q = blocks[tally.block[k]]
+            j = tally.row[k]
             witness = _shrink_witness(check, P[j], Q[j], config.rel_tol)
         results[check.id] = CheckResult(
-            check.kind, config.trials, tally.passes, tally.worst, witness
+            check.kind, config.trials, passes, float(tally.worst[k]), witness
         )
     return VerificationReport(config, results, time.perf_counter() - start)
 
@@ -681,22 +739,24 @@ def tightness_scan(
         raise RegionViolation(
             f"(s={s}, t={t}) lies outside every region of family {family.value}"
         )
-    num, den = family_generators(family, s, t)
+    specs, (group,) = _sandwich_groups([family_generators(family, s, t)])
+    (num,), (den,) = group.num, group.den
+    alpha = np.full(n, concentration)
     u = np.full(n, 1.0 / n)
     min_low = np.inf
     min_high = np.inf
     count = 0
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
-        p = simplex._draw(rng, n, concentration, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
-        q = simplex._draw(rng, n, concentration, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
+        p = simplex._draw(rng, alpha, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
+        q = simplex._draw(rng, alpha, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
         for _ in range(shrink_levels):
-            pair = _BlockTable(p[None, :], q[None, :])
+            pair = _BlockTable(p[None, :], q[None, :], specs)
             if pair.lo < pair.hi:
-                m, M = pair.constants(num, den)
-                m, M = float(m[0]), float(M[0])
-                c1 = float(pair.divergence(num)[0])
-                c2 = float(pair.divergence(den)[0])
+                m, M = pair.constants(group)
+                m, M = float(m[0, 0]), float(M[0, 0])
+                c1 = float(pair.div[num, 0])
+                c2 = float(pair.div[den, 0])
                 if c2 > 1e-300:
                     min_low = min(min_low, (c1 - m * c2) / c2)
                     min_high = min(min_high, (M * c2 - c1) / c2)

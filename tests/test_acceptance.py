@@ -52,7 +52,7 @@ from divbound.measures import (
     triangular,
 )
 from divbound.simplex import sample_pair_matrix
-from divbound.verify import VerifyConfig, brute_force_mM, run, sandwich_slack_bulk
+from divbound.verify import VerifyConfig, run, sandwich_slack_bulk
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SIZES = (2, 3, 5, 10)
@@ -156,7 +156,7 @@ def test_criterion_3_derivative_soundness():
             time.perf_counter() - t0, 1)
 
 
-def test_criterion_4_bound_constant_soundness():
+def test_criterion_4_bound_constant_soundness(battery_oracle):
     """Cataloged constants vs two independent numeric oracles.
 
     The shipped certificate values must agree with both the refined scanner
@@ -183,7 +183,7 @@ def test_criterion_4_bound_constant_soundness():
             text_failures = 0
             for r, R in intervals:
                 nm, nM = numeric_mM(num, den, r, R)
-                bm, bM = brute_force_mM(num, den, r, R, 100_000)
+                bm, bM = battery_oracle(num, den, r, R)
                 assert _agrees(nm, bm) and _agrees(nM, bM), (family, s, t, r, R)
                 cert = closed_form_mM(family, s, t, r, R, cross_check=False)
                 assert _agrees(cert.m, nm) and _agrees(cert.M, nM), (family, s, t, r, R)

@@ -40,7 +40,6 @@ from divbound.measures import (
     triangular,
 )
 from divbound.simplex import ratio_bounds, sample_pair, validate
-from divbound.verify import brute_force_mM
 
 F = InequalityFamily
 PSI2 = GeneratorSpec(Gen.PSI, 2.0)
@@ -68,6 +67,26 @@ class TestGRatio:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateDenominator):
             g_ratio(PHI2, GeneratorSpec(Gen.XI, 5.0), 0.1)
+
+    def test_underflowing_denominator_is_not_degenerate(self):
+        # PHI(-300)'' = x^-302 > 0 underflows to 0 at x = 1e3
+        tiny = GeneratorSpec(Gen.PHI, -300.0)
+        with pytest.raises(NonFiniteValue, match="underflows double precision"):
+            g_ratio(PHI2, tiny, 1e3)
+        with pytest.raises(NonFiniteValue, match="underflows double precision"):
+            g_ratio(PHI2, tiny, np.array([1.0, 1e3]))
+
+    def test_non_positive_denominator_stays_degenerate(self):
+        # XI(-300)'' = u^-303 (304 - 300 x) / 4 is negative above x = 304/300
+        # and rounds to -0.0 at x = 1e3: the log record's sign, not the zero,
+        # decides
+        xi = GeneratorSpec(Gen.XI, -300.0)
+        with pytest.raises(DegenerateDenominator):
+            g_ratio(PHI2, xi, 1e3)
+        with pytest.raises(DegenerateDenominator):
+            g_ratio(PHI2, xi, np.array([1.0, 1e3, 1e300]))
+        with pytest.raises(DegenerateDenominator):
+            g_ratio(PHI2, GeneratorSpec(Gen.XI, 5.0), np.array([0.1, 1.0]))
 
     def test_nan_denominator_is_degenerate(self, monkeypatch):
         monkeypatch.setattr(bounds, "gen_d2", lambda spec, x: math.nan)
@@ -135,7 +154,7 @@ class TestNumericMM:
 class TestEnclosure:
     """numeric_mM encloses the extrema: m <= inf g and M >= sup g."""
 
-    def test_sound_and_tight_on_the_criterion_4_battery(self):
+    def test_sound_and_tight_on_the_criterion_4_battery(self, battery_oracle):
         battery = json.loads(
             (Path(__file__).parent / "fixtures" / "closed_form_errata.json").read_text()
         )["interval_battery"]
@@ -151,7 +170,7 @@ class TestEnclosure:
                 num, den = family_generators(family, s, t)
                 for r, R in intervals:
                     m, M, width = bounds._Ratio(num, den, r, R).extrema()
-                    bm, bM = brute_force_mM(num, den, r, R, 100_000)
+                    bm, bM = battery_oracle(num, den, r, R)
                     assert m <= bm and M >= bM, (family, s, t, r, R)
                     assert width <= 1e-9, (family, s, t, r, R)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from divbound.bounds import InequalityFamily, family_generators, numeric_mM, region_grid
+from divbound import simplex
+from divbound.bounds import InequalityFamily, _Ratio, family_generators, numeric_mM, region_grid
 from divbound.errors import ConfigInvalid, RegionViolation
 from divbound.generators import Gen, GeneratorSpec
 from divbound.measures import triangular
@@ -81,18 +82,16 @@ class TestRun:
 
 
 def _unshared_report(config: VerifyConfig) -> str:
-    """The report built check by check: every sandwich check calls
-    sandwich_slack_bulk on each block alone, and the worst trial is the
+    """The report built check by check: every check runs on each block
+    alone (a sandwich check's ``fn`` is sandwich_slack_bulk, which proves
+    the ratio on the block's own envelope), and the worst trial is the
     full-array argmax/argmin over all trials."""
     blocks = _sample_trials(config)
     checks = {}
     for check in _build_checks(config.subjects):
         values = np.empty(config.trials)
         for idx, P, Q in blocks:
-            if check.family is not None:
-                values[idx] = sandwich_slack_bulk(check.family, check.s, check.t, P, Q)
-            else:
-                values[idx] = check.fn(P, Q)
+            values[idx] = check.fn(P, Q)
         if check.kind == "residual":
             passes = int(np.count_nonzero(values <= config.rel_tol))
             worst = int(np.argmax(values))
@@ -125,54 +124,134 @@ class TestSharedBlockTable:
             assert not witnesses
         assert report.to_json() == _unshared_report(cfg)
 
+    def test_all_subjects_match_unshared_path(self):
+        cfg = VerifyConfig(trials=300, seed=2026, subjects=("all", "bounds-grid"))
+        assert run(cfg).to_json() == _unshared_report(cfg)
 
-def _tally_blocks(kind, values, n_blocks, rng):
-    """Reduce ``values`` through a _Tally over a random interleaved split
-    of the trials into blocks (each block's indices increasing)."""
-    label = rng.integers(n_blocks, size=values.size)
-    tally = _Tally(kind, 1e-10)
+    def test_block_proofs_and_row_fallback_match_unshared_path(self, monkeypatch):
+        # no ratio closes on the run's envelope, so every block re-proves;
+        # one corner's ratio closes nowhere, so its rows take numeric_mM
+        cfg = VerifyConfig(trials=300, seed=2026, subjects=("all", "bounds-grid"))
+        blocks = _sample_trials(cfg)
+        lo = min(float((P / Q).min()) for _, P, Q in blocks)
+        hi = max(float((P / Q).max()) for _, P, Q in blocks)
+        never = family_generators(F.II, 2.0, 1.0)
+        proof = _Ratio.direction
+        monkeypatch.setattr(_Ratio, "direction", lambda self: (
+            0 if (self.lo, self.hi) == (lo, hi) or (self.num, self.den) == never
+            else proof(self)))
+        fallback = []
+        enclose = numeric_mM
+        monkeypatch.setattr("divbound.verify.numeric_mM",
+                            lambda *a: fallback.append(a) or enclose(*a))
+        report = run(cfg).to_json()
+        assert len(fallback) == 2 * cfg.trials  # a bounds-grid check and a corollary
+        assert report == _unshared_report(cfg)
+
+    def test_one_proof_per_distinct_ratio(self, monkeypatch):
+        cfg = VerifyConfig(trials=1000, seed=5, subjects=("all", "bounds-grid"))
+        proved = []
+        proof = _Ratio.direction
+        monkeypatch.setattr(_Ratio, "direction",
+                            lambda self: proved.append((self.num, self.den)) or proof(self))
+        report = run(cfg)
+        ratios = {c.gens for c in _build_checks(cfg.subjects) if c.gens is not None}
+        assert len(proved) == len(set(proved)) == len(ratios) == 616
+        assert report.all_passed and len(report.checks) == 686
+
+
+def _draw_reference(rng, n, concentration):
+    x = rng.dirichlet(np.full(n, concentration))
+    while not np.all(x > simplex.EPS_MASS):
+        x = rng.dirichlet(np.full(n, concentration))
+    return x
+
+
+def test_sampled_blocks_follow_the_per_trial_streams():
+    cfg = VerifyConfig(trials=200, seed=31, n_range=(2, 7), concentration=0.2)
+    rows = {}
+    for i in range(cfg.trials):
+        rng = np.random.default_rng([cfg.seed, i])
+        n = int(rng.integers(2, 8))
+        rows[i] = (_draw_reference(rng, n, 0.2), _draw_reference(rng, n, 0.2))
+    for idx, P, Q in _sample_trials(cfg):
+        for j, i in enumerate(idx):
+            assert np.array_equal(P[j], rows[i][0]) and np.array_equal(Q[j], rows[i][1])
+
+
+def _tally_blocks(kinds, values, n_blocks, rng):
+    """Reduce ``values`` (checks x trials) through one _Tally over a random
+    interleaved split of the trials into blocks (each block's indices
+    increasing), adding each block's checks in two random groups."""
+    label = rng.integers(n_blocks, size=values.shape[1])
+    tally = _Tally(kinds, 1e-10)
     blocks = [np.flatnonzero(label == b) for b in range(n_blocks)]
     blocks = [idx for idx in blocks if idx.size]
     rng.shuffle(blocks)
     for b, idx in enumerate(blocks):
-        tally.add(b, idx, values[idx])
+        order = rng.permutation(len(kinds))
+        cut = int(rng.integers(len(kinds) + 1))
+        for checks in (order[:cut], order[cut:]):
+            tally.add(b, idx, values[checks][:, idx], checks)
     return tally, blocks
 
 
 class TestTally:
     @pytest.mark.parametrize("kind", ["residual", "slack"])
     def test_matches_full_array_reduction(self, kind):
+        # check 0 is of ``kind``, the others of random kinds
         rng = np.random.default_rng(99)
-        pool = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 1e-12, 1.0, np.inf])
-        for _ in range(400):
-            values = rng.choice(pool[rng.permutation(pool.size)[: rng.integers(1, 6)]],
-                                size=int(rng.integers(1, 30)))
-            tally, blocks = _tally_blocks(kind, values, int(rng.integers(1, 6)), rng)
-            full = np.argmax(values) if kind == "residual" else np.argmin(values)
-            ok = values <= 1e-10 if kind == "residual" else values >= -1e-10
-            assert tally.trial == full
-            assert tally.passes == np.count_nonzero(ok)
-            assert repr(tally.worst) == repr(float(values[full]))  # NaN and the sign of 0
-            b, j = tally.row
-            assert blocks[b][j] == full
+        pool = np.array([np.nan, -np.inf, -1.0, -1e-10, -0.0, 0.0, 1e-12, 1e-10, 1.0, np.inf])
+        for _ in range(200):
+            kinds = [kind] + [str(k) for k in rng.choice(["residual", "slack"],
+                                                          size=rng.integers(0, 4))]
+            trials = int(rng.integers(1, 30))
+            values = np.array([
+                rng.choice(pool[rng.permutation(pool.size)[: rng.integers(1, 6)]], size=trials)
+                for _ in kinds
+            ])
+            tally, blocks = _tally_blocks(kinds, values, int(rng.integers(1, 6)), rng)
+            for k, (kind, row) in enumerate(zip(kinds, values)):
+                full = np.argmax(row) if kind == "residual" else np.argmin(row)
+                ok = row <= 1e-10 if kind == "residual" else row >= -1e-10
+                assert tally.trial[k] == full
+                assert tally.passes[k] == np.count_nonzero(ok)
+                # NaN and the sign of 0
+                assert repr(float(tally.worst[k])) == repr(float(row[full]))
+                assert blocks[tally.block[k]][tally.row[k]] == full
 
     @pytest.mark.parametrize("kind", ["residual", "slack"])
     def test_ties_and_nan_go_to_the_first_trial(self, kind):
-        tally = _Tally(kind, 1e-10)
+        # check 0 is of ``kind``, check 1 of the other kind on the negated
+        # values, so the two must always agree
+        other = "slack" if kind == "residual" else "residual"
+        tally = _Tally([kind, other], 1e-10)
         worse = 5.0 if kind == "residual" else -5.0
-        tally.add(0, np.array([3, 7]), np.array([worse, worse]))
-        tally.add(1, np.array([1, 9]), np.array([0.0, worse]))
-        assert (tally.trial, tally.worst, tally.row) == (3, worse, (0, 0))
-        tally.add(2, np.array([2]), np.array([worse]))
-        assert (tally.trial, tally.row) == (2, (2, 0))
-        tally.add(3, np.array([8, 11]), np.array([np.nan, np.nan]))
-        tally.add(4, np.array([4]), np.array([worse * 10]))
-        assert tally.trial == 8 and np.isnan(tally.worst) and tally.row == (3, 0)
-        tally.add(5, np.array([0, 6]), np.array([worse, np.nan]))
-        assert tally.trial == 6 and tally.row == (5, 1)
-        tally.add(6, np.array([5]), np.array([np.nan]))
-        assert tally.trial == 5 and tally.row == (6, 0)
-        assert tally.passes == 1
+
+        def add(block, idx, values):
+            values = np.array(values)
+            tally.add(block, np.array(idx), np.vstack([values, -values]), np.array([0, 1]))
+
+        def state():
+            (t0, t1), (b0, b1), (j0, j1) = tally.trial, tally.block, tally.row
+            assert (t0, b0, j0) == (t1, b1, j1)
+            return int(t0), float(tally.worst[0]), (int(b0), int(j0))
+
+        add(0, [3, 7], [worse, worse])
+        add(1, [1, 9], [0.0, worse])
+        assert state() == (3, worse, (0, 0))
+        add(2, [2], [worse])
+        assert state()[::2] == (2, (2, 0))
+        add(3, [8, 11], [np.nan, np.nan])
+        add(4, [4], [worse * 10])
+        trial, value, row = state()
+        assert trial == 8 and np.isnan(value) and row == (3, 0)
+        add(5, [0, 6], [worse, np.nan])
+        assert state()[::2] == (6, (5, 1))
+        add(6, [5], [np.nan])
+        assert state()[::2] == (5, (6, 0))
+        assert tally.passes.tolist() == [1, 1]
+        assert float(tally.worst[1]) != float(tally.worst[1])
 
 
 class TestWitnessShrinking:
@@ -270,7 +349,7 @@ class TestBlockDirection:
         (F.I, 0.0, 0.0, 0),     # x/(x+1)^2 peaks at x = 1
     ])
     def test_proof_follows_the_ratio(self, family, s, t, expected):
-        table = _BlockTable(self.P, self.Q)
+        table = _BlockTable(self.P, self.Q, [])
         assert (table.lo, table.hi) == (0.4, 2.0)
         assert table.direction(*family_generators(family, s, t)) == expected
 
