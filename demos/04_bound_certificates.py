@@ -3,8 +3,9 @@
 For a pair with mass ratios inside [r, R], the ratio of two divergences is
 sandwiched by the extrema of the curvature ratio of their generators over
 [r, R].  The catalog covers ten family pairs with closed-form endpoint
-constants; each certificate is cross-checked against a numeric enclosure
-of the extrema, and corners where the cataloged text is misprinted ship
+constants; a certificate ships them only where the curvature ratio is
+proven monotone on [r, R], and a numeric enclosure of the extrema
+elsewhere.  Corners where the cataloged text is misprinted ship
 corrected values with an erratum flag.
 """
 

@@ -13,8 +13,9 @@ Identical configurations produce bit-identical report JSON.
 Trials are grouped by simplex size into blocks, and the loop over blocks is
 the outer one.  Before it, the curvature ratio of each distinct sandwich
 check is proven monotone once, on the envelope of all blocks' ratios; a
-ratio monotone there is monotone on every block, and only a ratio whose
-proof does not close is proven again per block.  The sandwich checks of
+ratio proven monotone there is monotone on every block and takes its
+endpoint values, and a ratio whose proof does not close takes each row's
+own :func:`numeric_mM` enclosure.  The sandwich checks of
 one block share one table of generator values (:class:`_BlockTable`): a
 generator named by many checks is evaluated once per block, not once per
 check, and the checks of one inequality family are evaluated in one array
@@ -294,9 +295,9 @@ class _Group:
 
     ``rows`` are the checks' positions in the run's check list, ``num`` and
     ``den`` the rows of their generators in the spec table a
-    :class:`_BlockTable` evaluates, and ``direction`` the run-level
-    monotonicity proof of each curvature ratio (0 until proven, or where
-    the proof does not close).
+    :class:`_BlockTable` evaluates, and ``direction`` the monotonicity
+    proof of each curvature ratio on the envelope given to :meth:`prove`
+    (0 until proven, or where the proof does not close).
     """
 
     def __init__(self, rows, ratios, index: dict[GeneratorSpec, int]):
@@ -307,12 +308,13 @@ class _Group:
         self.direction = np.zeros(len(ratios), dtype=int)
 
     def prove(self, lo: float, hi: float, proofs: dict) -> None:
-        """Prove each ratio on [lo, hi] (lo < hi), once per distinct ratio
-        across every group sharing ``proofs``."""
+        """Prove each ratio monotone on [lo, hi], once per distinct ratio
+        across every group sharing ``proofs``; on a zero-width [lo, hi]
+        every ratio counts as increasing."""
         for k, ratio in enumerate(self.ratios):
             d = proofs.get(ratio)
             if d is None:
-                d = proofs[ratio] = _Ratio(*ratio, lo, hi).direction()
+                d = proofs[ratio] = _Ratio(*ratio, lo, hi).direction() if lo < hi else 1
             self.direction[k] = d
 
 
@@ -342,8 +344,8 @@ class _BlockTable:
     ``[r, R]``, the block's pooled envelope ``[lo, hi]`` and, per spec of
     the run's spec table, its curvature at every ``r`` and ``R`` and its
     f-divergence on every row.  A group of checks reads these rows by
-    index, in one array step over ``(checks x rows)``.  A ratio the run
-    did not prove monotone is proven here on ``[lo, hi]``, once per block.
+    index, in one array step over ``(checks x rows)``.  Endpoint values
+    are taken only for a ratio its group has proven monotone.
     """
 
     def __init__(self, P: np.ndarray, Q: np.ndarray, specs: list[GeneratorSpec]):
@@ -358,37 +360,20 @@ class _BlockTable:
             self.d2_r[i] = gen_d2(spec, self.r)
             self.d2_R[i] = gen_d2(spec, self.R)
             self.div[i] = csiszar_bulk(spec, P, Q)
-        self._direction: dict[tuple[GeneratorSpec, GeneratorSpec], int] = {}
-
-    def direction(self, num: GeneratorSpec, den: GeneratorSpec) -> int:
-        """+1 / -1 when the curvature ratio is proven monotone on the pooled
-        envelope (the cell proof of :func:`numeric_mM`), else 0."""
-        if self.lo == self.hi:
-            return 1
-        key = (num, den)
-        d = self._direction.get(key)
-        if d is None:
-            d = self._direction[key] = _Ratio(num, den, self.lo, self.hi).direction()
-        return d
 
     def constants(self, group: _Group) -> tuple[np.ndarray, np.ndarray]:
         """Sandwich constants m, M of each check's curvature ratio on each
         row's [r, R], as ``(checks x rows)`` arrays.
 
-        Endpoint values are used only for a ratio proven monotone, on the
-        run's envelope or else on the block's; otherwise each row falls
-        back to :func:`numeric_mM`.  Sound for erratum corners by
-        construction.
+        Endpoint values are used only for a ratio the group has proven
+        monotone (:meth:`_Group.prove`); otherwise each row falls back to
+        :func:`numeric_mM`.  Sound for erratum corners by construction.
         """
-        direction = group.direction.copy()
-        unproven = np.flatnonzero(direction == 0)
-        for k in unproven:
-            direction[k] = self.direction(*group.ratios[k])
         at_r = self.d2_r[group.num] / self.d2_r[group.den]
         at_R = self.d2_R[group.num] / self.d2_R[group.den]
-        up = (direction > 0)[:, None]
+        up = (group.direction > 0)[:, None]
         m, M = np.where(up, at_r, at_R), np.where(up, at_R, at_r)
-        for k in unproven[direction[unproven] == 0]:
+        for k in np.flatnonzero(group.direction == 0):
             for i in range(self.r.shape[0]):
                 m[k, i], M[k, i] = numeric_mM(*group.ratios[k], float(self.r[i]), float(self.R[i]))
         return m, M
@@ -410,7 +395,9 @@ def sandwich_slack_bulk(
     envelope; otherwise each row falls back to :func:`numeric_mM`.
     """
     specs, (group,) = _sandwich_groups([family_generators(family, s, t)])
-    return _BlockTable(P, Q, specs).slack(group)[0]
+    table = _BlockTable(P, Q, specs)
+    group.prove(table.lo, table.hi, {})
+    return table.slack(group)[0]
 
 
 def _corollary_checks() -> list[_Check]:
@@ -557,10 +544,9 @@ def run(config: VerifyConfig) -> VerificationReport:
     specs, groups = _sandwich_groups([check.gens for check in checks])
     lo = min(float((P / Q).min()) for _, P, Q in blocks)
     hi = max(float((P / Q).max()) for _, P, Q in blocks)
-    if lo < hi:
-        proofs: dict = {}
-        for group in groups:
-            group.prove(lo, hi, proofs)
+    proofs: dict = {}
+    for group in groups:
+        group.prove(lo, hi, proofs)
     tally = _Tally([check.kind for check in checks], config.rel_tol)
     for b, (idx, P, Q) in enumerate(blocks):
         values = np.empty((plain.shape[0], idx.shape[0]))
@@ -753,6 +739,7 @@ def tightness_scan(
         for _ in range(shrink_levels):
             pair = _BlockTable(p[None, :], q[None, :], specs)
             if pair.lo < pair.hi:
+                group.prove(pair.lo, pair.hi, {})
                 m, M = pair.constants(group)
                 m, M = float(m[0, 0]), float(M[0, 0])
                 c1 = float(pair.div[num, 0])

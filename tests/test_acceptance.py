@@ -185,7 +185,7 @@ def test_criterion_4_bound_constant_soundness(battery_oracle):
                 nm, nM = numeric_mM(num, den, r, R)
                 bm, bM = battery_oracle(num, den, r, R)
                 assert _agrees(nm, bm) and _agrees(nM, bM), (family, s, t, r, R)
-                cert = closed_form_mM(family, s, t, r, R, cross_check=False)
+                cert = closed_form_mM(family, s, t, r, R)
                 assert _agrees(cert.m, nm) and _agrees(cert.M, nM), (family, s, t, r, R)
                 pm, pM = printed_mM(family, s, t, r, R)
                 if not (_agrees(pm, nm) and _agrees(pM, nM)):

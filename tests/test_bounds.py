@@ -25,6 +25,7 @@ from divbound.bounds import (
 from divbound import bounds
 from divbound.errors import (
     DegenerateDenominator,
+    DivboundError,
     NonFiniteValue,
     NonPositiveArgument,
     RegionViolation,
@@ -321,13 +322,114 @@ class TestClosedForm:
             closed_form_mM(F.I, 0.0, 0.0, 0.5, 2.0, strict=True)
 
     def test_printed_text_overflow_is_non_finite(self):
-        # in region (33); the printed coefficient overflows Python floats
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+        # in region (33); g(1e-6) overflows to inf, and so does the true M,
+        # about exp(5235), so the numeric fallback raises
+        with pytest.raises(NonFiniteValue, match="overflows double precision"):
             closed_form_mM(F.I, 400.0, 0.0, 1e-6, 1e6)
 
     def test_infinite_point_ratio_is_non_finite(self):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
             closed_form_mM(F.I, 400.0, 0.0, 1e-6, 1e-6)
+
+    def test_unproven_ratio_ships_the_enclosure(self, monkeypatch):
+        monkeypatch.setattr(bounds._Ratio, "direction", lambda self: 0)
+        cert = closed_form_mM(F.II, 2.0, 1.0, 2.0 / 3.0, 2.0)
+        assert cert.source is CertificateSource.NUMERIC and cert.region_ok
+        assert "not proven" in cert.erratum
+        assert (cert.m, cert.M) == numeric_mM(*family_generators(F.II, 2.0, 1.0), 2.0 / 3.0, 2.0)
+
+    def test_proven_ratio_needs_no_enclosure(self, monkeypatch):
+        # only the certificates that ship the enclosure compute it: the
+        # reversed corner III(4, 3) and flat ratios whose branch-ordered
+        # endpoint values come out one ulp apart the wrong way round
+        calls = []
+        enclose = numeric_mM
+        monkeypatch.setattr(bounds, "numeric_mM", lambda *a: calls.append(a) or enclose(*a))
+        numeric = []
+        for family in F:
+            for s, t in region_grid(family):
+                cert = closed_form_mM(family, s, t, 0.3, 5.0)
+                if cert.source is CertificateSource.NUMERIC:
+                    numeric.append(family_generators(family, s, t) + (0.3, 5.0))
+        assert calls == numeric and len(numeric) == 5
+
+    def test_unevaluable_printed_text_is_an_erratum(self):
+        # (e+1)/(2e) ** (s-3) / e ** (t+2) of tag (39) divides by an e ** 37.04
+        # that underflows to 0 at r = 1.3e-9; the ratio itself is proven
+        # decreasing, with extrema 2.34e-170 and 2.81e302
+        family, s, t = F.IV, 0.07603497704644013, 35.03920573942102
+        r, R = 1.287862906509099e-09, 53832.526546420755
+        with pytest.raises(ZeroDivisionError):
+            printed_mM(family, s, t, r, R)
+        cert = closed_form_mM(family, s, t, r, R)
+        assert cert.source is CertificateSource.CLOSED_FORM
+        assert "ZeroDivisionError" in cert.erratum
+        lo, hi = dense_log_extrema(*family_generators(family, s, t), r, R)
+        assert cert.m <= lo + 1e-12 * abs(lo) and cert.M >= hi - 1e-12 * abs(hi)
+
+    @pytest.mark.parametrize("family,s,t,r,R,source", [
+        # the printed text overflows; the endpoint values are finite and proven
+        (F.V, 23.468782520666977, 32.93434228712755, 0.03470652065124331,
+         460995591592.7579, CertificateSource.CLOSED_FORM),
+        # PHI(38.15)'' underflows to 0 at r: g_ratio has no value there
+        (F.I, -15.534548598688449, 38.152259363999775, 9.561872738525603e-12,
+         442.1531700854481, CertificateSource.NUMERIC),
+        # PHI(35.86)'' overflows at R, so g(R) rounds to 0.0 (true value 4e-284)
+        (F.II, 10.194273501535207, 35.85994201596016, 9.549976844090945e-07,
+         83323943598.75293, CertificateSource.NUMERIC),
+    ])
+    def test_in_region_edge_requests_certify(self, family, s, t, r, R, source):
+        cert = closed_form_mM(family, s, t, r, R)
+        assert cert.region_ok and cert.erratum is not None
+        assert cert.source is source
+        lo, hi = dense_log_extrema(*family_generators(family, s, t), r, R)
+        assert cert.m <= lo + 1e-12 * abs(lo) and cert.M >= hi - 1e-12 * abs(hi)
+
+    @pytest.mark.parametrize("family,s,t,r,R", [
+        # s x + 4 - s cancels in XI(4)'': g_ratio is off by 8e-11 at r = R
+        (F.III, 4.0, 2.0, 1e-6, 1e-6),
+        # ... and by 9e-6 at r, where m sat above inf g
+        (F.VI, 4.0, 21.18687715434057, 9.520077620487599e-12, 190.0110733806304),
+        # PHI(-27.25)'' is subnormal at R: g(R) is off by 7e-5
+        (F.II, -10.536926652699783, -27.251272143864334, 3.733073821797901e-07,
+         84181679095.49355),
+        # PSI(-30.27)'' is normal at r, but its power v^(t-2) is subnormal
+        (F.V, -23.330462373535497, -30.274354533005152, 5.2338882602128696e-11,
+         240.76776765940704),
+    ])
+    def test_inaccurate_endpoint_values_ship_the_enclosure(self, family, s, t, r, R):
+        num, den = family_generators(family, s, t)
+        cert = closed_form_mM(family, s, t, r, R)
+        assert cert.source is CertificateSource.NUMERIC and cert.erratum is not None
+        assert (cert.m, cert.M) == numeric_mM(num, den, r, R)
+        lo, hi = dense_log_extrema(num, den, r, R)
+        assert cert.m <= lo + 1e-12 * abs(lo) and cert.M >= hi - 1e-12 * abs(hi)
+
+    def test_sound_or_divbound_error_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # [0, 4] and [2, 4] hold the narrow regions of families III to X
+        param = st.one_of(st.floats(-40.0, 40.0), st.floats(0.0, 4.0), st.floats(2.0, 4.0))
+
+        @st.composite
+        def requests(draw):
+            family = draw(st.sampled_from(list(F)))
+            s, t = draw(param), draw(param)
+            hyp.assume(in_region(family, s, t))
+            return family, s, t, 10.0 ** draw(st.floats(-12.0, 0.0)), 10.0 ** draw(st.floats(0.0, 12.0))
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(requests())
+        def check(request):
+            try:
+                cert = closed_form_mM(*request)
+            except DivboundError:
+                return
+            lo, hi = dense_log_extrema(*family_generators(*request[:3]), *request[3:], 20_001)
+            assert cert.m <= lo + 1e-12 * abs(lo) and cert.M >= hi - 1e-12 * abs(hi), request
+
+        check()
 
     def test_ix_misprint_corrected(self):
         # printed upper repeats the R coefficient; corrected value matches

@@ -184,7 +184,7 @@ class TestBounds:
         assert code == 0 and data["erratum"]
 
     @pytest.mark.parametrize("argv,what", [
-        # the printed catalog text overflows Python float arithmetic
+        # the true M, about exp(5235), overflows
         (("--family", "I", "--s", "400", "--t", "0", "--r", "1e-6", "--R", "1e6"),
          "overflows double precision"),
         # the true M is about exp(976)
@@ -219,6 +219,32 @@ class TestBounds:
         lo, hi = dense_log_extrema(num, den, data["r"], data["R"])
         assert data["m"] <= lo + 1e-12 * abs(lo) and data["M"] >= hi - 1e-12 * abs(hi)
         assert data["m"] == pytest.approx(lo, rel=1e-6) and data["M"] == pytest.approx(hi, rel=1e-6)
+
+    @pytest.mark.parametrize("argv,source", [
+        # printed_mM's e ** (t + 2) underflows to 0 and its division raised
+        # ZeroDivisionError; the ratio is proven decreasing
+        (("--family", "IV", "--s=0.07603497704644013", "--t=35.03920573942102",
+          "--r", "1.287862906509099e-09", "--R", "53832.526546420755"), "closed-form"),
+        # in-region edge requests that raised NonFiniteValue: the printed text
+        # overflows (V, II), PHI's curvature underflows at r (I), PHI's
+        # curvature overflows at R and g(R) rounds to 0 (II)
+        (("--family", "V", "--s=23.468782520666977", "--t=32.93434228712755",
+          "--r", "0.03470652065124331", "--R", "460995591592.7579"), "closed-form"),
+        (("--family", "I", "--s=-15.534548598688449", "--t=38.152259363999775",
+          "--r", "9.561872738525603e-12", "--R", "442.1531700854481"), "numeric"),
+        (("--family", "II", "--s=10.194273501535207", "--t=35.85994201596016",
+          "--r", "9.549976844090945e-07", "--R", "83323943598.75293"), "numeric"),
+    ])
+    def test_in_region_edge_requests_are_certified(self, capsys, argv, source):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, "bounds", *argv)
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["region_ok"] and data["source"] == source and data["erratum"]
+        num, den = family_generators(InequalityFamily(data["family"]), data["s"], data["t"])
+        lo, hi = dense_log_extrema(num, den, data["r"], data["R"])
+        assert data["m"] <= lo + 1e-12 * abs(lo) and data["M"] >= hi - 1e-12 * abs(hi)
 
     def test_needs_interval_or_pair(self, capsys):
         code, _, err = invoke(capsys, "bounds", "--family", "I", "--s", "2", "--t", "2")

@@ -14,6 +14,7 @@ from divbound.verify import (
     _BlockTable,
     _build_checks,
     _Check,
+    _sandwich_groups,
     _sample_trials,
     _shrink_witness,
     _Tally,
@@ -128,18 +129,13 @@ class TestSharedBlockTable:
         cfg = VerifyConfig(trials=300, seed=2026, subjects=("all", "bounds-grid"))
         assert run(cfg).to_json() == _unshared_report(cfg)
 
-    def test_block_proofs_and_row_fallback_match_unshared_path(self, monkeypatch):
-        # no ratio closes on the run's envelope, so every block re-proves;
+    def test_row_fallback_matches_unshared_path(self, monkeypatch):
         # one corner's ratio closes nowhere, so its rows take numeric_mM
         cfg = VerifyConfig(trials=300, seed=2026, subjects=("all", "bounds-grid"))
-        blocks = _sample_trials(cfg)
-        lo = min(float((P / Q).min()) for _, P, Q in blocks)
-        hi = max(float((P / Q).max()) for _, P, Q in blocks)
         never = family_generators(F.II, 2.0, 1.0)
         proof = _Ratio.direction
         monkeypatch.setattr(_Ratio, "direction", lambda self: (
-            0 if (self.lo, self.hi) == (lo, hi) or (self.num, self.den) == never
-            else proof(self)))
+            0 if (self.num, self.den) == never else proof(self)))
         fallback = []
         enclose = numeric_mM
         monkeypatch.setattr("divbound.verify.numeric_mM",
@@ -337,7 +333,7 @@ class TestBulkSandwich:
             assert slacks[i] == pytest.approx(direct, rel=1e-9, abs=1e-15)
 
 
-class TestBlockDirection:
+class TestGroupProof:
     # P / Q ratios span the pooled envelope [0.4, 2.0]
     P = np.array([[0.2, 0.8], [0.6, 0.4]])
     Q = np.array([[0.5, 0.5], [0.3, 0.7]])
@@ -349,9 +345,17 @@ class TestBlockDirection:
         (F.I, 0.0, 0.0, 0),     # x/(x+1)^2 peaks at x = 1
     ])
     def test_proof_follows_the_ratio(self, family, s, t, expected):
-        table = _BlockTable(self.P, self.Q, [])
+        specs, (group,) = _sandwich_groups([family_generators(family, s, t)])
+        table = _BlockTable(self.P, self.Q, specs)
         assert (table.lo, table.hi) == (0.4, 2.0)
-        assert table.direction(*family_generators(family, s, t)) == expected
+        group.prove(table.lo, table.hi, {})
+        assert group.direction.tolist() == [expected]
+
+    def test_zero_width_envelope_counts_as_increasing(self, monkeypatch):
+        monkeypatch.setattr(_Ratio, "direction", lambda self: pytest.fail("proved"))
+        _, (group,) = _sandwich_groups([family_generators(F.I, 0.0, 0.0)])
+        group.prove(1.5, 1.5, {})
+        assert group.direction.tolist() == [1]
 
     def test_unproven_block_encloses_each_row(self):
         from divbound.bounds import sandwich_check
