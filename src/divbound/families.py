@@ -27,7 +27,10 @@ m = (p+q)/2, they sum, for s >= 1/2 and for s < 1/2 respectively,
     Zeta_s:   (p-q) L_(s-1)(m/q) for every s
 
 The two forms are algebraically equal and each is regular on its own side
-of s = 1/2, so the choice is not a switching band.  Subtracting the linear
+of s = 1/2, so the choice is not a switching band.  A 1-D array of s is
+split by that choice (no form sees the other side's values) and summed in
+one compensated sum; each value is bit-for-bit the one the same s gives
+alone.  Subtracting the linear
 term per term keeps the kernels equal to the engine on validated pairs
 whose masses add up to 1 only within tolerance.  The kernels never call
 the generator engine, so the two stay independent computations.
@@ -45,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from ._accum import comp_sum
-from .generators import _lpow
+from .generators import _by_form, _lpow, _stack
 from .simplex import Distribution, require_same_length
 
 ZETA_CONVEX_RANGE = (0.0, 4.0)
@@ -77,34 +80,42 @@ def in_convex_range(family: Family, s: float) -> bool:
     return True
 
 
-def phi_s(s: float, p, q):
-    """Relative information of type s; arrays of shape (..., n) reduce."""
+def phi_s(s, p, q):
+    """Relative information of type s; arrays of shape (..., n) reduce.
+
+    ``s`` is a float or a 1-D array; an array adds a leading axis over s
+    to the result, summed in one call (module docstring)."""
     p, q = np.asarray(p, float), np.asarray(q, float)
-    if s >= 0.5:
-        terms = (p * _lpow(s - 1.0, p / q) - (p - q)) / s
-    else:
-        terms = (q * _lpow(s, p / q) - (p - q)) / (s - 1.0)
-    return comp_sum(terms)
+    s = _stack(s, p.ndim)
+    return comp_sum(_by_form(
+        s,
+        lambda s: (p * _lpow(s - 1.0, p / q) - (p - q)) / s,
+        lambda s: (q * _lpow(s, p / q) - (p - q)) / (s - 1.0),
+    ))
 
 
-def omega_s(s: float, p, q, adjoint: bool = False):
-    """Unified relative JS/AG divergence of type s (adjoint swaps p and q)."""
+def omega_s(s, p, q, adjoint: bool = False):
+    """Unified relative JS/AG divergence of type s (adjoint swaps p and q);
+    ``s`` as in :func:`phi_s`."""
     if adjoint:
         p, q = q, p
     p, q = np.asarray(p, float), np.asarray(q, float)
     m = (p + q) / 2.0
-    if s >= 0.5:
-        terms = (m * _lpow(s - 1.0, m / p) - (m - p)) / s
-    else:
-        terms = (p * _lpow(s, m / p) - (m - p)) / (s - 1.0)
-    return comp_sum(terms)
+    s = _stack(s, p.ndim)
+    return comp_sum(_by_form(
+        s,
+        lambda s: (m * _lpow(s - 1.0, m / p) - (m - p)) / s,
+        lambda s: (p * _lpow(s, m / p) - (m - p)) / (s - 1.0),
+    ))
 
 
-def zeta_s(s: float, p, q, adjoint: bool = False):
-    """Relative J-divergence of type s (adjoint swaps p and q)."""
+def zeta_s(s, p, q, adjoint: bool = False):
+    """Relative J-divergence of type s (adjoint swaps p and q); ``s`` as in
+    :func:`phi_s`."""
     if adjoint:
         p, q = q, p
     p, q = np.asarray(p, float), np.asarray(q, float)
+    s = _stack(s, p.ndim)
     return comp_sum((p - q) * _lpow(s - 1.0, (p + q) / (2.0 * q)))
 
 

@@ -33,7 +33,12 @@ generator phi_s(y) = [y L_(s-1)(y) - (y-1)]/s for s >= 1/2, else
     VARSIGMA  f = (1-x) L_(s-1)(v)    f' = -L_(s-1)(v) + (x-1) v^(s-2) / (2x^2)
 
 The two phi_s forms are algebraically equal and each is regular on its own
-side of s = 1/2, so the choice is not a switching band.  The f'' closed
+side of s = 1/2, so the choice is not a switching band.
+
+A spec may carry a 1-D array of s, a stack of one generator kind: f, f'
+and f'' then gain a leading axis over s.  The stack is split by the
+s >= 1/2 choice, so no form is evaluated on the wrong side, and every value
+is bit-for-bit the one the same s gives alone.  The f'' closed
 forms are uniform in s as written, and each is held to a
 central-finite-difference oracle by the test suite before anything
 downstream trusts them: certificates are built from curvature ratios, so
@@ -69,11 +74,19 @@ class Gen(Enum):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
+    """Generator kind and parameter.
+
+    ``s`` may also be a 1-D array: a stack of specs of one kind, which
+    :func:`gen_value`, :func:`gen_d1`, :func:`gen_d2` and
+    :func:`csiszar_bulk` evaluate along a leading axis over ``s``.  A
+    stacked spec is not hashable.
+    """
+
     gen: Gen
     s: float
 
     def __post_init__(self):
-        if not np.isfinite(self.s):
+        if not np.all(np.isfinite(self.s)):
             raise ValueError(f"s must be finite, got {self.s}")
 
 
@@ -85,9 +98,8 @@ class GeneratorValue:
 
 
 def _pow(x, e):
-    # uniform treatment of real exponents; x > 0 is guaranteed by callers
-    if e == 0.0:
-        return np.ones_like(np.asarray(x, float)) if np.ndim(x) else 1.0
+    # uniform treatment of real exponents, e = 0 included (exp(0 ln x) is
+    # exactly 1); finite x > 0 is guaranteed by callers
     return np.exp(e * np.log(x))
 
 
@@ -104,18 +116,49 @@ def _lpow(a, y):
         return lny * np.where(z == 0.0, 1.0, np.expm1(z) / z)[()]
 
 
+def _stack(s, ndim: int):
+    """``s`` itself when it is a scalar; a 1-D array of s as a column of
+    shape ``(len(s), 1, ..., 1)``, broadcasting against ``ndim``-dimensional
+    arguments, so results gain a leading axis over s."""
+    if np.ndim(s) == 0:
+        return s
+    return np.asarray(s, float).reshape((-1,) + (1,) * ndim)
+
+
+def _by_form(s, high, low):
+    """``high(s)`` for s >= 1/2 and ``low(s)`` below: the choice between the
+    two phi_s forms (module docstring).
+
+    A stacked ``s`` (:func:`_stack`) is split by that choice along its
+    leading axis, so neither form ever sees a parameter from the other
+    side, and the two parts are put back in the order of ``s``."""
+    if np.ndim(s) == 0:
+        return high(s) if s >= 0.5 else low(s)
+    up = s.reshape(-1) >= 0.5
+    if up.all():
+        return high(s)
+    if not up.any():
+        return low(s)
+    a, b = high(s[up]), low(s[~up])
+    out = np.empty((up.shape[0],) + a.shape[1:])
+    out[up], out[~up] = a, b
+    return out
+
+
 def _phi(s, y):
     """The PHI generator in the form that is regular at s (module docstring)."""
-    if s >= 0.5:
-        return (y * _lpow(s - 1.0, y) - (y - 1.0)) / s
-    return (_lpow(s, y) - (y - 1.0)) / (s - 1.0)
+    return _by_form(
+        s,
+        lambda s: (y * _lpow(s - 1.0, y) - (y - 1.0)) / s,
+        lambda s: (_lpow(s, y) - (y - 1.0)) / (s - 1.0),
+    )
 
 
 def gen_value(spec: GeneratorSpec, x):
     """f(x) for positive x (scalar or array); no domain check."""
-    s = spec.s
     g = spec.gen
     x = np.asarray(x, float) if np.ndim(x) else x
+    s = _stack(spec.s, np.ndim(x))
     if g is Gen.PHI:
         return _phi(s, x)
     if g is Gen.PSI:
@@ -131,9 +174,9 @@ def gen_value(spec: GeneratorSpec, x):
 
 def gen_d1(spec: GeneratorSpec, x):
     """f'(x); sign analysis only, certificates never rely on d1 alone."""
-    s = spec.s
     g = spec.gen
     x = np.asarray(x, float) if np.ndim(x) else x
+    s = _stack(spec.s, np.ndim(x))
     if g is Gen.PHI:
         return _lpow(s - 1.0, x)
     if g is Gen.PSI:
@@ -152,9 +195,9 @@ def gen_d1(spec: GeneratorSpec, x):
 
 def gen_d2(spec: GeneratorSpec, x):
     """f''(x); a single closed form per generator, valid for every s."""
-    s = spec.s
     g = spec.gen
     x = np.asarray(x, float) if np.ndim(x) else x
+    s = _stack(spec.s, np.ndim(x))
     if g is Gen.PHI:
         return _pow(x, s - 2.0)
     if g is Gen.PSI:
@@ -249,7 +292,8 @@ def csiszar(spec: GeneratorSpec, P: Distribution, Q: Distribution) -> float:
 
 
 def csiszar_bulk(spec: GeneratorSpec, p, q):
-    """Engine over arrays of shape (..., n); reduces the last axis."""
+    """Engine over arrays of shape (..., n); reduces the last axis.  A
+    stacked spec adds a leading axis over its s, summed in one call."""
     p, q = np.asarray(p, float), np.asarray(q, float)
     return comp_sum(q * gen_value(spec, p / q))
 

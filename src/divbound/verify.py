@@ -54,7 +54,7 @@ from .bounds import (
 )
 from .errors import ConfigInvalid, DegenerateDenominator, RegionViolation
 from .families import ZETA_CONVEX_RANGE, omega_s, phi_s, zeta_s
-from .generators import GeneratorSpec, csiszar_bulk, gen_d2
+from .generators import Gen, GeneratorSpec, csiszar_bulk, gen_d2
 
 SUBJECTS = ("identities", "families", "corollaries", "bounds-grid")
 DEFAULT_SUBJECTS = ("identities", "families", "corollaries")
@@ -247,34 +247,24 @@ def _family_checks() -> list[_Check]:
         for name, f in _PARTICULAR_CASES
     ]
 
+    # each kernel takes the whole s grid at once: values (grid x rows)
+    grid = np.array(PARAM_GRID)
+
     def duality(P, Q):
-        worst = np.zeros(P.shape[0])
-        for s in PARAM_GRID:
-            worst = np.maximum(
-                worst, _scaled_residual(phi_s(s, P, Q), phi_s(1.0 - s, Q, P))
-            )
-        return worst
+        return _scaled_residual(phi_s(grid, P, Q), phi_s(1.0 - grid, Q, P)).max(axis=0)
 
     def midpoint(P, Q):
         mid = (P + Q) / 2.0
-        worst = np.zeros(P.shape[0])
-        for s in PARAM_GRID:
-            worst = np.maximum(
-                worst,
-                _scaled_residual(omega_s(s, P, Q, adjoint=True), phi_s(s, mid, Q)),
-            )
-        return worst
+        return _scaled_residual(
+            omega_s(grid, P, Q, adjoint=True), phi_s(grid, mid, Q)
+        ).max(axis=0)
 
     checks.append(_Check("family/phi-swap-duality", "residual", duality))
     checks.append(_Check("family/omega-adj-midpoint-substitution", "residual", midpoint))
 
     def nonneg(kernel, grid):
-        def fn(P, Q):
-            worst = np.full(P.shape[0], np.inf)
-            for s in grid:
-                worst = np.minimum(worst, np.asarray(kernel(s, P, Q), float))
-            return worst
-        return fn
+        grid = np.array(grid)
+        return lambda P, Q: kernel(grid, P, Q).min(axis=0)
 
     checks.append(_Check("family/nonneg/phi", "slack", nonneg(phi_s, PARAM_GRID)))
     checks.append(_Check("family/nonneg/omega", "slack", nonneg(omega_s, PARAM_GRID)))
@@ -343,7 +333,10 @@ class _BlockTable:
     Holds the block's rows ``P``, ``Q``, each row's ratio envelope
     ``[r, R]``, the block's pooled envelope ``[lo, hi]`` and, per spec of
     the run's spec table, its curvature at every ``r`` and ``R`` and its
-    f-divergence on every row.  A group of checks reads these rows by
+    f-divergence on every row.  The specs of one generator kind are
+    evaluated as one stacked spec: one curvature call at ``r``, one at
+    ``R`` and one compensated sum over ``(specs x rows x n)`` per kind, each
+    value bit-for-bit the single spec's.  A group of checks reads these rows by
     index, in one array step over ``(checks x rows)``.  Endpoint values
     are taken only for a ratio its group has proven monotone.
     """
@@ -356,10 +349,14 @@ class _BlockTable:
         self.lo, self.hi = float(self.r.min()), float(self.R.max())
         shape = (len(specs), P.shape[0])
         self.d2_r, self.d2_R, self.div = np.empty(shape), np.empty(shape), np.empty(shape)
+        kinds: dict[Gen, list[int]] = {}
         for i, spec in enumerate(specs):
-            self.d2_r[i] = gen_d2(spec, self.r)
-            self.d2_R[i] = gen_d2(spec, self.R)
-            self.div[i] = csiszar_bulk(spec, P, Q)
+            kinds.setdefault(spec.gen, []).append(i)
+        for gen, rows in kinds.items():
+            stack = GeneratorSpec(gen, np.array([specs[i].s for i in rows]))
+            self.d2_r[rows] = gen_d2(stack, self.r)
+            self.d2_R[rows] = gen_d2(stack, self.R)
+            self.div[rows] = csiszar_bulk(stack, P, Q)
 
     def constants(self, group: _Group) -> tuple[np.ndarray, np.ndarray]:
         """Sandwich constants m, M of each check's curvature ratio on each

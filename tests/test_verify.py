@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 
 from divbound import simplex
-from divbound.bounds import InequalityFamily, _Ratio, family_generators, numeric_mM, region_grid
+from divbound.bounds import (
+    PARAM_GRID,
+    InequalityFamily,
+    _Ratio,
+    family_generators,
+    numeric_mM,
+    region_grid,
+)
 from divbound.errors import ConfigInvalid, RegionViolation
-from divbound.generators import Gen, GeneratorSpec
+from divbound.families import omega_s, phi_s, zeta_s
+from divbound.generators import Gen, GeneratorSpec, csiszar_bulk, gen_d2
 from divbound.measures import triangular
+from divbound.simplex import normalize, sample_pair_matrix
 from divbound.verify import (
     CheckResult,
     VerificationReport,
@@ -154,6 +163,82 @@ class TestSharedBlockTable:
         ratios = {c.gens for c in _build_checks(cfg.subjects) if c.gens is not None}
         assert len(proved) == len(set(proved)) == len(ratios) == 616
         assert report.all_passed and len(report.checks) == 686
+
+
+# the harness grid, its swap-dual grid, both sides of the form choice at
+# s = 1/2, and the removable points s = 0, 1 with their nearest neighbours
+STACK_S = tuple(PARAM_GRID) + tuple(1.0 - s for s in PARAM_GRID) + (
+    0.5, float(np.nextafter(0.5, 0.0)), float(np.nextafter(0.5, 1.0)),
+    0.0, 1.0, 1e-17, -1e-17,
+)
+
+KERNELS = {
+    "phi": phi_s,
+    "omega": omega_s,
+    "omega-adj": lambda s, p, q: omega_s(s, p, q, adjoint=True),
+    "zeta": zeta_s,
+    "zeta-adj": lambda s, p, q: zeta_s(s, p, q, adjoint=True),
+}
+
+
+def _stacked_kernels_match(s, P, Q):
+    for name, kernel in KERNELS.items():
+        stacked = kernel(np.array(s), P, Q)
+        alone = np.array([kernel(x, P, Q) for x in s])
+        assert np.array_equal(stacked, alone, equal_nan=True), name
+
+
+def _block_table_matches(specs, P, Q):
+    table = _BlockTable(P, Q, specs)
+    for i, spec in enumerate(specs):
+        assert np.array_equal(table.div[i], csiszar_bulk(spec, P, Q), equal_nan=True), spec
+        assert np.array_equal(table.d2_r[i], gen_d2(spec, table.r), equal_nan=True), spec
+        assert np.array_equal(table.d2_R[i], gen_d2(spec, table.R), equal_nan=True), spec
+
+
+class TestStackedS:
+    """A stacked s (one kernel call or one table row per generator kind)
+    gives every value bit-for-bit as the same s alone."""
+
+    @pytest.mark.parametrize("n,concentration", [(2, 1.0), (5, 0.3), (10, 1.0)])
+    def test_kernels_match_one_call_per_s(self, n, concentration):
+        P, Q = sample_pair_matrix(n, 40, seed=700 + n, concentration=concentration)
+        order = np.random.default_rng(n).permutation(len(STACK_S))
+        for s in (STACK_S, [STACK_S[k] for k in order]):
+            _stacked_kernels_match(s, P, Q)
+            _stacked_kernels_match(s, P[0], Q[0])
+
+    @pytest.mark.parametrize("n,concentration", [(2, 1.0), (5, 0.3), (10, 1.0)])
+    def test_block_table_matches_each_spec(self, n, concentration):
+        P, Q = sample_pair_matrix(n, 40, seed=800 + n, concentration=concentration)
+        specs = [GeneratorSpec(g, s) for s in STACK_S for g in Gen]
+        order = np.random.default_rng(n).permutation(len(specs))
+        _block_table_matches([specs[k] for k in order], P, Q)
+
+    def test_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        s_value = st.one_of(st.sampled_from(STACK_S), st.floats(-20.0, 20.0))
+
+        # up to 4 rows of n masses for P and n for Q, each mass in [0.01, 1]
+        rows = st.integers(2, 8).flatmap(lambda n: st.lists(
+            st.lists(st.floats(0.01, 1.0), min_size=2 * n, max_size=2 * n),
+            min_size=1, max_size=4,
+        ))
+
+        @hyp.settings(max_examples=150, deadline=None)
+        @hyp.given(
+            rows,
+            st.lists(st.tuples(st.sampled_from(list(Gen)), s_value), min_size=1, max_size=12),
+        )
+        def check(rows, specs):
+            n = len(rows[0]) // 2
+            P = np.vstack([normalize(row[:n]).masses for row in rows])
+            Q = np.vstack([normalize(row[n:]).masses for row in rows])
+            _stacked_kernels_match([s for _, s in specs], P, Q)
+            _block_table_matches([GeneratorSpec(g, s) for g, s in specs], P, Q)
+
+        check()
 
 
 def _draw_reference(rng, n, concentration):
