@@ -86,7 +86,7 @@ def phi_s(s, p, q):
     ``s`` is a float or a 1-D array; an array adds a leading axis over s
     to the result, summed in one call (module docstring)."""
     p, q = np.asarray(p, float), np.asarray(q, float)
-    s = _stack(s, p.ndim)
+    s = _stack(s, p)
     return comp_sum(_by_form(
         s,
         lambda s: (p * _lpow(s - 1.0, p / q) - (p - q)) / s,
@@ -101,7 +101,7 @@ def omega_s(s, p, q, adjoint: bool = False):
         p, q = q, p
     p, q = np.asarray(p, float), np.asarray(q, float)
     m = (p + q) / 2.0
-    s = _stack(s, p.ndim)
+    s = _stack(s, p)
     return comp_sum(_by_form(
         s,
         lambda s: (m * _lpow(s - 1.0, m / p) - (m - p)) / s,
@@ -115,7 +115,7 @@ def zeta_s(s, p, q, adjoint: bool = False):
     if adjoint:
         p, q = q, p
     p, q = np.asarray(p, float), np.asarray(q, float)
-    s = _stack(s, p.ndim)
+    s = _stack(s, p)
     return comp_sum((p - q) * _lpow(s - 1.0, (p + q) / (2.0 * q)))
 
 

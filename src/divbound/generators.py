@@ -116,13 +116,14 @@ def _lpow(a, y):
         return lny * np.where(z == 0.0, 1.0, np.expm1(z) / z)[()]
 
 
-def _stack(s, ndim: int):
+def _stack(s, x):
     """``s`` itself when it is a scalar; a 1-D array of s as a column of
-    shape ``(len(s), 1, ..., 1)``, broadcasting against ``ndim``-dimensional
-    arguments, so results gain a leading axis over s."""
-    if np.ndim(s) == 0:
+    shape ``(len(s), 1, ..., 1)``, broadcasting against the argument ``x``,
+    so results gain a leading axis over s.  (An ``isinstance`` test, not
+    ``np.ndim``: the scalar path is the certify path's hot loop.)"""
+    if not isinstance(s, np.ndarray):
         return s
-    return np.asarray(s, float).reshape((-1,) + (1,) * ndim)
+    return s.astype(float).reshape((-1,) + (1,) * np.ndim(x))
 
 
 def _by_form(s, high, low):
@@ -132,7 +133,7 @@ def _by_form(s, high, low):
     A stacked ``s`` (:func:`_stack`) is split by that choice along its
     leading axis, so neither form ever sees a parameter from the other
     side, and the two parts are put back in the order of ``s``."""
-    if np.ndim(s) == 0:
+    if not isinstance(s, np.ndarray):
         return high(s) if s >= 0.5 else low(s)
     up = s.reshape(-1) >= 0.5
     if up.all():
@@ -158,7 +159,7 @@ def gen_value(spec: GeneratorSpec, x):
     """f(x) for positive x (scalar or array); no domain check."""
     g = spec.gen
     x = np.asarray(x, float) if np.ndim(x) else x
-    s = _stack(spec.s, np.ndim(x))
+    s = _stack(spec.s, x)
     if g is Gen.PHI:
         return _phi(s, x)
     if g is Gen.PSI:
@@ -176,7 +177,7 @@ def gen_d1(spec: GeneratorSpec, x):
     """f'(x); sign analysis only, certificates never rely on d1 alone."""
     g = spec.gen
     x = np.asarray(x, float) if np.ndim(x) else x
-    s = _stack(spec.s, np.ndim(x))
+    s = _stack(spec.s, x)
     if g is Gen.PHI:
         return _lpow(s - 1.0, x)
     if g is Gen.PSI:
@@ -197,7 +198,7 @@ def gen_d2(spec: GeneratorSpec, x):
     """f''(x); a single closed form per generator, valid for every s."""
     g = spec.gen
     x = np.asarray(x, float) if np.ndim(x) else x
-    s = _stack(spec.s, np.ndim(x))
+    s = _stack(spec.s, x)
     if g is Gen.PHI:
         return _pow(x, s - 2.0)
     if g is Gen.PSI:

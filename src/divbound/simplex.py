@@ -131,17 +131,38 @@ def ratio_bounds(P: Distribution, Q: Distribution) -> RatioBounds:
     return RatioBounds(float(ratios.min()), float(ratios.max()))
 
 
-def _draw(rng, alpha, eps_mass, max_rejections):
+def _check_concentration(concentration: float) -> None:
+    # a non-finite concentration makes numpy's Dirichlet draws NaN, which the
+    # rejection loop would only report as exhausted
+    if not (concentration > 0.0 and np.isfinite(concentration)):
+        raise ValueError(f"concentration must be positive and finite, got {concentration}")
+
+
+def _draw_rows(rng, alpha, count, eps_mass, max_rejections):
+    """``count`` symmetric-Dirichlet rows from one batched draw.
+
+    The rows with a mass at or below ``eps_mass`` are redrawn together, in
+    row order, from the same stream.  When a row is still rejected after
+    ``max_rejections`` rounds of draws (for one row: that many consecutive
+    draws), :class:`SamplingExhausted` is raised.
+    """
+    x = rng.dirichlet(alpha, size=count)
+    bad = np.flatnonzero(~(x.min(axis=1) > eps_mass))
     rejections = 0
-    while True:
-        x = rng.dirichlet(alpha)
-        if x.min() > eps_mass:
-            return x
+    while bad.size:
         rejections += 1
         if rejections >= max_rejections:
             raise SamplingExhausted(
                 f"{rejections} consecutive draws had a mass below {eps_mass}"
             )
+        x[bad] = rng.dirichlet(alpha, size=bad.size)
+        bad = bad[~(x[bad].min(axis=1) > eps_mass)]
+    return x
+
+
+def _draw(rng, alpha, eps_mass, max_rejections):
+    # a batch of one row draws the same stream as rng.dirichlet(alpha)
+    return _draw_rows(rng, alpha, 1, eps_mass, max_rejections)[0]
 
 
 def sample_pair(
@@ -160,8 +181,7 @@ def sample_pair(
     """
     if n < 2:
         raise TooShort(f"need n >= 2, got {n}")
-    if not concentration > 0.0:
-        raise ValueError(f"concentration must be positive, got {concentration}")
+    _check_concentration(concentration)
     rng = np.random.default_rng(seed)
     alpha = np.full(n, concentration)
     p = _draw(rng, alpha, eps_mass, max_rejections)
@@ -182,6 +202,7 @@ def sample_pair_matrix(
     Row ``i`` is drawn from its own stream keyed by ``(seed, i)``, so the
     matrix content does not depend on how the work is chunked.
     """
+    _check_concentration(concentration)
     P = np.empty((count, n))
     Q = np.empty((count, n))
     alpha = np.full(n, concentration)

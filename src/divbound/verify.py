@@ -6,8 +6,10 @@ residual or slack, and a shrunk witness pair for any violation.  It never
 aborts on a failure; the harness exists to adjudicate formulas, so a
 violation is data, not an error.
 
-Determinism: trial ``i`` derives its RNG stream from ``(seed, i)``, so the
-report depends only on the configuration, not on batching or scheduling.
+Determinism: the trials' simplex sizes come from one RNG stream keyed by
+``(seed,)``, and the pairs of all trials of size ``n`` from one batched
+Dirichlet draw on the stream keyed by ``(seed, n)`` (:func:`_sample_trials`),
+so the report depends only on the configuration, not on scheduling.
 Identical configurations produce bit-identical report JSON.
 
 Trials are grouped by simplex size into blocks, and the loop over blocks is
@@ -77,8 +79,10 @@ class VerifyConfig:
         lo, hi = self.n_range
         if not (2 <= lo <= hi):
             raise ConfigInvalid(f"n_range must satisfy 2 <= lo <= hi, got {self.n_range}")
-        if not self.concentration > 0:
-            raise ConfigInvalid(f"concentration must be positive, got {self.concentration}")
+        if not (self.concentration > 0 and np.isfinite(self.concentration)):
+            raise ConfigInvalid(
+                f"concentration must be positive and finite, got {self.concentration}"
+            )
         if not (0.0 < self.rel_tol < 1.0):
             raise ConfigInvalid(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         unknown = [s for s in self.subjects if s not in SUBJECTS and s != "all"]
@@ -443,29 +447,26 @@ def _build_checks(subjects: tuple[str, ...]) -> list[_Check]:
 
 
 def _sample_trials(config: VerifyConfig):
-    """Per-trial pairs, grouped by simplex size; streams keyed by (seed, i).
+    """The sampled pairs, grouped by simplex size.
 
-    Returns ``(idx, P, Q)`` per size in increasing size order: the trial
-    indices of the block (increasing) and its stacked rows."""
+    Every trial's size is drawn from one stream keyed by ``(seed,)``.  The
+    ``k`` trials of size ``n`` then take one batched Dirichlet draw of
+    ``2 k`` rows from the stream keyed by ``(seed, n)``: the first ``k`` rows
+    are P, the last ``k`` are Q, in trial order, and rejected rows are
+    redrawn in place (:func:`simplex._draw_rows`).  Returns ``(idx, P, Q)``
+    per size in increasing size order: the trial indices of the block
+    (increasing) and its stacked rows."""
     lo, hi = config.n_range
-    alphas: dict[int, np.ndarray] = {}
-    by_n: dict[int, tuple[list[int], list[np.ndarray], list[np.ndarray]]] = {}
-    for i in range(config.trials):
-        rng = np.random.default_rng([config.seed, i])
-        n = int(rng.integers(lo, hi + 1))
-        alpha = alphas.get(n)
-        if alpha is None:
-            alpha = alphas[n] = np.full(n, config.concentration)
-        p = simplex._draw(rng, alpha, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
-        q = simplex._draw(rng, alpha, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
-        idx, ps, qs = by_n.setdefault(n, ([], [], []))
-        idx.append(i)
-        ps.append(p)
-        qs.append(q)
-    return [
-        (np.array(idx), np.vstack(ps), np.vstack(qs))
-        for _, (idx, ps, qs) in sorted(by_n.items())
-    ]
+    sizes = np.random.default_rng([config.seed]).integers(lo, hi + 1, size=config.trials)
+    blocks = []
+    for n in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == n)
+        rows = simplex._draw_rows(
+            np.random.default_rng([config.seed, n]), np.full(n, config.concentration),
+            2 * idx.shape[0], simplex.EPS_MASS, simplex.MAX_REJECTIONS,
+        )
+        blocks.append((idx, rows[: idx.shape[0]], rows[idx.shape[0]:]))
+    return blocks
 
 
 class _Tally:

@@ -271,6 +271,11 @@ class TestVerify:
         code, _, err = invoke(capsys, "verify", "--trials", "0")
         assert code == 1
 
+    def test_non_finite_concentration_exit_1(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--trials", "3", "--concentration", "inf")
+        assert code == 1 and out == ""
+        assert "concentration must be positive and finite, got inf" in err
+
     def test_byte_identical_reports(self, capsys):
         args = ("verify", "--trials", "40", "--seed", "9",
                 "--subjects", "identities,families")

@@ -146,6 +146,13 @@ class TestSamplePair:
         with pytest.raises(ValueError):
             sample_pair(2, seed=0, concentration=0.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_concentration(self, value):
+        with pytest.raises(ValueError, match=f"got {value}"):
+            sample_pair(2, seed=0, concentration=value)
+        with pytest.raises(ValueError, match=f"got {value}"):
+            sample_pair_matrix(2, 3, seed=0, concentration=value)
+
     def test_rejection_budget(self):
         # with the rejection threshold at 0.9 no 2-simplex draw can pass
         with pytest.raises(SamplingExhausted):
@@ -160,6 +167,22 @@ class TestSamplePair:
         P2, Q2 = sample_pair_matrix(3, 2, seed=77)
         np.testing.assert_array_equal(P[:2], P2)
         np.testing.assert_array_equal(Q[:2], Q2)
+
+    def test_matrix_rows_are_unbatched_draws(self):
+        # each row is drawn alone and redrawn alone until every mass passes;
+        # at concentration 0.05 and n = 10 some draws are redrawn
+        alpha = np.full(10, 0.05)
+        P, Q = sample_pair_matrix(10, 30, seed=5, concentration=0.05)
+        redrawn = 0
+        for i in range(30):
+            rng = np.random.default_rng([5, i])
+            for row in (P[i], Q[i]):
+                x = rng.dirichlet(alpha)
+                while not np.all(x > 1e-12):
+                    redrawn += 1
+                    x = rng.dirichlet(alpha)
+                np.testing.assert_array_equal(row, x)
+        assert redrawn > 0
 
 
 class TestDistributionFiles:

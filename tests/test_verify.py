@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divbound import simplex
+from divbound import families, generators, measures, simplex
 from divbound.bounds import (
     PARAM_GRID,
     InequalityFamily,
@@ -10,7 +10,7 @@ from divbound.bounds import (
     numeric_mM,
     region_grid,
 )
-from divbound.errors import ConfigInvalid, RegionViolation
+from divbound.errors import ConfigInvalid, RegionViolation, SamplingExhausted
 from divbound.families import omega_s, phi_s, zeta_s
 from divbound.generators import Gen, GeneratorSpec, csiszar_bulk, gen_d2
 from divbound.measures import triangular
@@ -60,6 +60,11 @@ class TestConfig:
     def test_rejects_unknown_subject(self):
         with pytest.raises(ConfigInvalid):
             VerifyConfig(trials=10, subjects=("wat",))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_bad_concentration(self, value):
+        with pytest.raises(ConfigInvalid, match=f"got {value}"):
+            VerifyConfig(trials=10, concentration=value)
 
 
 class TestRun:
@@ -164,6 +169,30 @@ class TestSharedBlockTable:
         assert len(proved) == len(set(proved)) == len(ratios) == 616
         assert report.all_passed and len(report.checks) == 686
 
+    def test_one_sum_per_generator_kind_and_s_sweep(self, monkeypatch):
+        # 9 size blocks: per block, one sum per generator kind of the table,
+        # one per kernel operand of an s-sweep, one per measure and
+        # particular-case kernel call; a per-s or per-spec sum would add
+        # 1000 more
+        cfg = VerifyConfig(trials=1000, seed=5, subjects=("all", "bounds-grid"))
+        calls = []
+        for module in (families, generators, measures):
+            total = module.comp_sum
+            monkeypatch.setattr(module, "comp_sum",
+                                lambda *a, f=total: calls.append(1) or f(*a))
+        run(cfg)
+        assert len(calls) == 711
+
+    def test_one_stream_per_size_block(self, monkeypatch):
+        cfg = VerifyConfig(trials=1000, seed=5, n_range=(2, 40))
+        streams = []
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: streams.append(a) or make(*a))
+        blocks = _sample_trials(cfg)
+        assert len(blocks) == 39
+        assert len(streams) <= 1 + len(blocks)
+
 
 # the harness grid, its swap-dual grid, both sides of the form choice at
 # s = 1/2, and the removable points s = 0, 1 with their nearest neighbours
@@ -241,23 +270,45 @@ class TestStackedS:
         check()
 
 
-def _draw_reference(rng, n, concentration):
-    x = rng.dirichlet(np.full(n, concentration))
-    while not np.all(x > simplex.EPS_MASS):
-        x = rng.dirichlet(np.full(n, concentration))
-    return x
+def _rows_reference(seed, n, count, concentration):
+    """``count`` rows of the size-``n`` stream: one batched draw, then the
+    rejected rows redrawn together until none is left."""
+    rng = np.random.default_rng([seed, n])
+    x = rng.dirichlet(np.full(n, concentration), size=count)
+    redrawn = 0
+    while True:
+        bad = np.flatnonzero(~np.all(x > simplex.EPS_MASS, axis=1))
+        if not bad.size:
+            return x, redrawn
+        redrawn += bad.size
+        x[bad] = rng.dirichlet(np.full(n, concentration), size=bad.size)
 
 
-def test_sampled_blocks_follow_the_per_trial_streams():
-    cfg = VerifyConfig(trials=200, seed=31, n_range=(2, 7), concentration=0.2)
-    rows = {}
-    for i in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, i])
-        n = int(rng.integers(2, 8))
-        rows[i] = (_draw_reference(rng, n, 0.2), _draw_reference(rng, n, 0.2))
-    for idx, P, Q in _sample_trials(cfg):
-        for j, i in enumerate(idx):
-            assert np.array_equal(P[j], rows[i][0]) and np.array_equal(Q[j], rows[i][1])
+class TestSampler:
+    @pytest.mark.parametrize("n_range,concentration", [((2, 7), 0.2), ((10, 10), 0.05)])
+    def test_blocks_follow_the_documented_streams(self, n_range, concentration):
+        cfg = VerifyConfig(trials=200, seed=31, n_range=n_range, concentration=concentration)
+        sizes = np.random.default_rng([31]).integers(n_range[0], n_range[1] + 1, size=200)
+        blocks = _sample_trials(cfg)
+        assert [P.shape[1] for _, P, _ in blocks] == sorted(set(sizes.tolist()))
+        redrawn = 0
+        for idx, P, Q in blocks:
+            n = P.shape[1]
+            assert np.array_equal(idx, np.flatnonzero(sizes == n))
+            rows, count = _rows_reference(31, n, 2 * idx.size, concentration)
+            redrawn += count
+            assert np.array_equal(P, rows[: idx.size]) and np.array_equal(Q, rows[idx.size:])
+            assert np.all(P > simplex.EPS_MASS) and np.all(Q > simplex.EPS_MASS)
+        # at these low concentrations some first draws are rejected, so the
+        # redraw path runs
+        assert redrawn > 0
+
+    def test_exhausted_when_no_draw_can_pass(self, monkeypatch):
+        # no mass of a draw with n >= 2 exceeds 1
+        monkeypatch.setattr(simplex, "EPS_MASS", 1.0)
+        monkeypatch.setattr(simplex, "MAX_REJECTIONS", 5)
+        with pytest.raises(SamplingExhausted, match="5 consecutive draws"):
+            _sample_trials(VerifyConfig(trials=3, seed=1))
 
 
 def _tally_blocks(kinds, values, n_blocks, rng):
