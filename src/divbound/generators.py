@@ -33,16 +33,16 @@ generator phi_s(y) = [y L_(s-1)(y) - (y-1)]/s for s >= 1/2, else
     VARSIGMA  f = (1-x) L_(s-1)(v)    f' = -L_(s-1)(v) + (x-1) v^(s-2) / (2x^2)
 
 The two phi_s forms are algebraically equal and each is regular on its own
-side of s = 1/2, so the choice is not a switching band.
-
-A spec may carry a 1-D array of s, a stack of one generator kind: f, f'
-and f'' then gain a leading axis over s.  The stack is split by the
-s >= 1/2 choice, so no form is evaluated on the wrong side, and every value
-is bit-for-bit the one the same s gives alone.  The f'' closed
+side of s = 1/2, so the choice is not a switching band.  The f'' closed
 forms are uniform in s as written, and each is held to a
 central-finite-difference oracle by the test suite before anything
 downstream trusts them: certificates are built from curvature ratios, so
 d2 is analytic code, never numerical differentiation.
+
+A spec may carry a 1-D array of s, a stack of one generator kind: f, f'
+and f'' then gain a leading axis over s.  The stack is split by the
+s >= 1/2 choice, so no form is evaluated on the wrong side, and every value
+is bit-for-bit the one the same s gives alone.
 
 All generators satisfy f(1) = 0 and f'(1) = 0, hence C_f(P||P) = 0 and
 C_f inherits nonnegativity from convexity.
@@ -86,7 +86,8 @@ class GeneratorSpec:
     s: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.s)):
+        finite = np.isfinite(self.s)
+        if not (finite.all() if isinstance(self.s, np.ndarray) else finite):
             raise ValueError(f"s must be finite, got {self.s}")
 
 
@@ -119,8 +120,8 @@ def _lpow(a, y):
 def _stack(s, x):
     """``s`` itself when it is a scalar; a 1-D array of s as a column of
     shape ``(len(s), 1, ..., 1)``, broadcasting against the argument ``x``,
-    so results gain a leading axis over s.  (An ``isinstance`` test, not
-    ``np.ndim``: the scalar path is the certify path's hot loop.)"""
+    so results gain a leading axis over s.  (``isinstance``, not
+    ``np.ndim``, keeps the scalar path of the certify loop cheap.)"""
     if not isinstance(s, np.ndarray):
         return s
     return s.astype(float).reshape((-1,) + (1,) * np.ndim(x))

@@ -251,8 +251,8 @@ def _family_checks() -> list[_Check]:
         for name, f in _PARTICULAR_CASES
     ]
 
-    # each kernel takes the whole s grid at once: values (grid x rows)
-    grid = np.array(PARAM_GRID)
+    # each kernel call takes a whole s grid: values (grid x rows)
+    grid, zeta_grid = np.array(PARAM_GRID), np.array(_ZETA_GRID)
 
     def duality(P, Q):
         return _scaled_residual(phi_s(grid, P, Q), phi_s(1.0 - grid, Q, P)).max(axis=0)
@@ -266,20 +266,19 @@ def _family_checks() -> list[_Check]:
     checks.append(_Check("family/phi-swap-duality", "residual", duality))
     checks.append(_Check("family/omega-adj-midpoint-substitution", "residual", midpoint))
 
-    def nonneg(kernel, grid):
-        grid = np.array(grid)
-        return lambda P, Q: kernel(grid, P, Q).min(axis=0)
+    def nonneg(kernel, s):
+        return lambda P, Q: kernel(s, P, Q).min(axis=0)
 
-    checks.append(_Check("family/nonneg/phi", "slack", nonneg(phi_s, PARAM_GRID)))
-    checks.append(_Check("family/nonneg/omega", "slack", nonneg(omega_s, PARAM_GRID)))
+    checks.append(_Check("family/nonneg/phi", "slack", nonneg(phi_s, grid)))
+    checks.append(_Check("family/nonneg/omega", "slack", nonneg(omega_s, grid)))
     checks.append(_Check(
         "family/nonneg/omega-adj", "slack",
-        nonneg(lambda s, P, Q: omega_s(s, P, Q, adjoint=True), PARAM_GRID),
+        nonneg(lambda s, P, Q: omega_s(s, P, Q, adjoint=True), grid),
     ))
-    checks.append(_Check("family/nonneg/zeta", "slack", nonneg(zeta_s, _ZETA_GRID)))
+    checks.append(_Check("family/nonneg/zeta", "slack", nonneg(zeta_s, zeta_grid)))
     checks.append(_Check(
         "family/nonneg/zeta-adj", "slack",
-        nonneg(lambda s, P, Q: zeta_s(s, P, Q, adjoint=True), _ZETA_GRID),
+        nonneg(lambda s, P, Q: zeta_s(s, P, Q, adjoint=True), zeta_grid),
     ))
     return checks
 

@@ -172,8 +172,7 @@ class TestSharedBlockTable:
     def test_one_sum_per_generator_kind_and_s_sweep(self, monkeypatch):
         # 9 size blocks: per block, one sum per generator kind of the table,
         # one per kernel operand of an s-sweep, one per measure and
-        # particular-case kernel call; a per-s or per-spec sum would add
-        # 1000 more
+        # particular-case kernel call (one sum per s and per spec: 1737)
         cfg = VerifyConfig(trials=1000, seed=5, subjects=("all", "bounds-grid"))
         calls = []
         for module in (families, generators, measures):
