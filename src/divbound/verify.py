@@ -20,9 +20,12 @@ endpoint values, and a ratio whose proof does not close takes each row's
 own :func:`numeric_mM` enclosure.  The sandwich checks of
 one block share one table of generator values (:class:`_BlockTable`): a
 generator named by many checks is evaluated once per block, not once per
-check, and the checks of one inequality family are evaluated in one array
+check, all generators of one kind in one call along a stacked ``s`` axis,
+and the checks of one inequality family are evaluated in one array
 step over ``(checks x rows)`` indexed into that table.  Only one block's
-table is alive at a time.  Pass counts and worst values of all checks are
+table is alive at a time.  The family checks that sweep ``s`` over a grid
+likewise take one kernel call per operand for the whole grid.  Pass
+counts and worst values of all checks are
 reduced block by block (:class:`_Tally`) with the first-index rule of a
 full-array ``argmax``/``argmin``.
 

@@ -226,8 +226,8 @@ class TestEnclosure:
             a = ratio.point(xa, zero=xa == x0)
             b = ratio.point(xb, zero=xb == x0)
             inner = [ratio.point(float(x)) for x in np.geomspace(xa, xb, 203)[1:-1]]
-            if any(p.s != (a.s or b.s) for p in inner):
-                return  # a zero of g inside the cell
+            if (a.s and b.s and a.s != b.s) or any(p.s != (a.s or b.s) for p in inner):
+                return  # a zero of g inside the cell, also past the last inner point
             e = max(a.e, b.e, *(p.e for p in inner))
             if a.s and b.s:
                 lo, hi = ratio.slope(a, b)
