@@ -19,11 +19,12 @@ computes them two ways:
 
 * :func:`closed_form_mM` - the cataloged endpoint formulas for the ten
   inequality families below, whose regions make g monotone so that the
-  extrema sit at the interval endpoints.  The endpoint values are shipped
-  only where g is proven monotone on [r, R] in the cataloged direction and
-  they agree with the log-domain curvatures; elsewhere the numeric
-  enclosure is shipped with an ``erratum``.  The printed catalog text only
-  adds an erratum where it disagrees (its misprinted corners).
+  extrema sit at the interval endpoints.  Where g is proven monotone on
+  [r, R] in the cataloged direction, the certificate is the same
+  :class:`_Ratio`'s values at r and R, padded outward by their rounding
+  allowance; elsewhere that ratio's numeric enclosure is shipped with an
+  ``erratum``.  The printed catalog text only adds an erratum where it
+  disagrees (its misprinted corners).
 
 The ten families, numbered by their catalog tags:
 
@@ -301,36 +302,25 @@ def region_grid(
 
 
 def g_ratio(num: GeneratorSpec, den: GeneratorSpec, x):
-    """f1''(x) / f2''(x) for x > 0; denominator curvature must be positive.
+    """f1''(x) / f2''(x) for x > 0 (scalar or array); denominator curvature
+    must be positive.
 
     A positive denominator curvature that underflows to 0 raises
     :class:`NonFiniteValue`, not :class:`DegenerateDenominator`: its sign is
     read from the log-domain record :func:`log_d2`."""
-    if np.ndim(x):
-        xs = np.asarray(x, float)
-        if not np.all(xs > 0.0):
-            raise NonPositiveArgument("curvature ratio needs x > 0")
-        d = gen_d2(den, xs)
-        if not np.all(d > 0.0):
-            bad = ~(d > 0.0)
-            if np.all((d[bad] == 0.0) & (_curvature_sign(den, xs[bad]) > 0.0)):
-                raise NonFiniteValue(
-                    f"{den.gen.value}(s={den.s}) curvature in the range {_UNDERFLOW}"
-                )
-            raise DegenerateDenominator(
-                f"{den.gen.value}(s={den.s}) has non-positive curvature in the range"
-            )
-        return gen_d2(num, xs) / d
-    if not x > 0.0:
+    xs = np.asarray(x, float)
+    if not np.all(xs > 0.0):
         raise NonPositiveArgument(f"curvature ratio needs x > 0, got {x}")
-    d = float(gen_d2(den, x))
-    if not d > 0.0:
-        if d == 0.0 and _curvature_sign(den, x) > 0.0:
-            raise NonFiniteValue(f"{den.gen.value}(s={den.s}) curvature at x={x} {_UNDERFLOW}")
+    d = np.asarray(gen_d2(den, xs))
+    bad = ~(d > 0.0)
+    if bad.any():
+        if np.all((d[bad] == 0.0) & (_curvature_sign(den, xs[bad]) > 0.0)):
+            raise NonFiniteValue(f"{den.gen.value}(s={den.s}) curvature at x = {x} {_UNDERFLOW}")
         raise DegenerateDenominator(
-            f"{den.gen.value}(s={den.s}) has curvature {d} at x={x}"
+            f"{den.gen.value}(s={den.s}) has non-positive curvature at x = {x}"
         )
-    return float(gen_d2(num, x)) / d
+    g = gen_d2(num, xs) / d
+    return g if np.ndim(x) else float(g)
 
 
 def _curvature_sign(spec: GeneratorSpec, x):
@@ -361,18 +351,21 @@ def numeric_mM(
     an interior extremum are refined, until each extremum is enclosed to
     about 1e-13 relative.  The result is padded outward by the rounding
     allowance of the evaluations, so ``m <= inf g`` and ``M >= sup g``;
-    for r == R both are the computed value at r.  Curvatures beyond the
-    double range are fine as long as the extrema are not.  Raises
-    :class:`DegenerateDenominator` when the denominator curvature is not
-    positive on [r, R] and :class:`NonFiniteValue` when an extremum
+    for r == R they are the value at r padded both ways.  Curvatures
+    beyond the double range are fine as long as the extrema are not.
+    Raises :class:`DegenerateDenominator` when the denominator curvature is
+    not positive on [r, R] and :class:`NonFiniteValue` when an extremum
     overflows double precision or a non-zero one underflows it.
     """
-    try:
-        m, M, _ = _Ratio(num, den, r, R).extrema()
-    except OverflowError as exc:
-        raise _non_finite(num, den, r, R, _OVERFLOW) from exc
+    return _enclosure(_Ratio(num, den, r, R))
+
+
+def _enclosure(ratio: _Ratio) -> tuple[float, float]:
+    """:func:`numeric_mM` of a ratio already built."""
+    m, M, _ = ratio.extrema()
     if not (math.isfinite(m) and math.isfinite(M)):
-        raise _non_finite(num, den, r, R, f"has non-finite extrema m = {m!r}, M = {M!r}")
+        raise _non_finite(ratio.num, ratio.den, ratio.lo, ratio.hi,
+                          f"has non-finite extrema m = {m!r}, M = {M!r}")
     return m, M
 
 
@@ -656,8 +649,7 @@ class _Ratio:
         r, R = self.lo, self.hi
         a, b = self.ends
         if r == R:
-            v = a.s * self._magnitude(a.L) if a.s else 0.0
-            return v, v, 0.0
+            return self.bound(a, False), self.bound(a, True), a.e
         pts = [a, b]
         if self.p1:
             x0 = -self.q1 / self.p1
@@ -677,17 +669,28 @@ class _Ratio:
             (highs if s > 0.0 else lows).append(s * self._magnitude(sup_ub))
             if not has_zero:
                 width = max(width, inf_att - inf_lb)
-                (lows if s > 0.0 else highs).append(s * math.exp(inf_lb))
+                (lows if s > 0.0 else highs).append(s * self._magnitude(inf_lb, False))
         return min(lows), max(highs), width
 
-    def _magnitude(self, L: float) -> float:
-        """exp(L) for a bound on |g| that must not round toward 0: below the
-        normal range of doubles it cannot keep its outward padding, and
-        above it :func:`math.exp` raises OverflowError."""
-        if L < _LOG_TINY:
+    def bound(self, pt: _Pt, upper: bool) -> float:
+        """g at pt padded outward by its rounding allowance: a bound from
+        above when ``upper``, else from below."""
+        if not pt.s:
+            return 0.0
+        grow = (pt.s > 0.0) == upper
+        return pt.s * self._magnitude(pt.L + pt.e if grow else pt.L - pt.e, grow)
+
+    def _magnitude(self, L: float, grow: bool = True) -> float:
+        """exp(L) for a bound on |g|.  One that must not round toward 0
+        (``grow``) cannot keep its outward padding below the normal range
+        of doubles; no bound fits above it."""
+        if grow and L < _LOG_TINY:
             raise _non_finite(self.num, self.den, self.lo, self.hi,
                               f"{_UNDERFLOW} (ln|g| about {L:.6g})")
-        return math.exp(L)
+        try:
+            return math.exp(L)
+        except OverflowError as exc:
+            raise _non_finite(self.num, self.den, self.lo, self.hi, _OVERFLOW) from exc
 
     def direction(self) -> int:
         """+1 / -1 when g is proven monotone on [lo, hi] (+1 when flat), 0
@@ -830,26 +833,7 @@ class BoundCertificate:
 
 
 def _agrees(a: float, b: float, tol: float = CROSS_CHECK_TOL) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-#: relative agreement a closed-form endpoint value needs with the log-domain
-#: record: above the rounding of both (about 1e-13 at |s| = 40 and ratios of
-#: 1e±12), far below the errors of curvatures that leave the normal range
-_ENDPOINT_TOL = 5e-13
-
-
-def _endpoint_value(ratio: _Ratio, pt: _Pt) -> float:
-    """:func:`g_ratio` at the point where it agrees with ln|g| of the
-    log-domain record to ``_ENDPOINT_TOL``, else NaN.  The linear-domain
-    curvatures lose their relative accuracy where they, or a power inside
-    them, leave the normal range of doubles, and where ``s x + 4 - s``
-    cancels (XI at s = 4 and x near 0)."""
-    try:
-        v = g_ratio(ratio.num, ratio.den, pt.x)
-    except NonFiniteValue:
-        return math.nan
-    return v if pt.s * v > 0.0 and abs(math.log(abs(v)) - pt.L) <= _ENDPOINT_TOL else math.nan
+    return abs(a - b) <= tol * max(abs(a), abs(b))
 
 
 def closed_form_mM(
@@ -863,51 +847,55 @@ def closed_form_mM(
 ) -> BoundCertificate:
     """Certificate for the family at (s, t) over [r, R].
 
-    In-region: m and M are the curvature ratio at the interval endpoints,
-    ordered by the branch's monotonicity.  They are shipped when the ratio
-    is proven monotone on [r, R] (:meth:`_Ratio.direction`), m <= M, and
-    both agree with the log-domain record (:func:`_endpoint_value`);
-    otherwise the :func:`numeric_mM` enclosure is shipped with an erratum
-    note.  The printed catalog text is compared last, on endpoint values
-    only, and can only add an erratum.  Out-of-region: numeric fallback
-    with ``region_ok=False`` unless ``strict``, which raises
-    :class:`RegionViolation`.
+    In-region: when the curvature ratio is proven monotone on [r, R]
+    (:meth:`_Ratio.direction`) in the branch's direction, or its end values
+    are equal within their rounding allowance, m and M are its log-domain
+    values at the ends, padded outward (:meth:`_Ratio.bound`), so
+    ``m <= inf g`` and ``M >= sup g``; for r == R they are the value at r
+    padded both ways.  Otherwise the :func:`numeric_mM` enclosure of the
+    same ratio is shipped with an erratum note.  The printed catalog text
+    is compared last, on endpoint values only, and can only add an
+    erratum.  Out-of-region: numeric enclosure with ``region_ok=False``
+    unless ``strict``, which raises :class:`RegionViolation`.
     """
     num, den = family_generators(family, s, t)
     br = active_branch(family, s, t)
-    if br is None:
-        if strict:
-            raise RegionViolation(
-                f"(s={s}, t={t}) lies outside every region of family {family.value}"
-            )
-        m, M = numeric_mM(num, den, r, R)
-        return BoundCertificate(
-            family, s, t, r, R, m, M, CertificateSource.NUMERIC, False
+    if br is None and strict:
+        raise RegionViolation(
+            f"(s={s}, t={t}) lies outside every region of family {family.value}"
         )
     ratio = _Ratio(num, den, r, R)
-    lo, hi = ratio.ends if br.increasing else ratio.ends[::-1]
-    with np.errstate(all="ignore"):
-        m, M = _endpoint_value(ratio, lo), _endpoint_value(ratio, hi)
-    if m <= M and (r == R or ratio.direction()):
-        try:
-            printed = printed_mM(family, s, t, r, R)
-            erratum = None if _agrees(printed[0], m) and _agrees(printed[1], M) else (
-                f"catalog text for tag ({br.tag}) disagrees with the curvature-ratio "
-                f"endpoint values; corrected endpoint values shipped"
+    erratum = None
+    if br is not None:
+        a, b = ratio.ends
+        up = ratio.direction() if r < R else 1
+        # the ends are taken in the proven order, so the padded values hold
+        # g whichever way the branch runs; a branch against the proof is a
+        # misprint unless the end values are equal within their allowance
+        if up and ((up > 0) == br.increasing or abs(a.L - b.L) <= a.e + b.e):
+            lo, hi = (a, b) if up > 0 else (b, a)
+            m, M = ratio.bound(lo, False), ratio.bound(hi, True)
+            try:
+                printed = printed_mM(family, s, t, r, R)
+                erratum = None if _agrees(printed[0], m) and _agrees(printed[1], M) else (
+                    f"catalog text for tag ({br.tag}) disagrees with the curvature-ratio "
+                    f"endpoint values; corrected endpoint values shipped"
+                )
+            except ArithmeticError as exc:
+                erratum = (
+                    f"catalog text for tag ({br.tag}) cannot be evaluated in double "
+                    f"precision ({type(exc).__name__}); curvature-ratio endpoint values shipped"
+                )
+            return BoundCertificate(
+                family, s, t, r, R, m, M, CertificateSource.CLOSED_FORM, True, erratum
             )
-        except ArithmeticError as exc:
-            erratum = (
-                f"catalog text for tag ({br.tag}) cannot be evaluated in double "
-                f"precision ({type(exc).__name__}); curvature-ratio endpoint values shipped"
-            )
-        return BoundCertificate(
-            family, s, t, r, R, m, M, CertificateSource.CLOSED_FORM, True, erratum
+        erratum = (
+            f"endpoint values of tag ({br.tag}) are not proven extrema in double "
+            f"precision at (s={s}, t={t}); numeric extrema shipped"
         )
-    m, M = numeric_mM(num, den, r, R)
+    m, M = _enclosure(ratio)
     return BoundCertificate(
-        family, s, t, r, R, m, M, CertificateSource.NUMERIC, True,
-        f"endpoint values of tag ({br.tag}) are not proven extrema in double "
-        f"precision at (s={s}, t={t}); numeric extrema shipped",
+        family, s, t, r, R, m, M, CertificateSource.NUMERIC, br is not None, erratum
     )
 
 
@@ -942,14 +930,19 @@ def sandwich_check(
     """Evaluate m*C_f2 <= C_f1 <= M*C_f2 on an actual pair.
 
     [r, R] is taken from the pair's mass ratios, and m, M are the
-    :func:`closed_form_mM` certificate's: endpoint values where the
+    :func:`closed_form_mM` certificate's: padded endpoint values where the
     curvature ratio is proven monotone, the numeric enclosure elsewhere.
     Passing requires both slacks to be at least
     -SLACK_REL_TOL * max(1, |C_f1|).
     """
     rb = ratio_bounds(P, Q)
-    cert = closed_form_mM(family, s, t, rb.r, rb.R)
-    num, den = family_generators(family, s, t)
+    return _sandwich(closed_form_mM(family, s, t, rb.r, rb.R), P, Q)
+
+
+def _sandwich(cert: BoundCertificate, P: Distribution, Q: Distribution) -> SandwichReport:
+    """:func:`sandwich_check` on a pair with a certificate already made
+    for its ratio interval."""
+    num, den = family_generators(cert.family, cert.s, cert.t)
     mid = csiszar(num, P, Q)
     c2 = csiszar(den, P, Q)
     lhs = cert.m * c2

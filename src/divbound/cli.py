@@ -23,10 +23,10 @@ from . import __version__
 from .bounds import (
     FAMILY_DEFS,
     InequalityFamily,
+    _sandwich,
     closed_form_mM,
     corollary_table,
     family_generators,
-    sandwich_check,
 )
 from .errors import DivboundError, NonFiniteValue, RegionViolation
 from .families import Family, FamilyId, family_value, in_convex_range
@@ -135,7 +135,7 @@ def _cmd_bounds(args) -> int:
         cert = closed_form_mM(family, args.s, args.t, r, R, strict=args.strict_closed_form)
         payload = cert.to_dict()
         if P is not None:
-            payload["sandwich"] = sandwich_check(family, args.s, args.t, P, Q).to_dict()
+            payload["sandwich"] = _sandwich(cert, P, Q).to_dict()
     if args.format == "csv":
         keys = [k for k in payload if k != "sandwich"]
         row = [str(payload[k]) if not isinstance(payload[k], float) else _fmt(payload[k])

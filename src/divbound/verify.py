@@ -51,6 +51,7 @@ from .bounds import (
     PARAM_GRID,
     _Ratio,
     InequalityFamily,
+    closed_form_mM,
     corollary_table,
     family_generators,
     in_region,
@@ -718,6 +719,7 @@ def tightness_scan(
     the uniform pair are evaluated; both normalized slacks approach zero as
     the pair degenerates (the ratio C1/C2 tends to the curvature ratio at
     1 while [r, R] collapses onto 1), so the scan probes the tight limit.
+    Each pair's constants are its :func:`closed_form_mM` certificate's.
     """
     if trials < 1:
         raise ConfigInvalid(f"trials must be >= 1, got {trials}")
@@ -725,8 +727,7 @@ def tightness_scan(
         raise RegionViolation(
             f"(s={s}, t={t}) lies outside every region of family {family.value}"
         )
-    specs, (group,) = _sandwich_groups([family_generators(family, s, t)])
-    (num,), (den,) = group.num, group.den
+    num, den = family_generators(family, s, t)
     alpha = np.full(n, concentration)
     u = np.full(n, 1.0 / n)
     min_low = np.inf
@@ -737,16 +738,15 @@ def tightness_scan(
         p = simplex._draw(rng, alpha, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
         q = simplex._draw(rng, alpha, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
         for _ in range(shrink_levels):
-            pair = _BlockTable(p[None, :], q[None, :], specs)
-            if pair.lo < pair.hi:
-                group.prove(pair.lo, pair.hi, {})
-                m, M = pair.constants(group)
-                m, M = float(m[0, 0]), float(M[0, 0])
-                c1 = float(pair.div[num, 0])
-                c2 = float(pair.div[den, 0])
+            ratios = p / q
+            r, R = float(ratios.min()), float(ratios.max())
+            if r < R:
+                cert = closed_form_mM(family, s, t, r, R)
+                c1 = float(csiszar_bulk(num, p, q))
+                c2 = float(csiszar_bulk(den, p, q))
                 if c2 > 1e-300:
-                    min_low = min(min_low, (c1 - m * c2) / c2)
-                    min_high = min(min_high, (M * c2 - c1) / c2)
+                    min_low = min(min_low, (c1 - cert.m * c2) / c2)
+                    min_high = min(min_high, (cert.M * c2 - c1) / c2)
                     count += 1
             p, q = (p + u) / 2.0, (q + u) / 2.0
     return TightnessReport(family, s, t, float(min_low), float(min_high), count)

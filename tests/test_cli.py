@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_log_extrema
-from divbound import cli
+from divbound import bounds, cli
 from divbound.bounds import InequalityFamily, family_generators
 from divbound.measures import kl, rel_ag, rel_j, rel_js, triangular
 
@@ -158,7 +158,9 @@ class TestBounds:
                               "--t", "2", "--r", "1", "--R", "1")
         assert code == 0
         data = json.loads(out)
-        assert data["m"] == data["M"] == 0.25
+        # the ratio 1/4 at x = 1, padded outward by its rounding allowance
+        assert data["m"] <= 0.25 <= data["M"]
+        assert data["M"] - data["m"] <= 1e-13 * 0.25
         assert data["region_ok"] is True
 
     def test_pair_adds_sandwich(self, capsys, pair_files):
@@ -227,13 +229,14 @@ class TestBounds:
           "--r", "1.287862906509099e-09", "--R", "53832.526546420755"), "closed-form"),
         # in-region edge requests that raised NonFiniteValue: the printed text
         # overflows (V, II), PHI's curvature underflows at r (I), PHI's
-        # curvature overflows at R and g(R) rounds to 0 (II)
+        # curvature overflows at R, where g is 4e-284 (II); the log-domain
+        # record holds the end values of all three
         (("--family", "V", "--s=23.468782520666977", "--t=32.93434228712755",
           "--r", "0.03470652065124331", "--R", "460995591592.7579"), "closed-form"),
         (("--family", "I", "--s=-15.534548598688449", "--t=38.152259363999775",
-          "--r", "9.561872738525603e-12", "--R", "442.1531700854481"), "numeric"),
+          "--r", "9.561872738525603e-12", "--R", "442.1531700854481"), "closed-form"),
         (("--family", "II", "--s=10.194273501535207", "--t=35.85994201596016",
-          "--r", "9.549976844090945e-07", "--R", "83323943598.75293"), "numeric"),
+          "--r", "9.549976844090945e-07", "--R", "83323943598.75293"), "closed-form"),
     ])
     def test_in_region_edge_requests_are_certified(self, capsys, argv, source):
         with warnings.catch_warnings():
@@ -245,6 +248,28 @@ class TestBounds:
         num, den = family_generators(InequalityFamily(data["family"]), data["s"], data["t"])
         lo, hi = dense_log_extrema(num, den, data["r"], data["R"])
         assert data["m"] <= lo + 1e-12 * abs(lo) and data["M"] >= hi - 1e-12 * abs(hi)
+        assert data["m"] >= lo - 1e-11 * abs(lo) and data["M"] <= hi + 1e-11 * abs(hi)
+
+    def test_pair_certifies_once(self, capsys, pair_files, monkeypatch):
+        calls = []
+        certify = bounds.closed_form_mM
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "closed_form_mM", counted)
+        monkeypatch.setattr(cli, "closed_form_mM", counted)
+        p, q = pair_files
+        code, out, _ = invoke(capsys, "bounds", "--family", "II", "--s", "2",
+                              "--t", "1", "--p", p, "--q", q)
+        assert code == 0 and json.loads(out)["sandwich"]["passed"]
+        assert len(calls) == 1
+        calls.clear()
+        code, out, err = invoke(capsys, "bounds", "--family", "I", "--s", "0", "--t", "0",
+                                "--p", p, "--q", q, "--strict-closed-form")
+        assert code == 3 and out == "" and "region" in err.lower()
+        assert len(calls) == 1
 
     def test_needs_interval_or_pair(self, capsys):
         code, _, err = invoke(capsys, "bounds", "--family", "I", "--s", "2", "--t", "2")
@@ -254,7 +279,11 @@ class TestBounds:
         p, q = pair_files
         code, out, _ = invoke(capsys, "bounds", "--family", "II", "--s", "2",
                               "--t", "1", "--p", p, "--q", q, "--format", "text")
-        assert code == 0 and "m = 0.16666666666666666" in out
+        assert code == 0
+        m = float(next(line for line in out.splitlines() if line.startswith("m = "))[4:])
+        # x/4 at x = 2/3, padded outward by its rounding allowance
+        assert m <= 1.0 / 6.0 and 1.0 / 6.0 - m <= 1e-13 / 6.0
+        assert "sandwich: " in out and "(pass)" in out
 
 
 class TestVerify:
