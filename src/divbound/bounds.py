@@ -62,7 +62,7 @@ from .errors import (
     NonPositiveArgument,
     RegionViolation,
 )
-from .generators import Gen, GeneratorSpec, gen_d2, log_d2
+from .generators import Gen, GeneratorSpec, log_d2
 from .generators import csiszar
 from .simplex import Distribution, ratio_bounds
 
@@ -303,35 +303,49 @@ def region_grid(
 
 def g_ratio(num: GeneratorSpec, den: GeneratorSpec, x):
     """f1''(x) / f2''(x) for x > 0 (scalar or array); denominator curvature
-    must be positive.
-
-    A positive denominator curvature that underflows to 0 raises
-    :class:`NonFiniteValue`, not :class:`DegenerateDenominator`: its sign is
-    read from the log-domain record :func:`log_d2`."""
+    must be positive.  Read unpadded from the log-domain records
+    (:func:`log_curvatures`), so curvatures beyond the double range are fine
+    unless the ratio itself overflows (:class:`NonFiniteValue`)."""
     xs = np.asarray(x, float)
     if not np.all(xs > 0.0):
         raise NonPositiveArgument(f"curvature ratio needs x > 0, got {x}")
-    d = np.asarray(gen_d2(den, xs))
-    bad = ~(d > 0.0)
-    if bad.any():
-        if np.all((d[bad] == 0.0) & (_curvature_sign(den, xs[bad]) > 0.0)):
-            raise NonFiniteValue(f"{den.gen.value}(s={den.s}) curvature at x = {x} {_UNDERFLOW}")
-        raise DegenerateDenominator(
-            f"{den.gen.value}(s={den.s}) has non-positive curvature at x = {x}"
-        )
-    g = gen_d2(num, xs) / d
+    L, sign, _ = log_curvatures([num, den], xs.reshape(-1))
+    if not np.all((sign[1] > 0.0) & ~np.isnan(L[1])):
+        raise DegenerateDenominator(f"{den.gen.value}(s={den.s}) has non-positive "
+                                    f"curvature at x = {x}")
+    with np.errstate(over="ignore"):
+        g = (sign[0] * np.exp(L[0] - L[1])).reshape(xs.shape)
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteValue(f"curvature ratio {num.gen.value}(s={num.s}) / "
+                             f"{den.gen.value}(s={den.s}) at x = {x} {_OVERFLOW}")
     return g if np.ndim(x) else float(g)
 
 
-def _curvature_sign(spec: GeneratorSpec, x):
-    """Sign of f''(x) from its :class:`LogD2` record, which holds where
-    f''(x) itself under- or overflows."""
-    rec = log_d2(spec)
-    return rec.sign * np.sign(rec.p * x + rec.q) if rec.p else rec.sign
+def log_curvatures(specs: list[GeneratorSpec], x: np.ndarray):
+    """``(L, sign, e)``: ln|f''|, the sign of f'' and the rounding allowance
+    of L for each spec at each point of the 1-D ``x > 0``, as ``(specs x
+    points)`` arrays from the :func:`log_d2` records.  The allowance is
+    :meth:`_Ratio.point`'s rule for one curvature, and 0 where f'' = 0."""
+    records = np.array([log_d2(s) for s in specs]).reshape(-1, 6)
+    alpha, beta, c, sign, p, q = (a[:, None] for a in records.T)
+    y, l1 = np.log(x), np.log1p(x)
+    L = alpha * y + beta * l1 + c
+    e = np.abs(alpha) * np.abs(y) + np.abs(beta) * l1 + (np.abs(c) + 1.0)
+    sign = np.repeat(sign, x.shape[0], axis=1)
+    lin = np.flatnonzero(p)
+    px, q = p[lin] * x, q[lin]
+    v = px + q
+    with np.errstate(divide="ignore"):
+        lv = np.log(np.abs(v))
+        e[lin] += np.abs(lv) + (np.abs(px) + np.abs(q)) / np.abs(v)
+    L[lin] += lv
+    sign[lin] *= np.sign(v)
+    e = _ERR * (e + np.abs(L))
+    e[sign == 0.0] = 0.0
+    return L, sign, e
 
 
 _OVERFLOW = "overflows double precision"
-_UNDERFLOW = "underflows double precision"
 
 
 def _non_finite(num: GeneratorSpec, den: GeneratorSpec, r: float, R: float, what: str):
@@ -686,7 +700,7 @@ class _Ratio:
         of doubles; no bound fits above it."""
         if grow and L < _LOG_TINY:
             raise _non_finite(self.num, self.den, self.lo, self.hi,
-                              f"{_UNDERFLOW} (ln|g| about {L:.6g})")
+                              f"underflows double precision (ln|g| about {L:.6g})")
         try:
             return math.exp(L)
         except OverflowError as exc:

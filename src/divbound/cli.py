@@ -120,8 +120,7 @@ def _cmd_bounds(args) -> int:
         if not (args.p and args.q):
             print("error: provide both --p and --q, or --r and --R", file=sys.stderr)
             return EXIT_INPUT
-        P = load_distribution(args.p, renormalize=args.normalize)
-        Q = load_distribution(args.q, renormalize=args.normalize)
+        P, Q = _load_pair(args)
         rb = ratio_bounds(P, Q)
         r, R = rb.r, rb.R
     elif args.r is not None and args.R is not None:

@@ -61,8 +61,6 @@ from ._accum import comp_sum
 from .errors import NonPositiveArgument
 from .simplex import Distribution, require_same_length
 
-CONVEXITY_SLACK = 1e-12
-
 
 class Gen(Enum):
     PHI = "phi-gen"
@@ -310,18 +308,19 @@ class ConvexityScan:
 def convexity_scan(
     spec: GeneratorSpec, r: float, R: float, grid: int = 1025
 ) -> ConvexityScan:
-    """Scan f'' on a log-spaced grid over [r, R].
-
-    ``convex`` is true when the smallest sampled curvature is above
-    -CONVEXITY_SLACK; ``argmin_x`` locates the most negative sample.
-    """
+    """Whether f'' >= 0 on [r, R], decided by the signs of the :func:`log_d2`
+    record at r and R (f'' changes sign at most once, at the zero of
+    p x + q).  ``min_d2`` and ``argmin_x`` are a sampled diagnostic: the
+    least f'' on a log-spaced grid of ``grid`` points, and where it lies."""
     if not (r > 0.0 and R > 0.0):
         raise NonPositiveArgument(f"interval must be positive, got [{r}, {R}]")
     if not r <= R:
         raise ValueError(f"need r <= R, got [{r}, {R}]")
     if grid < 2:
         raise ValueError(f"need at least 2 grid points, got {grid}")
+    rec = log_d2(spec)
+    convex = all(rec.sign * (rec.p * x + rec.q if rec.p else 1.0) >= 0.0 for x in (r, R))
     xs = np.geomspace(r, R, grid)
     d2 = gen_d2(spec, xs)
     i = int(np.argmin(d2))
-    return ConvexityScan(bool(d2[i] >= -CONVEXITY_SLACK), float(d2[i]), float(xs[i]))
+    return ConvexityScan(convex, float(d2[i]), float(xs[i]))

@@ -15,19 +15,17 @@ Identical configurations produce bit-identical report JSON.
 Trials are grouped by simplex size into blocks, and the loop over blocks is
 the outer one.  Before it, the curvature ratio of each distinct sandwich
 check is proven monotone once, on the envelope of all blocks' ratios; a
-ratio proven monotone there is monotone on every block and takes its
-endpoint values, and a ratio whose proof does not close takes each row's
-own :func:`numeric_mM` enclosure.  The sandwich checks of
-one block share one table of generator values (:class:`_BlockTable`): a
-generator named by many checks is evaluated once per block, not once per
-check, all generators of one kind in one call along a stacked ``s`` axis,
-and the checks of one inequality family are evaluated in one array
-step over ``(checks x rows)`` indexed into that table.  Only one block's
-table is alive at a time.  The family checks that sweep ``s`` over a grid
-likewise take one kernel call per operand for the whole grid.  Pass
-counts and worst values of all checks are
-reduced block by block (:class:`_Tally`) with the first-index rule of a
-full-array ``argmax``/``argmin``.
+ratio proven monotone there is monotone on every block and takes outward
+bounds of its endpoint values, read from the log-domain curvature records,
+and a ratio whose proof does not close takes each row's own
+:func:`numeric_mM` enclosure.  The sandwich checks of one block share one
+table of generator values (:class:`_BlockTable`), evaluated once per block
+along a stacked ``s`` axis, and the checks of one inequality family take
+one array step over ``(checks x rows)`` indexed into it.  The family checks
+that sweep ``s`` over a grid likewise take one kernel call per operand.
+Pass counts and worst values of all checks are reduced block by block
+(:class:`_Tally`) with the first-index rule of a full-array
+``argmax``/``argmin``.
 
 :func:`brute_force_mM` is the deliberately plain oracle for the bound
 engine - a dense linear grid with no refinement, on a different
@@ -55,17 +53,19 @@ from .bounds import (
     corollary_table,
     family_generators,
     in_region,
+    log_curvatures,
     numeric_mM,
     region_grid,
 )
 from .errors import ConfigInvalid, DegenerateDenominator, RegionViolation
 from .families import ZETA_CONVEX_RANGE, omega_s, phi_s, zeta_s
-from .generators import Gen, GeneratorSpec, csiszar_bulk, gen_d2
+from .generators import GeneratorSpec, csiszar_bulk, gen_d2
 
 SUBJECTS = ("identities", "families", "corollaries", "bounds-grid")
 DEFAULT_SUBJECTS = ("identities", "families", "corollaries")
 MAX_TRIALS = 10_000_000
 _ZETA_GRID = tuple(s for s in PARAM_GRID if ZETA_CONVEX_RANGE[0] <= s <= ZETA_CONVEX_RANGE[1])
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -292,9 +292,9 @@ class _Group:
 
     ``rows`` are the checks' positions in the run's check list, ``num`` and
     ``den`` the rows of their generators in the spec table a
-    :class:`_BlockTable` evaluates, and ``direction`` the monotonicity
-    proof of each curvature ratio on the envelope given to :meth:`prove`
-    (0 until proven, or where the proof does not close).
+    :class:`_BlockTable` evaluates, and, once :meth:`prove` has run,
+    ``direction`` and ``sign`` the monotonicity proof (0 where it does not
+    close) and the sign of each curvature ratio on the envelope it was given.
     """
 
     def __init__(self, rows, ratios, index: dict[GeneratorSpec, int]):
@@ -302,17 +302,22 @@ class _Group:
         self.ratios = ratios
         self.num = np.array([index[num] for num, _ in ratios])
         self.den = np.array([index[den] for _, den in ratios])
-        self.direction = np.zeros(len(ratios), dtype=int)
 
     def prove(self, lo: float, hi: float, proofs: dict) -> None:
         """Prove each ratio monotone on [lo, hi], once per distinct ratio
         across every group sharing ``proofs``; on a zero-width [lo, hi]
-        every ratio counts as increasing."""
-        for k, ratio in enumerate(self.ratios):
-            d = proofs.get(ratio)
-            if d is None:
-                d = proofs[ratio] = _Ratio(*ratio, lo, hi).direction() if lo < hi else 1
-            self.direction[k] = d
+        every ratio counts as increasing.  ``m`` and ``M`` then index the
+        :class:`_BlockTable` bounds each constant divides: at r (m) and R (M)
+        where g rises, else the reverse; a lower bound of |g| (numerator's
+        lower over denominator's upper) for m if g > 0 and M if g < 0."""
+        for ratio in self.ratios:
+            if ratio not in proofs:
+                g = _Ratio(*ratio, lo, hi)
+                proofs[ratio] = g.direction() if lo < hi else 1, g.ends[0].s
+        self.direction, self.sign = map(np.array, zip(*map(proofs.get, self.ratios)))
+        end, neg = (self.direction <= 0).astype(int), 2 * (self.sign < 0)
+        self.m = (self.num, neg + end), (self.den, 2 - neg + end)
+        self.M = (self.num, 3 - neg - end), (self.den, 1 + neg - end)
 
 
 def _sandwich_groups(
@@ -339,44 +344,41 @@ class _BlockTable:
 
     Holds the block's rows ``P``, ``Q``, each row's ratio envelope
     ``[r, R]``, the block's pooled envelope ``[lo, hi]`` and, per spec of
-    the run's spec table, its curvature at every ``r`` and ``R`` and its
-    f-divergence on every row.  The specs of one generator kind are
-    evaluated as one stacked spec: one curvature call at ``r``, one at
-    ``R`` and one compensated sum over ``(specs x rows x n)`` per kind, each
-    value bit-for-bit the single spec's.  A group of checks reads these rows by
-    index, in one array step over ``(checks x rows)``.  Endpoint values
-    are taken only for a ratio its group has proven monotone.
+    the run's spec table, its f-divergence on every row (one compensated
+    sum per generator kind, over a stacked ``s``) and ``bounds`` on |f''|
+    at every ``r`` and ``R`` in the slots ``lo_r, lo_R, hi_r, hi_R`` (one
+    :func:`log_curvatures` call, padded as ``exp(L) (1 -+ 2e)``).  Every
+    value is bit-for-bit the single spec's.  A group of checks reads these
+    rows by index, in one array step over ``(checks x rows)``.
     """
 
     def __init__(self, P: np.ndarray, Q: np.ndarray, specs: list[GeneratorSpec]):
         self.P, self.Q = P, Q
         ratios = P / Q
-        self.r = ratios.min(axis=1)
-        self.R = ratios.max(axis=1)
+        self.r, self.R = ratios.min(axis=1), ratios.max(axis=1)
         self.lo, self.hi = float(self.r.min()), float(self.R.max())
-        shape = (len(specs), P.shape[0])
-        self.d2_r, self.d2_R, self.div = np.empty(shape), np.empty(shape), np.empty(shape)
-        kinds: dict[Gen, list[int]] = {}
-        for i, spec in enumerate(specs):
-            kinds.setdefault(spec.gen, []).append(i)
-        for gen, rows in kinds.items():
+        L, _, e = log_curvatures(specs, np.concatenate([self.r, self.R]))
+        with np.errstate(over="ignore"):
+            mag = np.exp(L)
+        # the relative padding needs a normal exp(L); past it widen to 0, max / 2, 2 * tiny
+        lo = np.minimum(mag * (1.0 - 2.0 * e), 0.5 * _HUGE) * (mag >= _TINY)
+        hi = np.maximum(mag * (1.0 + 2.0 * e), 2.0 * _TINY)
+        self.bounds = np.concatenate([lo, hi], axis=1).reshape(len(specs), 4, P.shape[0])
+        self.div = np.empty((len(specs), P.shape[0]))
+        for gen in dict.fromkeys(spec.gen for spec in specs):
+            rows = [i for i, spec in enumerate(specs) if spec.gen is gen]
             stack = GeneratorSpec(gen, np.array([specs[i].s for i in rows]))
-            self.d2_r[rows] = gen_d2(stack, self.r)
-            self.d2_R[rows] = gen_d2(stack, self.R)
             self.div[rows] = csiszar_bulk(stack, P, Q)
 
     def constants(self, group: _Group) -> tuple[np.ndarray, np.ndarray]:
         """Sandwich constants m, M of each check's curvature ratio on each
-        row's [r, R], as ``(checks x rows)`` arrays.
-
-        Endpoint values are used only for a ratio the group has proven
-        monotone (:meth:`_Group.prove`); otherwise each row falls back to
-        :func:`numeric_mM`.  Sound for erratum corners by construction.
-        """
-        at_r = self.d2_r[group.num] / self.d2_r[group.den]
-        at_R = self.d2_R[group.num] / self.d2_R[group.den]
-        up = (group.direction > 0)[:, None]
-        m, M = np.where(up, at_r, at_R), np.where(up, at_R, at_r)
+        row's [r, R], as ``(checks x rows)`` arrays: for a ratio proven
+        monotone (:meth:`_Group.prove`), quotients of the padded bounds at
+        its ends, so ``m <= inf g`` and ``M >= sup g`` by construction;
+        elsewhere each row's :func:`numeric_mM` enclosure."""
+        b, sign = self.bounds, group.sign[:, None]
+        with np.errstate(divide="ignore", over="ignore"):
+            m, M = (sign * (b[num] / b[den]) for num, den in (group.m, group.M))
         for k in np.flatnonzero(group.direction == 0):
             for i in range(self.r.shape[0]):
                 m[k, i], M[k, i] = numeric_mM(*group.ratios[k], float(self.r[i]), float(self.R[i]))
@@ -715,10 +717,11 @@ def tightness_scan(
 ) -> TightnessReport:
     """Empirical sharpness of the sandwich at in-region (s, t).
 
-    For each sampled pair, the pair and its geometric contractions toward
-    the uniform pair are evaluated; both normalized slacks approach zero as
-    the pair degenerates (the ratio C1/C2 tends to the curvature ratio at
-    1 while [r, R] collapses onto 1), so the scan probes the tight limit.
+    Each pair of :func:`simplex.sample_pair_matrix` (``ValueError`` for a
+    non-finite ``concentration``) and its geometric contractions toward the
+    uniform pair are evaluated; both normalized slacks approach zero as the
+    pair degenerates (the ratio C1/C2 tends to the curvature ratio at 1
+    while [r, R] collapses onto 1), so the scan probes the tight limit.
     Each pair's constants are its :func:`closed_form_mM` certificate's.
     """
     if trials < 1:
@@ -728,15 +731,10 @@ def tightness_scan(
             f"(s={s}, t={t}) lies outside every region of family {family.value}"
         )
     num, den = family_generators(family, s, t)
-    alpha = np.full(n, concentration)
     u = np.full(n, 1.0 / n)
-    min_low = np.inf
-    min_high = np.inf
+    min_low = min_high = np.inf
     count = 0
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        p = simplex._draw(rng, alpha, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
-        q = simplex._draw(rng, alpha, simplex.EPS_MASS, simplex.MAX_REJECTIONS)
+    for p, q in zip(*simplex.sample_pair_matrix(n, trials, seed, concentration)):
         for _ in range(shrink_levels):
             ratios = p / q
             r, R = float(ratios.min()), float(ratios.max())

@@ -83,6 +83,27 @@ def dense_log_extrema(num, den, r, R, points=200_001):
     return float(g.min()), float(g.max())
 
 
+def mp_curvature_ratio(num, den, x):
+    """g(x) = f1''(x) / f2''(x) at 50 digits, transcribed from the f'' closed
+    forms with u = (x+1)/2 and v = (x+1)/(2x); reads no ``divbound``
+    curvature code.  Needs ``mpmath``: guard callers with ``importorskip``."""
+    import mpmath
+
+    def d2(spec):
+        s, y = mpmath.mpf(spec.s), mpmath.mpf(x)
+        u, v = (y + 1) / 2, (y + 1) / (2 * y)
+        return {
+            "PHI": lambda: y ** (s - 2),
+            "PSI": lambda: v ** (s - 2) / (4 * y ** 3),
+            "UPSILON": lambda: u ** (s - 2) / 4,
+            "XI": lambda: u ** (s - 3) * (s * y + 4 - s) / 4,
+            "VARSIGMA": lambda: v ** (s - 3) * ((4 - s) * y + s) / (4 * y ** 4),
+        }[spec.gen.name]()
+
+    with mpmath.workdps(50):
+        return d2(num) / d2(den)
+
+
 def mass_lists(st):
     """Hypothesis strategy for two mass lists of one length 2..8, each mass in
     [0.01, 1], to be normalized (``st`` is ``hypothesis.strategies``)."""

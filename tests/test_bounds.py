@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense_log_extrema, dense_log_ratio
+from conftest import dense_log_extrema, dense_log_ratio, mp_curvature_ratio
 
 from divbound.bounds import (
     CROSS_CHECK_TOL,
@@ -22,7 +22,7 @@ from divbound.bounds import (
     region_grid,
     sandwich_check,
 )
-from divbound import bounds
+from divbound import bounds, generators, verify
 from divbound.errors import (
     DegenerateDenominator,
     DivboundError,
@@ -70,12 +70,16 @@ class TestGRatio:
             g_ratio(PHI2, GeneratorSpec(Gen.XI, 5.0), 0.1)
 
     def test_underflowing_denominator_is_not_degenerate(self):
-        # PHI(-300)'' = x^-302 > 0 underflows to 0 at x = 1e3
+        # PHI(-300)'' = x^-302 > 0 underflows to 0 at x = 1e3, not its log
+        # record: the ratio to PHI(2)'' = 1 is 1e906 and overflows, and the
+        # ratio PHI(-290)''/PHI(-300)'' = x^10 is a double
         tiny = GeneratorSpec(Gen.PHI, -300.0)
-        with pytest.raises(NonFiniteValue, match="underflows double precision"):
+        with pytest.raises(NonFiniteValue, match="overflows double precision"):
             g_ratio(PHI2, tiny, 1e3)
-        with pytest.raises(NonFiniteValue, match="underflows double precision"):
+        with pytest.raises(NonFiniteValue, match="overflows double precision"):
             g_ratio(PHI2, tiny, np.array([1.0, 1e3]))
+        g = g_ratio(GeneratorSpec(Gen.PHI, -290.0), tiny, np.array([1.0, 1e3]))
+        assert g[0] == 1.0 and g[1] == pytest.approx(1e30, rel=1e-13)
 
     def test_non_positive_denominator_stays_degenerate(self):
         # XI(-300)'' = u^-303 (304 - 300 x) / 4 is negative above x = 304/300
@@ -90,9 +94,34 @@ class TestGRatio:
             g_ratio(PHI2, GeneratorSpec(Gen.XI, 5.0), np.array([0.1, 1.0]))
 
     def test_nan_denominator_is_degenerate(self, monkeypatch):
-        monkeypatch.setattr(bounds, "gen_d2", lambda spec, x: math.nan)
+        log_d2 = bounds.log_d2
+        monkeypatch.setattr(bounds, "log_d2", lambda spec: (
+            log_d2(spec)._replace(c=math.nan) if spec.gen is Gen.PHI else log_d2(spec)))
         with pytest.raises(DegenerateDenominator):
             g_ratio(PSI2, PHI2, 2.0)
+        with pytest.raises(DegenerateDenominator):
+            g_ratio(PSI2, PHI2, np.array([0.5, 2.0]))
+
+    @pytest.mark.parametrize("family,s,t,x", [
+        # s x + 4 - s cancels in the linear form of XI(4)''
+        (F.III, 4.0, 2.0, 1e-6),
+        (F.VI, 4.0, 21.18687715434057, 9.520077620487599e-12),
+        # PHI(-27.25)'' is subnormal
+        (F.II, -10.536926652699783, -27.251272143864334, 84181679095.49355),
+        # PSI(-30.27)'' is normal, but its power v^(t-2) is subnormal
+        (F.V, -23.330462373535497, -30.274354533005152, 5.2338882602128696e-11),
+    ])
+    def test_matches_50_digits_where_the_linear_forms_lose(self, family, s, t, x):
+        pytest.importorskip("mpmath")
+        num, den = family_generators(family, s, t)
+        g = mp_curvature_ratio(num, den, x)
+        assert abs(g_ratio(num, den, x) - g) <= 1e-13 * abs(g)
+
+    def test_matches_50_digits_past_the_curvature_range(self):
+        pytest.importorskip("mpmath")
+        num, den = GeneratorSpec(Gen.PHI, -290.0), GeneratorSpec(Gen.PHI, -300.0)
+        g = mp_curvature_ratio(num, den, 1e3)
+        assert abs(g_ratio(num, den, 1e3) - g) <= 1e-13 * abs(g)
 
     def test_array_is_the_scalar_elementwise(self):
         xs = np.array([1e-3, 0.5, 1.0, 2.0, 1e3])
@@ -371,14 +400,28 @@ class TestClosedForm:
         assert calls == numeric == [family_generators(F.III, 4.0, 3.0)]
 
     def test_closed_form_never_reads_the_linear_curvatures(self, monkeypatch):
+        # nor do g_ratio and the harness's block table: only the plain-grid
+        # oracle and the convexity diagnostic call gen_d2
         def boom(*args):
             raise AssertionError("gen_d2 called")
 
-        monkeypatch.setattr(bounds, "gen_d2", boom)
+        assert not hasattr(bounds, "gen_d2")
+        monkeypatch.setattr(generators, "gen_d2", boom)
+        monkeypatch.setattr(verify, "gen_d2", boom)
+        ratios = []
         for family in F:
             for s, t in region_grid(family):
                 cert = closed_form_mM(family, s, t, 0.3, 5.0)
                 assert cert.region_ok and cert.m <= cert.M, (family, s, t)
+                ratios.append(family_generators(family, s, t))
+                assert cert.m <= g_ratio(*ratios[-1], np.array([0.3, 5.0])).min()
+        P, Q = np.array([[0.15, 0.85], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.1, 0.9]])
+        specs, groups = verify._sandwich_groups(ratios)
+        table = verify._BlockTable(P, Q, specs)
+        for group in groups:
+            group.prove(table.lo, table.hi, {})
+            m, M = table.constants(group)
+            assert np.all(m <= M)
 
     def test_unevaluable_printed_text_is_an_erratum(self):
         # (e+1)/(2e) ** (s-3) / e ** (t+2) of tag (39) divides by an e ** 37.04
@@ -493,20 +536,6 @@ class TestClosedForm:
         # every closed-form certificate holds g(r) and g(R), the extrema of
         # a monotone ratio, evaluated at 50 digits from the f'' forms
         mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp
-        mp.dps = 50
-
-        def d2(spec, x):
-            s, x = mpmath.mpf(spec.s), mpmath.mpf(x)
-            u, v = (x + 1) / 2, (x + 1) / (2 * x)
-            return {
-                Gen.PHI: lambda: x ** (s - 2),
-                Gen.PSI: lambda: v ** (s - 2) / (4 * x ** 3),
-                Gen.UPSILON: lambda: u ** (s - 2) / 4,
-                Gen.XI: lambda: u ** (s - 3) * (s * x + 4 - s) / 4,
-                Gen.VARSIGMA: lambda: v ** (s - 3) * ((4 - s) * x + s) / (4 * x ** 4),
-            }[spec.gen]()
-
         rng = np.random.default_rng(1)
         families = list(F)
         requests = []
@@ -525,7 +554,7 @@ class TestClosedForm:
             closed += 1
             num, den = family_generators(*request[:3])
             for x in request[3:]:
-                g = d2(num, x) / d2(den, x)
+                g = mp_curvature_ratio(num, den, x)
                 assert mpmath.mpf(cert.m) <= g <= mpmath.mpf(cert.M), request
         assert closed >= 1900
 

@@ -172,6 +172,18 @@ class TestBounds:
         assert abs(data["M"] - 0.5) < 1e-14
         assert data["sandwich"]["passed"] is True
 
+    def test_pair_normalize_flag(self, capsys, tmp_path, pair_files):
+        # --p/--q load their pair as compute does, --normalize included
+        p, q = tmp_path / "p2.json", tmp_path / "q2.csv"
+        p.write_text("[2, 2]")
+        q.write_text("1\n3\n")
+        args = ("bounds", "--family", "II", "--s", "2", "--t", "1")
+        code, out, _ = invoke(capsys, *args, "--p", str(p), "--q", str(q), "--normalize")
+        assert code == 0
+        assert out == invoke(capsys, *args, "--p", pair_files[0], "--q", pair_files[1])[1]
+        code, _, err = invoke(capsys, *args, "--p", str(p), "--q", str(q))
+        assert code == 1 and "error" in err
+
     def test_strict_region_violation_exit_3(self, capsys):
         code, _, err = invoke(capsys, "bounds", "--family", "I", "--s", "0",
                               "--t", "0", "--r", "0.5", "--R", "2",

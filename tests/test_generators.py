@@ -222,6 +222,16 @@ class TestConvexityScan:
         scan = convexity_scan(GeneratorSpec(Gen.XI, 0.0), 0.1, 10.0, 1025)
         assert scan.convex
 
+    def test_decided_by_the_record_not_the_samples(self):
+        # XI(4 + 1e-13)'' carries the factor s x + 4 - s, negative below
+        # x = 2.5e-14: a curvature of order -1e-14 that no sample tolerance
+        # could tell from 0
+        scan = convexity_scan(GeneratorSpec(Gen.XI, 4.0000000000001), 1e-15, 1.0, 1025)
+        assert not scan.convex
+        assert -1e-13 < scan.min_d2 < 0.0 and scan.argmin_x < 2.5e-14
+        assert convexity_scan(GeneratorSpec(Gen.XI, 4.0000000000001), 1e-13, 1.0).convex
+        assert convexity_scan(GeneratorSpec(Gen.XI, 5.0), 0.2, 10.0).convex
+
     def test_rejects_bad_interval(self):
         with pytest.raises(NonPositiveArgument):
             convexity_scan(GeneratorSpec(Gen.PHI, 2.0), 0.0, 1.0)

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
+from conftest import mp_curvature_ratio
 from divbound import families, generators, measures, simplex
 from divbound.bounds import (
     PARAM_GRID,
     InequalityFamily,
     _Ratio,
     family_generators,
+    in_region,
     numeric_mM,
     region_grid,
 )
 from divbound.errors import ConfigInvalid, RegionViolation, SamplingExhausted
 from divbound.families import omega_s, phi_s, zeta_s
-from divbound.generators import Gen, GeneratorSpec, csiszar_bulk, gen_d2
+from divbound.generators import Gen, GeneratorSpec, csiszar_bulk
 from divbound.measures import triangular
 from divbound.simplex import normalize, sample_pair_matrix
 from divbound.verify import (
@@ -132,11 +134,10 @@ class TestSharedBlockTable:
                            subjects=("all", "bounds-grid"))
         report = run(cfg)
         witnesses = [k for k, c in report.checks.items() if c.witness is not None]
-        if rel_tol == 1e-300:
-            # sandwich checks at tight corners fail by rounding and get witnesses
-            assert any(k.startswith("bounds-grid/") for k in witnesses)
-        else:
-            assert not witnesses
+        failed = [k for k, c in report.checks.items() if c.passes < c.attempts]
+        assert witnesses == failed
+        # at rel_tol 1e-300 checks fail by rounding and get witnesses
+        assert bool(witnesses) == (rel_tol == 1e-300)
         assert report.to_json() == _unshared_report(cfg)
 
     def test_all_subjects_match_unshared_path(self):
@@ -219,9 +220,9 @@ def _stacked_kernels_match(s, P, Q):
 def _block_table_matches(specs, P, Q):
     table = _BlockTable(P, Q, specs)
     for i, spec in enumerate(specs):
+        alone = _BlockTable(P, Q, [spec])
         assert np.array_equal(table.div[i], csiszar_bulk(spec, P, Q), equal_nan=True), spec
-        assert np.array_equal(table.d2_r[i], gen_d2(spec, table.r), equal_nan=True), spec
-        assert np.array_equal(table.d2_R[i], gen_d2(spec, table.R), equal_nan=True), spec
+        assert np.array_equal(table.bounds[i], alone.bounds[0], equal_nan=True), spec
 
 
 class TestStackedS:
@@ -504,6 +505,63 @@ class TestGroupProof:
             assert slacks[i] >= 0.0
 
 
+class TestBlockTableSoundness:
+    def test_constants_hold_g_at_50_digits(self):
+        # every proven row's m and M hold g at both of its ends, evaluated
+        # at 50 digits from the f'' forms, at random in-region corners with
+        # |s|, |t| <= 40 and ratios far from 1
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(10)
+        ratios = []
+        while len(ratios) < 300:
+            family = list(F)[rng.integers(len(F))]
+            s, t = (rng.uniform(*((-40.0, 40.0), (0.0, 4.0), (2.0, 4.0))[rng.integers(3)])
+                    for _ in range(2))
+            if in_region(family, s, t):
+                ratios.append(family_generators(family, float(s), float(t)))
+        specs, groups = _sandwich_groups(ratios)
+        proven = 0
+        for seed in (1, 2):
+            P, Q = sample_pair_matrix(6, 30, seed=seed, concentration=0.3)
+            # some f-divergences of the table overflow here; only its
+            # curvature bounds are read
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = _BlockTable(P, Q, specs)
+            for group in groups:
+                group.prove(table.lo, table.hi, {})
+                m, M = table.constants(group)
+                for k in np.flatnonzero(group.direction):
+                    proven += 1
+                    for i in range(30):
+                        lo, hi = mpmath.mpf(m[k, i]), mpmath.mpf(M[k, i])
+                        for x in (table.r[i], table.R[i]):
+                            g = mp_curvature_ratio(*group.ratios[k], float(x))
+                            assert lo <= g <= hi, (group.ratios[k], float(x))
+        assert proven >= 500
+
+
+    def test_bounds_hold_curvatures_past_the_double_range(self):
+        # |f''| at 50 digits lies within the table's bounds, also where it
+        # overflows, is subnormal or underflows to 0 in double precision
+        mpmath = pytest.importorskip("mpmath")
+        P = np.array([[1e-12, 1.0 - 1e-12], [0.5, 0.5], [0.3, 0.7], [1e-6, 1.0 - 1e-6]]
+                     + [[0.5, 0.5]] * 4)
+        Q = np.array([[0.5, 0.5], [1e-12, 1.0 - 1e-12], [1e-7, 1.0 - 1e-7], [0.9, 0.1]]
+                     + [[0.25 / x, 1.0 - 0.25 / x] for x in (2e7, 3.3e7, 4.7e7, 7.1e7)])
+        specs = [GeneratorSpec(Gen.PHI, t) for t in (-300.0, -27.25, 2.0, 27.5, 300.0)]
+        specs += [GeneratorSpec(Gen.PHI, t) for t in np.arange(-36.0, -46.0, -1.0).tolist()]
+        specs += [GeneratorSpec(Gen.PSI, 31.0), GeneratorSpec(Gen.UPSILON, -38.0),
+                  GeneratorSpec(Gen.XI, -300.0), GeneratorSpec(Gen.VARSIGMA, 40.0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = _BlockTable(P, Q, specs)
+        for i, spec in enumerate(specs):
+            for j, x in enumerate(np.concatenate([table.r, table.R]).tolist()):
+                d2 = abs(mp_curvature_ratio(spec, PHI2, x))
+                end, row = divmod(j, P.shape[0])
+                lo, hi = table.bounds[i, end, row], table.bounds[i, 2 + end, row]
+                assert mpmath.mpf(lo) <= d2 <= mpmath.mpf(hi), (spec, x)
+
+
 class TestTightness:
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigInvalid):
@@ -521,3 +579,19 @@ class TestTightness:
         # contracting toward the uniform pair drives both slacks to zero
         assert rep.min_slack_low < 1e-3
         assert rep.min_slack_high < 1e-3
+
+    @pytest.mark.parametrize("args,kwargs,expected", [
+        ((F.II, 2.0, 1.0, 40, 11), {"n": 4, "concentration": 0.5, "shrink_levels": 6},
+         (0.0019192025962229459, 0.002164298999596031, 240)),
+        ((F.VI, 1.0, -1.0, 25, 7), {"n": 4, "concentration": 0.5, "shrink_levels": 6},
+         (0.040200698913501316, 0.037039515902920477, 150)),
+        ((F.I, 2.0, 2.0, 20, 5), {}, (0.0005997761551854035, 0.0006749221172409148, 160)),
+    ])
+    def test_pinned_reports(self, args, kwargs, expected):
+        # the pairs are sample_pair_matrix's rows: row i from the stream (seed, i)
+        rep = tightness_scan(*args, **kwargs)
+        assert (rep.min_slack_low, rep.min_slack_high, rep.pairs_evaluated) == expected
+
+    def test_rejects_non_finite_concentration(self):
+        with pytest.raises(ValueError, match="concentration"):
+            tightness_scan(F.II, 2.0, 1.0, trials=2, seed=1, concentration=np.inf)
