@@ -9,8 +9,8 @@ give the sandwich  m C_f2(P||Q) <= C_f1(P||Q) <= M C_f2(P||Q)  for every
 pair whose mass ratios lie in [r, R] (convexity of f1 - m f2 and of
 M f2 - f1 plus nonnegativity of normalized convex f-divergences).
 
-The sharp constants are m = inf g and M = sup g over [r, R].  This module
-computes them two ways:
+The sharp constants m = inf g and M = sup g over [r, R] are enclosed from
+outside, m <= inf g and M >= sup g (sound, not sharp), in two ways:
 
 * :func:`numeric_mM` - an outward enclosure by cell proofs on ln|g|
   (:class:`_Ratio`); works for any generator pair with positive

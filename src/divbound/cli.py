@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .bounds import (
     FAMILY_DEFS,
+    SLACK_REL_TOL,
     InequalityFamily,
     _sandwich,
     closed_form_mM,
@@ -286,13 +287,13 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="run the Monte-Carlo verification harness")
     v.add_argument("--trials", type=int, default=1000)
-    v.add_argument("--seed", type=int,
-                   default=int(os.environ.get("DIVBOUND_SEED", "0")))
+    # a string default is converted only if used: a bad DIVBOUND_SEED is a verify usage error
+    v.add_argument("--seed", type=int, default=os.environ.get("DIVBOUND_SEED", "0"))
     v.add_argument("--subjects", default=None,
                    help="comma list: identities,families,corollaries,bounds-grid,all")
     v.add_argument("--n-range", default="2:10", help="simplex sizes, e.g. 2:10")
     v.add_argument("--concentration", type=float, default=1.0)
-    v.add_argument("--rel-tol", type=float, default=1e-10)
+    v.add_argument("--rel-tol", type=float, default=SLACK_REL_TOL)
     v.add_argument("--format", default="json", **fmt)
     v.set_defaults(fn=_cmd_verify)
 

@@ -21,8 +21,9 @@ and a ratio whose proof does not close takes each row's own
 :func:`numeric_mM` enclosure.  The sandwich checks of one block share one
 table of generator values (:class:`_BlockTable`), evaluated once per block
 along a stacked ``s`` axis, and the checks of one inequality family take
-one array step over ``(checks x rows)`` indexed into it.  The family checks
-that sweep ``s`` over a grid likewise take one kernel call per operand.
+one array step over ``(checks x rows)`` indexed into it.  The other checks
+of a block read one table of measure values and family ``s`` sweeps
+(:class:`_Values`), so a value that several checks read is summed once.
 Pass counts and worst values of all checks are reduced block by block
 (:class:`_Tally`) with the first-index rule of a full-array
 ``argmax``/``argmin``.
@@ -47,6 +48,7 @@ from . import measures as ms
 from . import simplex
 from .bounds import (
     PARAM_GRID,
+    SLACK_REL_TOL,
     _Ratio,
     InequalityFamily,
     closed_form_mM,
@@ -74,7 +76,7 @@ class VerifyConfig:
     n_range: tuple[int, int] = (2, 10)
     seed: int = 0
     concentration: float = 1.0
-    rel_tol: float = 1e-10
+    rel_tol: float = SLACK_REL_TOL
     subjects: tuple[str, ...] = DEFAULT_SUBJECTS
 
     def __post_init__(self):
@@ -165,13 +167,48 @@ class VerificationReport:
 # check construction
 
 
+class _Values(dict):
+    """The measure and family values of one block of pairs, each computed on
+    its first read.
+
+    A measure is keyed by its CLI name (``"kl"``, or ``"kl:qp"`` with P and
+    Q swapped) and comes from its :mod:`measures` kernel; a family is keyed
+    by its name (``"phi"`` ... ``"zeta-adj"``) and holds one kernel call
+    over the family's ``s`` grid, one row per ``s`` (:data:`_SWEEPS`).  No
+    entry is derived from another, so the two sides of a check stay
+    independent computations."""
+
+    def __init__(self, P: np.ndarray, Q: np.ndarray):
+        super().__init__()
+        self.P, self.Q = P, Q
+
+    def __missing__(self, key: str) -> np.ndarray:
+        if key in _SWEEPS:
+            grid, kernel = _SWEEPS[key]
+            value = kernel(np.array(grid), self.P, self.Q)
+        else:
+            mid = ms.MeasureId.parse(key)
+            p, q = (self.Q, self.P) if mid.orientation is ms.Orientation.QP else (self.P, self.Q)
+            value = ms._KERNELS[mid.kind](p, q)
+        self[key] = value
+        return value
+
+
+# each family's s grid and kernel
+_SWEEPS = {
+    "phi": (PARAM_GRID, lambda s, P, Q: phi_s(s, P, Q)),
+    "omega": (PARAM_GRID, lambda s, P, Q: omega_s(s, P, Q)),
+    "omega-adj": (PARAM_GRID, lambda s, P, Q: omega_s(s, P, Q, adjoint=True)),
+    "zeta": (_ZETA_GRID, lambda s, P, Q: zeta_s(s, P, Q)),
+    "zeta-adj": (_ZETA_GRID, lambda s, P, Q: zeta_s(s, P, Q, adjoint=True)),
+}
+
+
 @dataclass(frozen=True)
 class _Check:
     id: str
     kind: str  # "residual" | "slack"
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    s: Optional[float] = None
-    t: Optional[float] = None
+    fn: Callable[[_Values], np.ndarray]
     # (numerator, denominator) of a sandwich check, which :func:`run`
     # evaluates by family from the block table
     gens: Optional[tuple[GeneratorSpec, GeneratorSpec]] = None
@@ -181,109 +218,74 @@ def _scaled_residual(lhs, rhs):
     return np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _identity_checks() -> list[_Check]:
-    def res(f):
-        return lambda P, Q: _scaled_residual(*f(P, Q))
-
-    checks = [
-        _Check("identity/j_from_kl", "residual",
-               res(lambda P, Q: (ms.jeffreys(P, Q), ms.kl(P, Q) + ms.kl(Q, P)))),
-        _Check("identity/j_from_rel_j", "residual",
-               res(lambda P, Q: (ms.jeffreys(P, Q), ms.rel_j(P, Q) + ms.rel_j(Q, P)))),
-        _Check("identity/j_from_js_ag", "residual",
-               res(lambda P, Q: (ms.jeffreys(P, Q),
-                                 4.0 * (ms.jensen_shannon(P, Q) + ms.ag_mean(P, Q))))),
-        _Check("identity/rel_j_from_f_g", "residual",
-               res(lambda P, Q: (ms.rel_j(Q, P),
-                                 ms.REL_J_FROM_F_G_CONSTANT * (ms.rel_js(P, Q) + ms.rel_ag(P, Q))))),
-        _Check("identity/psi_from_chi2", "residual",
-               res(lambda P, Q: (ms.sym_chi_square(P, Q),
-                                 ms.chi_square(P, Q) + ms.chi_square(Q, P)))),
-        _Check("identity/hellinger_forms", "residual",
-               res(lambda P, Q: (ms.hellinger(P, Q), 1.0 - ms.bhattacharyya(P, Q)))),
-    ]
-    sym = {
-        "psi": ms.sym_chi_square,
-        "j": ms.jeffreys,
-        "js": ms.jensen_shannon,
-        "agt": ms.ag_mean,
-        "delta": ms.triangular,
-    }
-    for name, fn in sym.items():
-        checks.append(
-            _Check(f"identity/symmetric/{name}", "residual",
-                   res(lambda P, Q, f=fn: (f(P, Q), f(Q, P))))
-        )
-    return checks
+def _residual(id: str, sides: Callable[[_Values], tuple]) -> _Check:
+    return _Check(id, "residual", lambda v: _scaled_residual(*sides(v)))
 
 
-# (family value, classical expression) pairs recovered at special s
-_PARTICULAR_CASES = (
-    ("phi(-1)=chi2(Q||P)/2", lambda P, Q: (phi_s(-1.0, P, Q), ms.chi_square(Q, P) / 2.0)),
-    ("phi(0)=K(Q||P)", lambda P, Q: (phi_s(0.0, P, Q), ms.kl(Q, P))),
-    ("phi(1/2)=4h", lambda P, Q: (phi_s(0.5, P, Q), 4.0 * ms.hellinger(P, Q))),
-    ("phi(1)=K(P||Q)", lambda P, Q: (phi_s(1.0, P, Q), ms.kl(P, Q))),
-    ("phi(2)=chi2(P||Q)/2", lambda P, Q: (phi_s(2.0, P, Q), ms.chi_square(P, Q) / 2.0)),
-    ("omega(-1)=delta/4", lambda P, Q: (omega_s(-1.0, P, Q), ms.triangular(P, Q) / 4.0)),
-    ("omega-adj(-1)=delta/4",
-     lambda P, Q: (omega_s(-1.0, P, Q, adjoint=True), ms.triangular(P, Q) / 4.0)),
-    ("omega(0)=F(P||Q)", lambda P, Q: (omega_s(0.0, P, Q), ms.rel_js(P, Q))),
-    ("omega(1)=G(P||Q)", lambda P, Q: (omega_s(1.0, P, Q), ms.rel_ag(P, Q))),
-    ("omega(2)=chi2(Q||P)/8", lambda P, Q: (omega_s(2.0, P, Q), ms.chi_square(Q, P) / 8.0)),
-    ("omega-adj(0)=F(Q||P)",
-     lambda P, Q: (omega_s(0.0, P, Q, adjoint=True), ms.rel_js(Q, P))),
-    ("omega-adj(1)=G(Q||P)",
-     lambda P, Q: (omega_s(1.0, P, Q, adjoint=True), ms.rel_ag(Q, P))),
-    ("omega-adj(2)=chi2(P||Q)/8",
-     lambda P, Q: (omega_s(2.0, P, Q, adjoint=True), ms.chi_square(P, Q) / 8.0)),
-    ("zeta(0)=delta", lambda P, Q: (zeta_s(0.0, P, Q), ms.triangular(P, Q))),
-    ("zeta-adj(0)=delta",
-     lambda P, Q: (zeta_s(0.0, P, Q, adjoint=True), ms.triangular(P, Q))),
-    ("zeta(1)=D(P||Q)", lambda P, Q: (zeta_s(1.0, P, Q), ms.rel_j(P, Q))),
-    ("zeta(2)=chi2(P||Q)/2", lambda P, Q: (zeta_s(2.0, P, Q), ms.chi_square(P, Q) / 2.0)),
-    ("zeta-adj(1)=D(Q||P)",
-     lambda P, Q: (zeta_s(1.0, P, Q, adjoint=True), ms.rel_j(Q, P))),
-    ("zeta-adj(2)=chi2(Q||P)/2",
-     lambda P, Q: (zeta_s(2.0, P, Q, adjoint=True), ms.chi_square(Q, P) / 2.0)),
+# decompositions of the symmetric measures, each side from other kernels
+_IDENTITIES = (
+    ("j_from_kl", lambda v: (v["j"], v["kl"] + v["kl:qp"])),
+    ("j_from_rel_j", lambda v: (v["j"], v["rjd"] + v["rjd:qp"])),
+    ("j_from_js_ag", lambda v: (v["j"], 4.0 * (v["js"] + v["agt"]))),
+    ("rel_j_from_f_g",
+     lambda v: (v["rjd:qp"], ms.REL_J_FROM_F_G_CONSTANT * (v["rjs"] + v["rag"]))),
+    ("psi_from_chi2", lambda v: (v["psi"], v["chi2"] + v["chi2:qp"])),
+    ("hellinger_forms", lambda v: (v["hellinger"], 1.0 - v["bhat"])),
 )
 
 
-def _family_checks() -> list[_Check]:
-    checks = [
-        _Check(f"family/particular/{name}", "residual",
-               lambda P, Q, f=f: _scaled_residual(*f(P, Q)))
-        for name, f in _PARTICULAR_CASES
+def _identity_checks() -> list[_Check]:
+    return [_residual(f"identity/{name}", sides) for name, sides in _IDENTITIES] + [
+        _residual(f"identity/symmetric/{name}", lambda v, k=name: (v[k], v[k + ":qp"]))
+        for name in ("psi", "j", "js", "agt", "delta")
     ]
 
-    # each kernel call takes a whole s grid: values (grid x rows)
-    grid, zeta_grid = np.array(PARAM_GRID), np.array(_ZETA_GRID)
 
-    def duality(P, Q):
-        return _scaled_residual(phi_s(grid, P, Q), phi_s(1.0 - grid, Q, P)).max(axis=0)
+# family(s) = factor * measure: the classical measures recovered at special s
+_PARTICULAR_CASES = (
+    ("phi(-1)=chi2(Q||P)/2", "phi", -1.0, "chi2:qp", 0.5),
+    ("phi(0)=K(Q||P)", "phi", 0.0, "kl:qp", 1.0),
+    ("phi(1/2)=4h", "phi", 0.5, "hellinger", 4.0),
+    ("phi(1)=K(P||Q)", "phi", 1.0, "kl", 1.0),
+    ("phi(2)=chi2(P||Q)/2", "phi", 2.0, "chi2", 0.5),
+    ("omega(-1)=delta/4", "omega", -1.0, "delta", 0.25),
+    ("omega-adj(-1)=delta/4", "omega-adj", -1.0, "delta", 0.25),
+    ("omega(0)=F(P||Q)", "omega", 0.0, "rjs", 1.0),
+    ("omega(1)=G(P||Q)", "omega", 1.0, "rag", 1.0),
+    ("omega(2)=chi2(Q||P)/8", "omega", 2.0, "chi2:qp", 0.125),
+    ("omega-adj(0)=F(Q||P)", "omega-adj", 0.0, "rjs:qp", 1.0),
+    ("omega-adj(1)=G(Q||P)", "omega-adj", 1.0, "rag:qp", 1.0),
+    ("omega-adj(2)=chi2(P||Q)/8", "omega-adj", 2.0, "chi2", 0.125),
+    ("zeta(0)=delta", "zeta", 0.0, "delta", 1.0),
+    ("zeta-adj(0)=delta", "zeta-adj", 0.0, "delta", 1.0),
+    ("zeta(1)=D(P||Q)", "zeta", 1.0, "rjd", 1.0),
+    ("zeta(2)=chi2(P||Q)/2", "zeta", 2.0, "chi2", 0.5),
+    ("zeta-adj(1)=D(Q||P)", "zeta-adj", 1.0, "rjd:qp", 1.0),
+    ("zeta-adj(2)=chi2(Q||P)/2", "zeta-adj", 2.0, "chi2:qp", 0.5),
+)
 
-    def midpoint(P, Q):
-        mid = (P + Q) / 2.0
-        return _scaled_residual(
-            omega_s(grid, P, Q, adjoint=True), phi_s(grid, mid, Q)
-        ).max(axis=0)
+
+def _particular_check(name: str, family: str, s: float, measure: str, factor: float) -> _Check:
+    row = _SWEEPS[family][0].index(s)
+    return _residual(f"family/particular/{name}", lambda v: (v[family][row], factor * v[measure]))
+
+
+def _family_checks() -> list[_Check]:
+    checks = [_particular_check(*case) for case in _PARTICULAR_CASES]
+    grid = np.array(PARAM_GRID)
+
+    def duality(v):
+        return _scaled_residual(v["phi"], phi_s(1.0 - grid, v.Q, v.P)).max(axis=0)
+
+    def midpoint(v):
+        return _scaled_residual(v["omega-adj"], phi_s(grid, (v.P + v.Q) / 2.0, v.Q)).max(axis=0)
 
     checks.append(_Check("family/phi-swap-duality", "residual", duality))
     checks.append(_Check("family/omega-adj-midpoint-substitution", "residual", midpoint))
-
-    def nonneg(kernel, s):
-        return lambda P, Q: kernel(s, P, Q).min(axis=0)
-
-    checks.append(_Check("family/nonneg/phi", "slack", nonneg(phi_s, grid)))
-    checks.append(_Check("family/nonneg/omega", "slack", nonneg(omega_s, grid)))
-    checks.append(_Check(
-        "family/nonneg/omega-adj", "slack",
-        nonneg(lambda s, P, Q: omega_s(s, P, Q, adjoint=True), grid),
-    ))
-    checks.append(_Check("family/nonneg/zeta", "slack", nonneg(zeta_s, zeta_grid)))
-    checks.append(_Check(
-        "family/nonneg/zeta-adj", "slack",
-        nonneg(lambda s, P, Q: zeta_s(s, P, Q, adjoint=True), zeta_grid),
-    ))
+    checks += [
+        _Check(f"family/nonneg/{name}", "slack", lambda v, k=name: v[k].min(axis=0))
+        for name in _SWEEPS
+    ]
     return checks
 
 
@@ -406,45 +408,32 @@ def sandwich_slack_bulk(
     return table.slack(group)[0]
 
 
+def _sandwich_check(id: str, family: InequalityFamily, s: float, t: float) -> _Check:
+    return _Check(id, "slack", lambda v: sandwich_slack_bulk(family, s, t, v.P, v.Q),
+                  gens=family_generators(family, s, t))
+
+
 def _corollary_checks() -> list[_Check]:
-    return [
-        _Check(
-            f"corollary/{c.name}", "slack",
-            lambda P, Q, c=c: sandwich_slack_bulk(c.family, c.s, c.t, P, Q),
-            s=c.s, t=c.t, gens=family_generators(c.family, c.s, c.t),
-        )
-        for c in corollary_table()
-    ]
+    return [_sandwich_check(f"corollary/{c.name}", c.family, c.s, c.t) for c in corollary_table()]
 
 
 def _bounds_grid_checks() -> list[_Check]:
-    checks = []
-    for family in InequalityFamily:
-        for s, t in region_grid(family):
-            checks.append(
-                _Check(
-                    f"bounds-grid/{family.value}/s={s:g},t={t:g}", "slack",
-                    lambda P, Q, f=family, a=s, b=t: sandwich_slack_bulk(f, a, b, P, Q),
-                    s=s, t=t, gens=family_generators(family, s, t),
-                )
-            )
-    return checks
+    return [
+        _sandwich_check(f"bounds-grid/{family.value}/s={s:g},t={t:g}", family, s, t)
+        for family in InequalityFamily
+        for s, t in region_grid(family)
+    ]
+
+
+_BUILDERS = {"identities": _identity_checks, "families": _family_checks,
+             "corollaries": _corollary_checks, "bounds-grid": _bounds_grid_checks}
 
 
 def _build_checks(subjects: tuple[str, ...]) -> list[_Check]:
     wanted = set(subjects)
     if "all" in wanted:
         wanted |= set(DEFAULT_SUBJECTS)
-    checks: list[_Check] = []
-    if "identities" in wanted:
-        checks += _identity_checks()
-    if "families" in wanted:
-        checks += _family_checks()
-    if "corollaries" in wanted:
-        checks += _corollary_checks()
-    if "bounds-grid" in wanted:
-        checks += _bounds_grid_checks()
-    return checks
+    return [check for subject, build in _BUILDERS.items() if subject in wanted for check in build()]
 
 
 # --------------------------------------------------------------------------
@@ -518,7 +507,7 @@ class _Tally:
 def _shrink_witness(check: _Check, p: np.ndarray, q: np.ndarray, rel_tol: float) -> Witness:
     """Contract a failing pair toward uniform while it keeps failing."""
     def fails(a, b):
-        v = float(check.fn(a[None, :], b[None, :])[0])
+        v = float(check.fn(_Values(a[None, :], b[None, :]))[0])
         return v > rel_tol if check.kind == "residual" else v < -rel_tol
 
     u = np.full(p.shape, 1.0 / p.shape[0])
@@ -527,7 +516,8 @@ def _shrink_witness(check: _Check, p: np.ndarray, q: np.ndarray, rel_tol: float)
         if not fails(p2, q2):
             break
         p, q = p2, q2
-    return Witness(tuple(p.tolist()), tuple(q.tolist()), check.s, check.t)
+    s, t = (None, None) if check.gens is None else (spec.s for spec in check.gens)
+    return Witness(tuple(p.tolist()), tuple(q.tolist()), s, t)
 
 
 def run(config: VerifyConfig) -> VerificationReport:
@@ -535,10 +525,10 @@ def run(config: VerifyConfig) -> VerificationReport:
 
     Each sandwich check's curvature ratio is proven monotone once, on the
     envelope of all blocks.  The loop over size blocks is then the outer
-    one: the sandwich checks of a block read one shared
-    :class:`_BlockTable`, one inequality family per array step, and the
-    table is dropped before the next block is built.  Violations are
-    recorded (with a shrunk witness), never raised.
+    one: the other checks of a block read one shared :class:`_Values`, and
+    its sandwich checks one shared :class:`_BlockTable`, one inequality
+    family per array step, dropped before the next block's is built.
+    Violations are recorded (with a shrunk witness), never raised.
     """
     start = time.perf_counter()
     blocks = _sample_trials(config)
@@ -552,9 +542,10 @@ def run(config: VerifyConfig) -> VerificationReport:
         group.prove(lo, hi, proofs)
     tally = _Tally([check.kind for check in checks], config.rel_tol)
     for b, (idx, P, Q) in enumerate(blocks):
+        shared = _Values(P, Q)
         values = np.empty((plain.shape[0], idx.shape[0]))
         for row, k in enumerate(plain):
-            values[row] = checks[k].fn(P, Q)
+            values[row] = checks[k].fn(shared)
         tally.add(b, idx, values, plain)
         table = _BlockTable(P, Q, specs)
         for group in groups:

@@ -330,6 +330,19 @@ class TestVerify:
                               "--subjects", "identities")
         assert json.loads(out)["seed"] == 123
 
+    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIVBOUND_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--trials", "5", "--subjects", "identities"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert "error: argument --seed: invalid int value: 'abc'" in err
+        assert "Traceback" not in err
+        # an explicit --seed wins over the variable
+        code, out, _ = invoke(capsys, "verify", "--trials", "5", "--seed", "7",
+                              "--subjects", "identities")
+        assert code == 0 and json.loads(out)["seed"] == 7
+
     def test_violation_exit_2(self, capsys):
         # unattainable tolerance cannot be requested (rel_tol must be < 1),
         # so drive the exit path with a tolerance tight enough to fail
@@ -365,6 +378,11 @@ class TestCatalog:
         _, a, _ = invoke(capsys, "catalog", "--format", "json")
         _, b, _ = invoke(capsys, "catalog", "--format", "json")
         assert a == b
+
+    def test_ignores_bad_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIVBOUND_SEED", "abc")
+        code, out, err = invoke(capsys, "catalog")
+        assert code == 0 and out and err == ""
 
     def test_csv_smoke(self, capsys):
         code, out, _ = invoke(capsys, "catalog", "--format", "csv")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import mp_curvature_ratio
-from divbound import families, generators, measures, simplex
+from divbound import families, generators, measures, simplex, verify
 from divbound.bounds import (
     PARAM_GRID,
     InequalityFamily,
@@ -29,6 +29,7 @@ from divbound.verify import (
     _sample_trials,
     _shrink_witness,
     _Tally,
+    _Values,
     brute_force_mM,
     run,
     sandwich_slack_bulk,
@@ -100,15 +101,16 @@ class TestRun:
 
 def _unshared_report(config: VerifyConfig) -> str:
     """The report built check by check: every check runs on each block
-    alone (a sandwich check's ``fn`` is sandwich_slack_bulk, which proves
-    the ratio on the block's own envelope), and the worst trial is the
-    full-array argmax/argmin over all trials."""
+    alone, on a value table of its own (a sandwich check's ``fn`` is
+    sandwich_slack_bulk, which proves the ratio on the block's own
+    envelope), and the worst trial is the full-array argmax/argmin over all
+    trials."""
     blocks = _sample_trials(config)
     checks = {}
     for check in _build_checks(config.subjects):
         values = np.empty(config.trials)
         for idx, P, Q in blocks:
-            values[idx] = check.fn(P, Q)
+            values[idx] = check.fn(_Values(P, Q))
         if check.kind == "residual":
             passes = int(np.count_nonzero(values <= config.rel_tol))
             worst = int(np.argmax(values))
@@ -172,8 +174,9 @@ class TestSharedBlockTable:
 
     def test_one_sum_per_generator_kind_and_s_sweep(self, monkeypatch):
         # 9 size blocks: per block, one sum per generator kind of the table,
-        # one per kernel operand of an s-sweep, one per measure and
-        # particular-case kernel call (one sum per s and per spec: 1737)
+        # one per value of the shared table (22 measures and 5 family
+        # s-sweeps) and one per other operand of the duality and midpoint
+        # checks (one sum per s and per spec: 1737; one per operand: 711)
         cfg = VerifyConfig(trials=1000, seed=5, subjects=("all", "bounds-grid"))
         calls = []
         for module in (families, generators, measures):
@@ -181,7 +184,7 @@ class TestSharedBlockTable:
             monkeypatch.setattr(module, "comp_sum",
                                 lambda *a, f=total: calls.append(1) or f(*a))
         run(cfg)
-        assert len(calls) == 711
+        assert len(calls) == 306
 
     def test_one_stream_per_size_block(self, monkeypatch):
         cfg = VerifyConfig(trials=1000, seed=5, n_range=(2, 40))
@@ -192,6 +195,83 @@ class TestSharedBlockTable:
         blocks = _sample_trials(cfg)
         assert len(blocks) == 39
         assert len(streams) <= 1 + len(blocks)
+
+
+class _Recording(_Values):
+    """A value table that records every key read from it."""
+
+    def __init__(self, P, Q):
+        super().__init__(P, Q)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+PLAIN_CHECKS = [c for c in _build_checks(("identities", "families")) if c.gens is None]
+
+
+class TestValueTable:
+    """The checks that share a block's _Values compare independent
+    computations, and every entry is the direct kernel call's value."""
+
+    P, Q = sample_pair_matrix(5, 3, seed=61)
+
+    def test_no_check_reads_an_entry_on_both_sides(self):
+        keys = set()
+        for check in PLAIN_CHECKS:
+            table = _Recording(self.P, self.Q)
+            check.fn(table)
+            keys |= set(table.reads)
+            if check.kind == "residual":
+                assert table.reads, check.id
+                assert len(table.reads) == len(set(table.reads)), (check.id, table.reads)
+        # 12 measures, 10 of them in both orientations, and 5 family sweeps
+        assert len(keys) == 27
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_entries_match_direct_calls(self, n):
+        P, Q = sample_pair_matrix(n, 4, seed=900 + n, concentration=0.3 + 0.2 * n)
+        _entries_match_direct_calls(P, Q)
+
+    def test_entries_match_direct_calls_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # up to 3 rows of n masses for P and n for Q, each mass in [0.01, 1]
+        rows = st.integers(2, 10).flatmap(lambda n: st.lists(
+            st.lists(st.floats(0.01, 1.0), min_size=2 * n, max_size=2 * n),
+            min_size=1, max_size=3,
+        ))
+
+        @hyp.settings(max_examples=40, deadline=None)
+        @hyp.given(rows)
+        def check(rows):
+            n = len(rows[0]) // 2
+            P = np.vstack([normalize(row[:n]).masses for row in rows])
+            Q = np.vstack([normalize(row[n:]).masses for row in rows])
+            _entries_match_direct_calls(P, Q)
+
+        check()
+
+
+def _entries_match_direct_calls(P, Q):
+    """Every entry the checks read from a block's table equals, bit for bit,
+    the public measure or family call on each row alone (each s alone)."""
+    table = _Values(P, Q)
+    for check in PLAIN_CHECKS:
+        check.fn(table)
+    assert len(table) == 27
+    rows = [(simplex.validate(p), simplex.validate(q)) for p, q in zip(P, Q)]
+    for key, value in table.items():
+        if key in verify._SWEEPS:
+            fids = [families.FamilyId(families.Family(key), s) for s in verify._SWEEPS[key][0]]
+            direct = [[families.family_value(fid, p, q) for p, q in rows] for fid in fids]
+        else:
+            mid = measures.MeasureId.parse(key)
+            direct = [measures.evaluate(mid, p, q) for p, q in rows]
+        assert np.array_equal(value, np.array(direct)), key
 
 
 # the harness grid, its swap-dual grid, both sides of the form choice at
@@ -390,8 +470,8 @@ class TestWitnessShrinking:
     def test_shrinks_toward_uniform_keeping_failure(self):
         # a check that always fails on non-uniform pairs: slack = -Delta(P,Q)
         check = _Check(
-            "synthetic", "slack",
-            lambda P, Q: -np.atleast_1d(triangular(P, Q)), s=1.0, t=2.0,
+            "synthetic", "slack", lambda v: -np.atleast_1d(triangular(v.P, v.Q)),
+            gens=(GeneratorSpec(Gen.PHI, 1.0), GeneratorSpec(Gen.PHI, 2.0)),
         )
         p = np.array([0.8, 0.1, 0.1])
         q = np.array([0.1, 0.1, 0.8])
@@ -410,6 +490,8 @@ class TestWitnessShrinking:
         assert not rep.all_passed
         failing = [r for r in rep.checks.values() if r.passes < r.attempts]
         assert failing and any(r.witness is not None for r in failing)
+        # a check that is not a sandwich check has no (s, t)
+        assert all(r.witness.s is r.witness.t is None for r in failing if r.witness)
 
 
 class TestBruteForce:
