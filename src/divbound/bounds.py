@@ -104,7 +104,6 @@ class Branch:
 
 @dataclass(frozen=True)
 class FamilyDef:
-    family: InequalityFamily
     num_gen: Gen
     den_gen: Gen
     label: str
@@ -117,7 +116,6 @@ def _in04(s: float) -> bool:
 
 FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
     InequalityFamily.I: FamilyDef(
-        InequalityFamily.I,
         Gen.PSI,
         Gen.PHI,
         "Ω_s(P||Q) vs Φ_t(P||Q)",
@@ -127,7 +125,6 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
         ),
     ),
     InequalityFamily.II: FamilyDef(
-        InequalityFamily.II,
         Gen.UPSILON,
         Gen.PHI,
         "Ω_s(Q||P) vs Φ_t(P||Q)",
@@ -137,7 +134,6 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
         ),
     ),
     InequalityFamily.III: FamilyDef(
-        InequalityFamily.III,
         Gen.XI,
         Gen.PHI,
         "ζ_s(P||Q) vs Φ_t(P||Q)",
@@ -157,7 +153,6 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
         ),
     ),
     InequalityFamily.IV: FamilyDef(
-        InequalityFamily.IV,
         Gen.VARSIGMA,
         Gen.PHI,
         "ζ_s(Q||P) vs Φ_t(P||Q)",
@@ -177,7 +172,6 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
         ),
     ),
     InequalityFamily.V: FamilyDef(
-        InequalityFamily.V,
         Gen.UPSILON,
         Gen.PSI,
         "Ω_s(Q||P) vs Ω_t(P||Q)",
@@ -187,7 +181,6 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
         ),
     ),
     InequalityFamily.VI: FamilyDef(
-        InequalityFamily.VI,
         Gen.XI,
         Gen.PSI,
         "ζ_s(P||Q) vs Ω_t(P||Q)",
@@ -201,7 +194,6 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
         ),
     ),
     InequalityFamily.VII: FamilyDef(
-        InequalityFamily.VII,
         Gen.VARSIGMA,
         Gen.PSI,
         "ζ_s(Q||P) vs Ω_t(P||Q)",
@@ -221,7 +213,6 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
         ),
     ),
     InequalityFamily.VIII: FamilyDef(
-        InequalityFamily.VIII,
         Gen.XI,
         Gen.UPSILON,
         "ζ_s(P||Q) vs Ω_t(Q||P)",
@@ -241,7 +232,6 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
         ),
     ),
     InequalityFamily.IX: FamilyDef(
-        InequalityFamily.IX,
         Gen.VARSIGMA,
         Gen.UPSILON,
         "ζ_s(Q||P) vs Ω_t(Q||P)",
@@ -255,7 +245,6 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
         ),
     ),
     InequalityFamily.X: FamilyDef(
-        InequalityFamily.X,
         Gen.VARSIGMA,
         Gen.XI,
         "ζ_s(Q||P) vs ζ_t(P||Q)",

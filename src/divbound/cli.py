@@ -30,8 +30,8 @@ from .bounds import (
     family_generators,
 )
 from .errors import DivboundError, NonFiniteValue, RegionViolation
-from .families import Family, FamilyId, family_value, in_convex_range
-from .measures import MeasureId, MeasureKind, evaluate
+from .families import ZETA_CONVEX_RANGE, Family, FamilyId, family_value, in_convex_range
+from .measures import MeasureId, MeasureKind, Orientation, evaluate
 from .simplex import load_distribution, ratio_bounds
 from .verify import DEFAULT_SUBJECTS, VerifyConfig, run
 
@@ -41,6 +41,7 @@ EXIT_VIOLATION = 2
 EXIT_REGION = 3
 
 _FAMILY_NAMES = {f.value: f for f in Family}
+_MEASURE_NAMES = {k.value: k for k in MeasureKind}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,22 +73,25 @@ def _load_pair(args):
 def _cmd_compute(args) -> int:
     name = args.name
     P, Q = _load_pair(args)
-    base = name.partition(":")[0]
-    if base in _FAMILY_NAMES:
-        if args.s is None:
-            print(f"error: family {base!r} requires --s", file=sys.stderr)
-            return EXIT_INPUT
-        family = _FAMILY_NAMES[base]
-        suffix = name.partition(":")[2]
-        if suffix == "qp":
-            P, Q = Q, P
-        elif suffix not in ("", "pq"):
-            print(f"error: unknown orientation suffix {suffix!r}", file=sys.stderr)
-            return EXIT_INPUT
+    base, _, suffix = name.partition(":")
+    family = _FAMILY_NAMES.get(base)
+    # main reports each ValueError as an input error
+    if family is None and base not in _MEASURE_NAMES:
+        raise ValueError(f"unknown measure or family {name!r}")
+    if family is not None and args.s is None:
+        raise ValueError(f"family {base!r} requires --s")
+    try:
+        orientation = Orientation(suffix or Orientation.PQ.value)
+    except ValueError:
+        raise ValueError(f"unknown orientation suffix {suffix!r}") from None
+    if orientation is Orientation.QP:
+        P, Q = Q, P
+    if family is not None:
         if not in_convex_range(family, args.s):
+            lo, hi = ZETA_CONVEX_RANGE
             print(
                 f"warning: {base} generator is non-convex for s outside "
-                "[0, 4]; the value is not a certified divergence",
+                f"[{lo:g}, {hi:g}]; the value is not a certified divergence",
                 file=sys.stderr,
             )
         # an overflowing term is reported below as an error, not as a warning
@@ -95,12 +99,7 @@ def _cmd_compute(args) -> int:
             value = family_value(FamilyId(family, args.s), P, Q)
         s_field = args.s
     else:
-        try:
-            mid = MeasureId.parse(name)
-        except KeyError:
-            print(f"error: unknown measure or family {name!r}", file=sys.stderr)
-            return EXIT_INPUT
-        value = evaluate(mid, P, Q)
+        value = evaluate(MeasureId(_MEASURE_NAMES[base]), P, Q)
         s_field = None
     if not math.isfinite(value):
         raise NonFiniteValue(

@@ -35,22 +35,27 @@ term per term keeps the kernels equal to the engine on validated pairs
 whose masses add up to 1 only within tolerance.  The kernels never call
 the generator engine, so the two stay independent computations.
 
-The Zeta generators are convex only for 0 <= s <= 4; outside that range the
-value is still defined and computable, but it is not a certified divergence
-(see :func:`in_convex_range`).
+Each family is the f-divergence of one generator (:mod:`generators`).  One
+private table holds each family's kernel and generator, and
+:func:`family_value`, :func:`in_convex_range` and the harness read it.  The
+Zeta generators are convex only for 0 <= s <= 4, as their curvature
+records say; outside that range the value is still defined and computable,
+but it is not a certified divergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._accum import comp_sum
-from .generators import _by_form, _lpow, _stack
+from .generators import Gen, GeneratorSpec, _by_form, _lpow, _stack, log_d2
 from .simplex import Distribution, require_same_length
 
+#: the s where the Zeta generators are convex (:func:`in_convex_range`)
 ZETA_CONVEX_RANGE = (0.0, 4.0)
 
 
@@ -70,14 +75,6 @@ class FamilyId:
     def __post_init__(self):
         if not np.isfinite(self.s):
             raise ValueError(f"s must be finite, got {self.s}")
-
-
-def in_convex_range(family: Family, s: float) -> bool:
-    """Whether the generating function of (family, s) is convex on (0, inf)."""
-    if family in (Family.ZETA, Family.ZETA_ADJOINT):
-        lo, hi = ZETA_CONVEX_RANGE
-        return lo <= s <= hi
-    return True
 
 
 def phi_s(s, p, q):
@@ -119,18 +116,29 @@ def zeta_s(s, p, q, adjoint: bool = False):
     return comp_sum((p - q) * _lpow(s - 1.0, (p + q) / (2.0 * q)))
 
 
+class _Row(NamedTuple):
+    kernel: Callable  # (s, p, q) -> value, s as in phi_s
+    gen: Gen  # the generator whose f-divergence the family is
+
+
+# lambdas look the kernels up when called (benchmark/tracing.py rebinds them)
+_FAMILIES = {
+    Family.PHI: _Row(lambda s, p, q: phi_s(s, p, q), Gen.PHI),
+    Family.OMEGA: _Row(lambda s, p, q: omega_s(s, p, q), Gen.PSI),
+    Family.OMEGA_ADJOINT: _Row(lambda s, p, q: omega_s(s, q, p), Gen.UPSILON),
+    Family.ZETA: _Row(lambda s, p, q: zeta_s(s, p, q), Gen.XI),
+    Family.ZETA_ADJOINT: _Row(lambda s, p, q: zeta_s(s, q, p), Gen.VARSIGMA),
+}
+
+
 def family_value(fid: FamilyId, P: Distribution, Q: Distribution) -> float:
     """Dispatch to the family kernels over a validated pair."""
     require_same_length(P, Q)
-    p, q = P.masses, Q.masses
-    if fid.family is Family.PHI:
-        return phi_s(fid.s, p, q)
-    if fid.family is Family.OMEGA:
-        return omega_s(fid.s, p, q)
-    if fid.family is Family.OMEGA_ADJOINT:
-        return omega_s(fid.s, p, q, adjoint=True)
-    if fid.family is Family.ZETA:
-        return zeta_s(fid.s, p, q)
-    if fid.family is Family.ZETA_ADJOINT:
-        return zeta_s(fid.s, p, q, adjoint=True)
-    raise KeyError(f"unknown family {fid.family!r}")
+    return _FAMILIES[fid.family].kernel(fid.s, P.masses, Q.masses)
+
+
+def in_convex_range(family: Family, s: float) -> bool:
+    """Whether the generator of (family, s) is convex on (0, inf): its
+    curvature record has sign > 0 and a linear factor p x + q, p, q >= 0."""
+    rec = log_d2(GeneratorSpec(_FAMILIES[family].gen, s))
+    return rec.sign > 0.0 and rec.p >= 0.0 and rec.q >= 0.0

@@ -269,14 +269,15 @@ def _fold(alpha: float, beta: float, c: float, p: float, q: float) -> LogD2:
 
 def _require_positive(x) -> None:
     if np.ndim(x):
-        if not np.all(np.asarray(x) > 0.0):
-            raise NonPositiveArgument("generator argument must be positive")
-    elif not x > 0.0:
-        raise NonPositiveArgument(f"generator argument must be positive, got {x}")
+        x = np.asarray(x)
+        if not np.all((x > 0.0) & (x < np.inf)):
+            raise NonPositiveArgument("generator argument must be positive and finite")
+    elif not 0.0 < x < np.inf:
+        raise NonPositiveArgument(f"generator argument must be positive and finite, got {x}")
 
 
 def gen_eval(spec: GeneratorSpec, x) -> GeneratorValue:
-    """Value and first two derivatives of the generator at x > 0."""
+    """Value and first two derivatives of the generator at finite x > 0."""
     _require_positive(x)
     if np.ndim(x):
         return GeneratorValue(gen_value(spec, x), gen_d1(spec, x), gen_d2(spec, x))
@@ -314,8 +315,8 @@ def convexity_scan(
     least f'' on a log-spaced grid of ``grid`` points, and where it lies."""
     if not (r > 0.0 and R > 0.0):
         raise NonPositiveArgument(f"interval must be positive, got [{r}, {R}]")
-    if not r <= R:
-        raise ValueError(f"need r <= R, got [{r}, {R}]")
+    if not r <= R < np.inf:
+        raise ValueError(f"need r <= R < inf, got [{r}, {R}]")
     if grid < 2:
         raise ValueError(f"need at least 2 grid points, got {grid}")
     rec = log_d2(spec)

@@ -25,8 +25,9 @@ by composing the one-sided halves, so the decomposition identities
     h   = 1 - B
 
 are genuine cross-checks between independent computations, not tautologies.
-The kernel functions accept arrays of shape (..., n) and reduce the last
-axis, so a bulk matrix of pairs evaluates in one call.
+:func:`identity_residuals` and the harness read them from one table.  The
+kernel functions accept arrays of shape (..., n) and reduce the last axis,
+so a bulk matrix of pairs evaluates in one call.
 
 Note the factor in the last decomposition: term-by-term algebra gives
 F(P||Q) + G(P||Q) = (1/2) sum (q - p) ln((p+q)/(2p)) = D(Q||P)/2, i.e. the
@@ -194,23 +195,44 @@ def evaluate(mid: MeasureId, P: Distribution, Q: Distribution) -> float:
     return _KERNELS[mid.kind](p, q)
 
 
+class _Values(dict):
+    """Measure values of (P, Q) keyed by CLI name (``"kl"``, or ``"kl:qp"``
+    with P and Q swapped), each computed on its first read."""
+
+    def __init__(self, P: np.ndarray, Q: np.ndarray):
+        super().__init__()
+        self.P, self.Q = P, Q
+
+    def __missing__(self, key: str):
+        mid = MeasureId.parse(key)
+        p, q = (self.Q, self.P) if mid.orientation is Orientation.QP else (self.P, self.Q)
+        value = self[key] = _KERNELS[mid.kind](p, q)
+        return value
+
+
+# the decomposition identities (module docstring): name, lhs, rhs
+_IDENTITIES = (
+    ("j_from_kl", lambda v: v["j"], lambda v: v["kl"] + v["kl:qp"]),
+    ("j_from_rel_j", lambda v: v["j"], lambda v: v["rjd"] + v["rjd:qp"]),
+    ("j_from_js_ag", lambda v: v["j"], lambda v: 4.0 * (v["js"] + v["agt"])),
+    ("rel_j_from_f_g", lambda v: v["rjd:qp"],
+     lambda v: REL_J_FROM_F_G_CONSTANT * (v["rjs"] + v["rag"])),
+    ("psi_from_chi2", lambda v: v["psi"], lambda v: v["chi2"] + v["chi2:qp"]),
+    ("hellinger_forms", lambda v: v["hellinger"], lambda v: 1.0 - v["bhat"]),
+)
+
+
 def identity_residuals(P: Distribution, Q: Distribution) -> dict[str, float]:
     """Absolute residuals |lhs - rhs| of the decomposition identities.
 
     Keys:
-      ``j_from_kl``       J vs K(P||Q) + K(Q||P)
-      ``j_from_rel_j``    J vs D(P||Q) + D(Q||P)
-      ``j_from_js_ag``    J vs 4[I + T]
-      ``rel_j_from_f_g``  D(Q||P) vs 2[F(P||Q) + G(P||Q)]
+      ``j_from_kl``        J vs K(P||Q) + K(Q||P)
+      ``j_from_rel_j``     J vs D(P||Q) + D(Q||P)
+      ``j_from_js_ag``     J vs 4[I + T]
+      ``rel_j_from_f_g``   D(Q||P) vs 2[F(P||Q) + G(P||Q)]
+      ``psi_from_chi2``    Psi vs chi2(P||Q) + chi2(Q||P)
+      ``hellinger_forms``  h vs 1 - B
     """
     require_same_length(P, Q)
-    p, q = P.masses, Q.masses
-    jv = jeffreys(p, q)
-    return {
-        "j_from_kl": abs(jv - (kl(p, q) + kl(q, p))),
-        "j_from_rel_j": abs(jv - (rel_j(p, q) + rel_j(q, p))),
-        "j_from_js_ag": abs(jv - 4.0 * (jensen_shannon(p, q) + ag_mean(p, q))),
-        "rel_j_from_f_g": abs(
-            rel_j(q, p) - REL_J_FROM_F_G_CONSTANT * (rel_js(p, q) + rel_ag(p, q))
-        ),
-    }
+    v = _Values(P.masses, Q.masses)
+    return {name: abs(lhs(v) - rhs(v)) for name, lhs, rhs in _IDENTITIES}

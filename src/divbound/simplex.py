@@ -202,6 +202,8 @@ def sample_pair_matrix(
     Row ``i`` is drawn from its own stream keyed by ``(seed, i)``, so the
     matrix content does not depend on how the work is chunked.
     """
+    if n < 2:
+        raise TooShort(f"need n >= 2, got {n}")
     _check_concentration(concentration)
     P = np.empty((count, n))
     Q = np.empty((count, n))

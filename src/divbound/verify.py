@@ -60,13 +60,12 @@ from .bounds import (
     region_grid,
 )
 from .errors import ConfigInvalid, DegenerateDenominator, RegionViolation
-from .families import ZETA_CONVEX_RANGE, omega_s, phi_s, zeta_s
+from .families import _FAMILIES, Family, in_convex_range, phi_s
 from .generators import GeneratorSpec, csiszar_bulk, gen_d2
 
 SUBJECTS = ("identities", "families", "corollaries", "bounds-grid")
 DEFAULT_SUBJECTS = ("identities", "families", "corollaries")
 MAX_TRIALS = 10_000_000
-_ZETA_GRID = tuple(s for s in PARAM_GRID if ZETA_CONVEX_RANGE[0] <= s <= ZETA_CONVEX_RANGE[1])
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
@@ -167,40 +166,23 @@ class VerificationReport:
 # check construction
 
 
-class _Values(dict):
-    """The measure and family values of one block of pairs, each computed on
-    its first read.
-
-    A measure is keyed by its CLI name (``"kl"``, or ``"kl:qp"`` with P and
-    Q swapped) and comes from its :mod:`measures` kernel; a family is keyed
-    by its name (``"phi"`` ... ``"zeta-adj"``) and holds one kernel call
-    over the family's ``s`` grid, one row per ``s`` (:data:`_SWEEPS`).  No
-    entry is derived from another, so the two sides of a check stay
-    independent computations."""
-
-    def __init__(self, P: np.ndarray, Q: np.ndarray):
-        super().__init__()
-        self.P, self.Q = P, Q
+class _Values(ms._Values):
+    """The measure values of one block of pairs, and its family sweeps: a
+    family's name (``"phi"`` ... ``"zeta-adj"``) holds one call of its kernel
+    over its ``s`` grid (:data:`_SWEEPS`), one row per ``s``.  No entry is
+    derived from another, so the two sides of a check stay independent."""
 
     def __missing__(self, key: str) -> np.ndarray:
-        if key in _SWEEPS:
-            grid, kernel = _SWEEPS[key]
-            value = kernel(np.array(grid), self.P, self.Q)
-        else:
-            mid = ms.MeasureId.parse(key)
-            p, q = (self.Q, self.P) if mid.orientation is ms.Orientation.QP else (self.P, self.Q)
-            value = ms._KERNELS[mid.kind](p, q)
-        self[key] = value
+        if key not in _SWEEPS:
+            return super().__missing__(key)
+        kernel = _FAMILIES[Family(key)].kernel
+        value = self[key] = kernel(np.array(_SWEEPS[key]), self.P, self.Q)
         return value
 
 
-# each family's s grid and kernel
+# each family's s grid: the harness grid where its generator is convex
 _SWEEPS = {
-    "phi": (PARAM_GRID, lambda s, P, Q: phi_s(s, P, Q)),
-    "omega": (PARAM_GRID, lambda s, P, Q: omega_s(s, P, Q)),
-    "omega-adj": (PARAM_GRID, lambda s, P, Q: omega_s(s, P, Q, adjoint=True)),
-    "zeta": (_ZETA_GRID, lambda s, P, Q: zeta_s(s, P, Q)),
-    "zeta-adj": (_ZETA_GRID, lambda s, P, Q: zeta_s(s, P, Q, adjoint=True)),
+    f.value: tuple(s for s in PARAM_GRID if in_convex_range(f, s)) for f in Family
 }
 
 
@@ -218,26 +200,14 @@ def _scaled_residual(lhs, rhs):
     return np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _residual(id: str, sides: Callable[[_Values], tuple]) -> _Check:
-    return _Check(id, "residual", lambda v: _scaled_residual(*sides(v)))
-
-
-# decompositions of the symmetric measures, each side from other kernels
-_IDENTITIES = (
-    ("j_from_kl", lambda v: (v["j"], v["kl"] + v["kl:qp"])),
-    ("j_from_rel_j", lambda v: (v["j"], v["rjd"] + v["rjd:qp"])),
-    ("j_from_js_ag", lambda v: (v["j"], 4.0 * (v["js"] + v["agt"]))),
-    ("rel_j_from_f_g",
-     lambda v: (v["rjd:qp"], ms.REL_J_FROM_F_G_CONSTANT * (v["rjs"] + v["rag"]))),
-    ("psi_from_chi2", lambda v: (v["psi"], v["chi2"] + v["chi2:qp"])),
-    ("hellinger_forms", lambda v: (v["hellinger"], 1.0 - v["bhat"])),
-)
+def _residual(id: str, lhs: Callable, rhs: Callable) -> _Check:
+    return _Check(id, "residual", lambda v: _scaled_residual(lhs(v), rhs(v)))
 
 
 def _identity_checks() -> list[_Check]:
-    return [_residual(f"identity/{name}", sides) for name, sides in _IDENTITIES] + [
-        _residual(f"identity/symmetric/{name}", lambda v, k=name: (v[k], v[k + ":qp"]))
-        for name in ("psi", "j", "js", "agt", "delta")
+    return [_residual(f"identity/{name}", lhs, rhs) for name, lhs, rhs in ms._IDENTITIES] + [
+        _residual(f"identity/symmetric/{k}", lambda v, k=k: v[k], lambda v, k=k: v[k + ":qp"])
+        for k in ("psi", "j", "js", "agt", "delta")
     ]
 
 
@@ -266,8 +236,9 @@ _PARTICULAR_CASES = (
 
 
 def _particular_check(name: str, family: str, s: float, measure: str, factor: float) -> _Check:
-    row = _SWEEPS[family][0].index(s)
-    return _residual(f"family/particular/{name}", lambda v: (v[family][row], factor * v[measure]))
+    row = _SWEEPS[family].index(s)
+    return _residual(f"family/particular/{name}", lambda v: v[family][row],
+                     lambda v: factor * v[measure])
 
 
 def _family_checks() -> list[_Check]:
@@ -634,19 +605,17 @@ def _log_curvature(spec: GeneratorSpec, xs, lx, lx1, out, scratch):
 _WORKSPACE = threading.local()
 
 
-def _grid_workspace(points: int):
-    """Per-thread scratch rows for the dense scan.
+def _grid_workspace(points: int) -> list:
+    """Per-thread scratch rows for the dense scan, as ``[idx, rows, held]``.
 
     A fresh 0.8 MB temporary per vector op costs more in page faults than
     the arithmetic does; reusing warm buffers keeps the oracle cheap while
-    staying thread-safe (each thread owns its rows)."""
-    cache = getattr(_WORKSPACE, "cache", None)
-    if cache is None:
-        cache = _WORKSPACE.cache = {}
-    rows = cache.get(points)
-    if rows is None:
-        rows = cache[points] = (np.arange(points, dtype=np.float64), np.empty((6, points)))
-    return rows
+    staying thread-safe (each thread owns its rows).  ``held`` is the
+    ``(r, R)`` whose grid, ln x and ln(1+x) the first three rows hold."""
+    cache = _WORKSPACE.__dict__.setdefault("cache", {})
+    if points not in cache:
+        cache[points] = [np.arange(points, dtype=np.float64), np.empty((6, points)), None]
+    return cache[points]
 
 
 def brute_force_mM(
@@ -658,21 +627,26 @@ def brute_force_mM(
     and algebraic path than the engine's enclosure: the ratio is scanned in
     log space (the extrema commute with the monotone exp), falling back to
     direct evaluation when the numerator curvature changes sign.  Use
-    points >= 1e5 for oracle duty.
+    points >= 1e5 for oracle duty.  Consecutive calls on one ``[r, R]``
+    (per thread) build its grid once.
     """
-    if not (r > 0.0 and r <= R):
-        raise ValueError(f"need 0 < r <= R, got [{r}, {R}]")
+    if not 0.0 < r <= R < np.inf:
+        raise ValueError(f"need 0 < r <= R < inf, got [{r}, {R}]")
     if points < 2:
         raise ConfigInvalid(f"need at least 2 points, got {points}")
-    idx, work = _grid_workspace(points)
+    idx, work, held = workspace = _grid_workspace(points)
     xs, lx, lx1, lden, out, scratch = work
-    np.multiply(idx, (R - r) / (points - 1), out=xs)
-    xs += r
-    xs[0] = r
-    xs[-1] = R
-    np.log(xs, out=lx)
-    np.add(xs, 1.0, out=lx1)
-    np.log(lx1, out=lx1)
+    if held != (r, R):
+        # _log_curvature and the fallback below only read these three rows
+        workspace[2] = None
+        np.multiply(idx, (R - r) / (points - 1), out=xs)
+        xs += r
+        xs[0] = r
+        xs[-1] = R
+        np.log(xs, out=lx)
+        np.add(xs, 1.0, out=lx1)
+        np.log(lx1, out=lx1)
+        workspace[2] = (r, R)
     if not _log_curvature(den, xs, lx, lx1, lden, scratch):
         raise DegenerateDenominator(
             f"{den.gen.value}(s={den.s}) non-positive on [{r}, {R}]"
@@ -708,24 +682,28 @@ def tightness_scan(
 ) -> TightnessReport:
     """Empirical sharpness of the sandwich at in-region (s, t).
 
-    Each pair of :func:`simplex.sample_pair_matrix` (``ValueError`` for a
-    non-finite ``concentration``) and its geometric contractions toward the
-    uniform pair are evaluated; both normalized slacks approach zero as the
-    pair degenerates (the ratio C1/C2 tends to the curvature ratio at 1
-    while [r, R] collapses onto 1), so the scan probes the tight limit.
-    Each pair's constants are its :func:`closed_form_mM` certificate's.
+    Each pair of :func:`simplex.sample_pair_matrix` (``TooShort`` for n < 2,
+    ``ValueError`` for a non-finite ``concentration``) and its
+    ``shrink_levels`` geometric contractions toward the uniform pair are
+    evaluated; both normalized slacks approach zero as the pair degenerates
+    (the ratio C1/C2 tends to the curvature ratio at 1 while [r, R]
+    collapses onto 1), so the scan probes the tight limit.  Each pair's
+    constants are its :func:`closed_form_mM` certificate's.
     """
     if trials < 1:
         raise ConfigInvalid(f"trials must be >= 1, got {trials}")
+    if shrink_levels < 1:
+        raise ConfigInvalid(f"shrink_levels must be >= 1, got {shrink_levels}")
     if not in_region(family, s, t):
         raise RegionViolation(
             f"(s={s}, t={t}) lies outside every region of family {family.value}"
         )
     num, den = family_generators(family, s, t)
+    P, Q = simplex.sample_pair_matrix(n, trials, seed, concentration)
     u = np.full(n, 1.0 / n)
     min_low = min_high = np.inf
     count = 0
-    for p, q in zip(*simplex.sample_pair_matrix(n, trials, seed, concentration)):
+    for p, q in zip(P, Q):
         for _ in range(shrink_levels):
             ratios = p / q
             r, R = float(ratios.min()), float(ratios.max())

@@ -101,6 +101,12 @@ class TestCompute:
         code, _, err = invoke(capsys, "compute", "nope", "--p", p, "--q", q)
         assert code == 1 and "unknown" in err
 
+    def test_bad_suffix_is_one_error_for_measures_and_families(self, capsys, pair_files):
+        p, q = pair_files
+        results = [invoke(capsys, "compute", name, "--s", "1", "--p", p, "--q", q)
+                   for name in ("phi:xx", "kl:xx")]
+        assert results[0] == results[1] == (1, "", "error: unknown orientation suffix 'xx'\n")
+
     def test_invalid_distribution_names_index(self, capsys, tmp_path, pair_files):
         bad = tmp_path / "bad.json"
         bad.write_text("[0.0, 1.0]")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SIZES, continuity_violations, mass_lists, scaled_ok
+from divbound.bounds import PARAM_GRID
 from divbound.errors import LengthMismatch
 from divbound.families import (
     Family,
@@ -204,3 +205,50 @@ class TestFamilyValue:
         assert in_convex_range(Family.ZETA, 0.0)
         assert not in_convex_range(Family.ZETA_ADJOINT, 9.0)
         assert in_convex_range(Family.PHI, -7.0)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_dispatch_is_the_direct_kernel_call(self, pair_matrices, family):
+        direct = {
+            Family.PHI: lambda s, p, q: phi_s(s, p, q),
+            Family.OMEGA: lambda s, p, q: omega_s(s, p, q),
+            Family.OMEGA_ADJOINT: lambda s, p, q: omega_s(s, p, q, adjoint=True),
+            Family.ZETA: lambda s, p, q: zeta_s(s, p, q),
+            Family.ZETA_ADJOINT: lambda s, p, q: zeta_s(s, p, q, adjoint=True),
+        }[family]
+        P, Q = pair_matrices[5]
+        for p, q in zip(P[:10], Q[:10]):
+            for s in S_GRID + (1e-17, -1e-17, 7.0):
+                value = family_value(FamilyId(family, s), validate(p), validate(q))
+                assert value == direct(s, p, q), s
+
+
+def _old_convex_rule(family, s):
+    lo, hi = ZETA_CONVEX_RANGE
+    return lo <= s <= hi if family in (Family.ZETA, Family.ZETA_ADJOINT) else True
+
+
+class TestConvexRange:
+    """in_convex_range, read off the generators' curvature records, keeps
+    the rule 0 <= s <= 4 for the Zeta families and True for the others."""
+
+    EDGES = tuple(
+        float(x) for e in (0.0, 4.0)
+        for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))
+    )
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_grid_and_edges(self, family):
+        for s in PARAM_GRID + self.EDGES + (-0.0, 2.0, -1e300, 1e300):
+            assert in_convex_range(family, s) == _old_convex_rule(family, s), s
+
+    def test_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(st.sampled_from(list(Family)),
+                   st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(self.EDGES))
+        def check(family, s):
+            assert in_convex_range(family, s) == _old_convex_rule(family, s)
+
+        check()

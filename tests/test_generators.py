@@ -118,6 +118,13 @@ class TestClosedForms:
         with pytest.raises(NonPositiveArgument):
             gen_eval(spec, np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize(
+        "x", [np.inf, np.nan, np.array([1.0, np.inf]), np.array([np.nan, 1.0])]
+    )
+    def test_rejects_non_finite_argument(self, x):
+        with pytest.raises(NonPositiveArgument):
+            gen_eval(GeneratorSpec(Gen.PHI, 2.0), x)
+
 
 class TestEngine:
     def test_zero_on_identical(self):
@@ -239,3 +246,8 @@ class TestConvexityScan:
             convexity_scan(GeneratorSpec(Gen.PHI, 2.0), 2.0, 1.0)
         with pytest.raises(ValueError):
             convexity_scan(GeneratorSpec(Gen.PHI, 2.0), 1.0, 2.0, grid=1)
+
+    @pytest.mark.parametrize("r,R", [(1.0, np.inf), (np.inf, np.inf)])
+    def test_rejects_infinite_interval(self, r, R):
+        with pytest.raises(ValueError):
+            convexity_scan(GeneratorSpec(Gen.XI, 2.0), r, R)

@@ -10,12 +10,14 @@ from divbound.measures import (
     MeasureKind,
     Orientation,
     SYMMETRIC_KINDS,
+    ag_mean,
     bhattacharyya,
     chi_square,
     evaluate,
     hellinger,
     identity_residuals,
     jeffreys,
+    jensen_shannon,
     kl,
     rel_ag,
     rel_j,
@@ -84,9 +86,28 @@ class TestIdentities:
     def test_residuals_on_worked_example(self, fixed_pair):
         P, Q = fixed_pair
         res = identity_residuals(P, Q)
-        assert set(res) == {"j_from_kl", "j_from_rel_j", "j_from_js_ag", "rel_j_from_f_g"}
+        assert set(res) == {
+            "j_from_kl", "j_from_rel_j", "j_from_js_ag", "rel_j_from_f_g",
+            "psi_from_chi2", "hellinger_forms",
+        }
         for name, value in res.items():
             assert value <= 1e-12, name
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_residuals_match_direct_kernel_calls(self, pair_matrices, n):
+        """Each residual is |lhs - rhs| of the kernels called directly, bit
+        for bit."""
+        for p, q in zip(*(m[:20] for m in pair_matrices[n])):
+            jv = jeffreys(p, q)
+            direct = {
+                "j_from_kl": abs(jv - (kl(p, q) + kl(q, p))),
+                "j_from_rel_j": abs(jv - (rel_j(p, q) + rel_j(q, p))),
+                "j_from_js_ag": abs(jv - 4.0 * (jensen_shannon(p, q) + ag_mean(p, q))),
+                "rel_j_from_f_g": abs(rel_j(q, p) - 2.0 * (rel_js(p, q) + rel_ag(p, q))),
+                "psi_from_chi2": abs(sym_chi_square(p, q) - (chi_square(p, q) + chi_square(q, p))),
+                "hellinger_forms": abs(hellinger(p, q) - (1.0 - bhattacharyya(p, q))),
+            }
+            assert identity_residuals(validate(p), validate(q)) == direct
 
     def test_residuals_vanish_on_equal(self):
         d = validate([0.1, 0.2, 0.3, 0.4])

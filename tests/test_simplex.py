@@ -142,6 +142,11 @@ class TestSamplePair:
         with pytest.raises(TooShort):
             sample_pair(1, seed=0)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_matrix_n_too_small(self, n):
+        with pytest.raises(TooShort):
+            sample_pair_matrix(n, 3, seed=0)
+
     def test_bad_concentration(self):
         with pytest.raises(ValueError):
             sample_pair(2, seed=0, concentration=0.0)

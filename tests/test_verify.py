@@ -12,7 +12,7 @@ from divbound.bounds import (
     numeric_mM,
     region_grid,
 )
-from divbound.errors import ConfigInvalid, RegionViolation, SamplingExhausted
+from divbound.errors import ConfigInvalid, RegionViolation, SamplingExhausted, TooShort
 from divbound.families import omega_s, phi_s, zeta_s
 from divbound.generators import Gen, GeneratorSpec, csiszar_bulk
 from divbound.measures import triangular
@@ -266,7 +266,7 @@ def _entries_match_direct_calls(P, Q):
     rows = [(simplex.validate(p), simplex.validate(q)) for p, q in zip(P, Q)]
     for key, value in table.items():
         if key in verify._SWEEPS:
-            fids = [families.FamilyId(families.Family(key), s) for s in verify._SWEEPS[key][0]]
+            fids = [families.FamilyId(families.Family(key), s) for s in verify._SWEEPS[key]]
             direct = [[families.family_value(fid, p, q) for p, q in rows] for fid in fids]
         else:
             mid = measures.MeasureId.parse(key)
@@ -512,6 +512,32 @@ class TestBruteForce:
         with pytest.raises(ConfigInvalid):
             brute_force_mM(PSI2, PHI2, 0.5, 2.0, 1)
 
+    @pytest.mark.parametrize(
+        "r,R", [(1.0, np.inf), (np.inf, np.inf), (np.nan, 2.0), (1.0, np.nan)]
+    )
+    def test_rejects_non_finite_interval(self, r, R):
+        with pytest.raises(ValueError):
+            brute_force_mM(PSI2, PHI2, r, R, 1000)
+
+    def test_kept_grid_matches_a_fresh_one(self):
+        # a thread's workspace keeps the last interval's grid; every call,
+        # on that interval or another, equals a call in a fresh thread
+        import threading
+
+        psi = GeneratorSpec(Gen.PSI, -1.0)
+        calls = [(PSI2, PHI2, 0.3, 3.0), (psi, PHI2, 0.3, 3.0), (PSI2, PHI2, 0.3, 2.0),
+                 (GeneratorSpec(Gen.XI, 5.0), PHI2, 0.3, 2.0), (psi, PHI2, 0.3, 3.0)]
+        kept = [brute_force_mM(*call, 10_000) for call in calls]
+        fresh = []
+        for call in calls:
+            worker = threading.Thread(
+                target=lambda c=call: fresh.append(brute_force_mM(*c, 10_000))
+            )
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        assert kept == fresh
+
     def test_agrees_with_refined_scanner(self):
         rng = np.random.default_rng(2024)
         for family in (F.I, F.IV, F.VII, F.X):
@@ -677,3 +703,13 @@ class TestTightness:
     def test_rejects_non_finite_concentration(self):
         with pytest.raises(ValueError, match="concentration"):
             tightness_scan(F.II, 2.0, 1.0, trials=2, seed=1, concentration=np.inf)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_short_simplex(self, n):
+        with pytest.raises(TooShort):
+            tightness_scan(F.II, 2.0, 1.0, trials=2, seed=1, n=n)
+
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_rejects_no_shrink_levels(self, levels):
+        with pytest.raises(ConfigInvalid, match="shrink_levels"):
+            tightness_scan(F.II, 2.0, 1.0, trials=2, seed=1, shrink_levels=levels)
