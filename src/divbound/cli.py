@@ -253,7 +253,8 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, argparse.Action]:
+    """The argument parser and its ``verify --seed`` action."""
     parser = _Parser(prog="divbound", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"divbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,8 +287,8 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="run the Monte-Carlo verification harness")
     v.add_argument("--trials", type=int, default=1000)
-    # a string default is converted only if used: a bad DIVBOUND_SEED is a verify usage error
-    v.add_argument("--seed", type=int, default=os.environ.get("DIVBOUND_SEED", "0"))
+    # main sets the default from DIVBOUND_SEED on every call
+    seed = v.add_argument("--seed", type=int, default="0")
     v.add_argument("--subjects", default=None,
                    help="comma list: identities,families,corollaries,bounds-grid,all")
     v.add_argument("--n-range", default="2:10", help="simplex sizes, e.g. 2:10")
@@ -299,11 +300,25 @@ def _build_parser() -> _Parser:
     k = sub.add_parser("catalog", help="list measures, families, bounds and corollaries")
     k.add_argument("--format", default="text", **fmt)
     k.set_defaults(fn=_cmd_catalog)
-    return parser
+    return parser, seed
+
+
+#: built on the first main call and kept: building costs about 1 ms, as much
+#: as a whole small compute
+_PARSER: tuple[_Parser, argparse.Action] | None = None
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    parser, seed = _PARSER
+    # a string default is converted only if used: a bad DIVBOUND_SEED is a
+    # verify usage error.  Replacing an equal default would race with a
+    # parse in another thread, whose conversion needs the same object
+    env_seed = os.environ.get("DIVBOUND_SEED", "0")
+    if seed.default != env_seed:
+        seed.default = env_seed
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
@@ -313,7 +328,7 @@ def main(argv=None) -> int:
     except DivboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

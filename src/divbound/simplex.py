@@ -8,13 +8,15 @@ corrupt any bound certificate computed from it.  Inputs are never
 renormalized behind the caller's back; renormalization is an explicit,
 opt-in step.
 
+Distribution files hold either a JSON array of numbers or CSV with one number
+per line; :func:`parse_masses` states exactly what is accepted.
+
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -215,24 +217,82 @@ def sample_pair_matrix(
     return P, Q
 
 
-def parse_masses(text: str) -> list[float]:
-    """Parse a JSON array of numbers, or CSV with one value per line."""
+_JSON = "not a JSON array of numbers"
+_CSV = "not CSV with one number per line"
+#: whitespace that numpy's text parser skips and that str.splitlines does
+#: not split at
+_INLINE_SPACE = (" ", "\t")
+
+
+def _numbers(text: str, sep: str) -> np.ndarray | None:
+    # numpy's C parser converts each token as float() does, bit for bit;
+    # None means unmatched data.  Callers strip the text first: numpy reads
+    # whitespace alone as [-1.0], and an empty string as []
+    try:
+        return np.fromstring(text, sep=sep)
+    except ValueError:
+        return None
+
+
+def _first_bad(items, sep: str, blank_ok: bool) -> str:
+    """Where the first item that is not exactly one number is, as text."""
+    for i, item in enumerate(items, 1):
+        token = item.strip()
+        if not token and blank_ok:
+            continue
+        values = _numbers(token, sep)
+        if values is None or values.size != 1:
+            shown = token if len(token) <= 40 else token[:37] + "..."
+            return f": {'line' if blank_ok else 'item'} {i} is {shown!r}"
+    return ""
+
+
+def parse_masses(text: str) -> np.ndarray:
+    """Parse a JSON array of numbers, or CSV with one number per line.
+
+    Text whose first non-blank character is ``[`` or ``{`` is JSON: a
+    single array of numbers, compact or pretty-printed, without a trailing
+    comma.  Anything else is CSV: one number on each line, with ``\\n`` or
+    ``\\r\\n`` line ends, surrounding spaces allowed and blank lines
+    skipped.  A number is a decimal such as ``0.25``, ``-1e-3`` or ``.5``;
+    ``inf`` and ``nan`` parse here and fail validation later.  Nested
+    arrays, ``null``, ``true``, quoted strings, objects, empty items and
+    two numbers on one line raise :class:`ValueError` naming the format
+    and the first offending item or line.  Each mass is the double that
+    ``float()`` gives for its text.
+    """
     stripped = text.strip()
-    if stripped.startswith("["):
-        data = json.loads(stripped)
-        if not isinstance(data, list):
-            raise ValueError("JSON distribution file must contain an array")
-        return [float(v) for v in data]
-    values = []
-    for line in stripped.splitlines():
-        line = line.strip()
-        if line:
-            values.append(float(line))
+    if stripped[:1] in ("[", "{"):
+        if not (stripped[0] == "[" and stripped[-1] == "]"):
+            what = "a JSON object" if stripped[0] == "{" else "an unterminated array"
+            raise ValueError(f"{_JSON}: the file holds {what}")
+        body = stripped[1:-1].strip()
+        values = _numbers(body, ",")
+        # numpy skips a trailing comma and reads a blank item as -1.0
+        if values is None or body.endswith(",") or (
+            (values == -1.0).any() and not all(item.strip() for item in body.split(","))
+        ):
+            raise ValueError(_JSON + _first_bad(body.split(","), ",", blank_ok=False))
+        return values
+    values = _numbers(stripped, "\n")
+    # numpy splits at any whitespace: where a line can hold inline
+    # whitespace, one number per non-blank line rules out two on one line
+    if values is None or (
+        any(c in stripped for c in _INLINE_SPACE)
+        and values.size != sum(1 for line in stripped.splitlines() if line.strip())
+    ):
+        raise ValueError(_CSV + _first_bad(text.splitlines(), "\n", blank_ok=True))
     return values
 
 
 def load_distribution(path, *, renormalize: bool = False) -> Distribution:
-    """Read a distribution from a JSON-array or one-value-per-line CSV file."""
-    text = Path(path).read_text(encoding="utf-8")
-    raw = parse_masses(text)
+    """Read a distribution from a JSON-array or one-number-per-line CSV file.
+
+    A file that cannot be decoded or parsed raises :class:`ValueError`
+    whose message starts with ``path``.
+    """
+    try:
+        raw = parse_masses(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return normalize(raw) if renormalize else validate(raw)

@@ -7,7 +7,17 @@ import pytest
 from conftest import dense_log_extrema
 from divbound import bounds, cli
 from divbound.bounds import InequalityFamily, family_generators
-from divbound.measures import kl, rel_ag, rel_j, rel_js, triangular
+from divbound.measures import (
+    MeasureId,
+    MeasureKind,
+    evaluate,
+    kl,
+    rel_ag,
+    rel_j,
+    rel_js,
+    triangular,
+)
+from divbound.simplex import validate
 
 WORKED_P, WORKED_Q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
 
@@ -406,3 +416,113 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+
+# content of a malformed P file, and whether the loader (not validation)
+# rejects it, in which case the message names the file
+MALFORMED = {
+    "nested": ("[[0.5], [0.5]]", True),
+    "null": ("[null, 1.0]", True),
+    "strings": ('["0.5", "0.5"]', True),
+    "true": ("[true, 0.5]", True),
+    "object": ('{"a": 1}', True),
+    "trailing-comma": ("[0.5, 0.5,]", True),
+    "two-on-a-line": ("0.5 0.5\n", True),
+    "unterminated": ("[0.5, 0.5", True),
+    "empty-file": ("", False),
+    "empty-array": ("[]", False),
+    "nan": ("nan\n0.5\n", False),
+    "overflow": ("[1e400, 0.5]", False),
+    "single-number": ("1.0\n", False),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("command", ["compute", "bounds"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_error_line_exit_1(self, capsys, tmp_path, pair_files, command, case):
+        text, names_file = MALFORMED[case]
+        bad = tmp_path / f"{case}.txt"
+        bad.write_text(text)
+        _, q = pair_files
+        if command == "compute":
+            argv = ("compute", "kl", "--p", str(bad), "--q", q)
+        else:
+            argv = ("bounds", "--family", "II", "--s", "2", "--t", "1",
+                    "--p", str(bad), "--q", q)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {bad}: not ") == names_file
+
+    def test_bad_value_names_the_q_file(self, capsys, tmp_path, pair_files):
+        p, _ = pair_files
+        q = tmp_path / "q.csv"
+        q.write_text("0.25\nabc\n")
+        code, _, err = invoke(capsys, "compute", "kl", "--p", p, "--q", str(q))
+        assert code == 1
+        assert err == f"error: {q}: not CSV with one number per line: line 2 is 'abc'\n"
+
+
+class TestBenchmarkStyleFiles:
+    def test_every_layout_prints_the_oracle_value(self, capsys, tmp_path):
+        # log-normal masses written with repr, as the benchmark writes them
+        rng = np.random.default_rng(5)
+        paths, tokens = {}, {}
+        for side in ("p", "q"):
+            w = np.exp(rng.normal(0.0, 1.0, 2000))
+            tokens[side] = [repr(m) for m in (w / w.sum()).tolist()]
+            layouts = {
+                "compact.json": "[" + ",".join(tokens[side]) + "]",
+                "pretty.json": json.dumps([float(t) for t in tokens[side]], indent=2),
+                "lines.csv": "\n".join(tokens[side]) + "\n",
+            }
+            for name, text in layouts.items():
+                paths[side, name] = tmp_path / f"{side}-{name}"
+                paths[side, name].write_text(text)
+        oracle = {side: validate(np.array([float(t) for t in tokens[side]])) for side in tokens}
+        for kind in ("kl", "chi2", "hellinger"):
+            expected = repr(evaluate(MeasureId(MeasureKind(kind)), oracle["p"], oracle["q"])) + "\n"
+            for name in ("compact.json", "pretty.json", "lines.csv"):
+                code, out, err = invoke(capsys, "compute", kind, "--p", str(paths["p", name]),
+                                        "--q", str(paths["q", name]))
+                assert (code, out, err) == (0, expected, "")
+
+
+class TestParserCache:
+    def test_each_call_reads_divbound_seed(self, capsys, monkeypatch):
+        for value in ("11", "12"):
+            monkeypatch.setenv("DIVBOUND_SEED", value)
+            _, out, _ = invoke(capsys, "verify", "--trials", "5", "--subjects", "identities")
+            assert json.loads(out)["seed"] == int(value)
+        monkeypatch.delenv("DIVBOUND_SEED")
+        _, out, _ = invoke(capsys, "verify", "--trials", "5", "--subjects", "identities")
+        assert json.loads(out)["seed"] == 0
+
+    def test_version_then_compute(self, capsys, pair_files):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("divbound ")
+        p, q = pair_files
+        code, out, _ = invoke(capsys, "compute", "chi2", "--p", p, "--q", q)
+        assert code == 0 and out == "0.3333333333333333\n"
+
+    def test_built_once_per_process(self, capsys, monkeypatch, pair_files):
+        builds = []
+        build = cli._build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        p, q = pair_files
+        invoke(capsys, "compute", "chi2", "--p", p, "--q", q)
+        invoke(capsys, "catalog")
+        with pytest.raises(SystemExit):
+            cli.main(["frobnicate"])
+        invoke(capsys, "compute", "kl", "--p", p, "--q", q)
+        assert len(builds) == 1

@@ -216,3 +216,131 @@ class TestDistributionFiles:
         f.write_text("0.5\nnot-a-number\n")
         with pytest.raises(ValueError):
             load_distribution(f)
+
+    def test_parse_returns_float64_array(self):
+        for text in ("[0.25, 0.75]", "0.25\n0.75\n"):
+            a = parse_masses(text)
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64
+            np.testing.assert_array_equal(a, [0.25, 0.75])
+
+    @pytest.mark.parametrize("text", [
+        "[\n  0.25,\n  0.75\n]\n",          # pretty-printed JSON
+        "[\r\n  0.25,\r\n  0.75\r\n]\r\n",  # ... with \r\n line ends
+        "0.25\r\n0.75\r\n",
+        "\n\n0.25\n\n\n0.75\n\n",            # blank lines are skipped
+        "  0.25  \n\t0.75\n",                 # surrounding whitespace on a line
+        "0.25\n0.75",                         # no trailing newline
+    ])
+    def test_accepted_layouts(self, text):
+        np.testing.assert_array_equal(parse_masses(text), [0.25, 0.75])
+
+    @pytest.mark.parametrize("text, fmt, where", [
+        ("[[0.5], [0.5]]", "JSON", "item 1 is '[0.5]'"),
+        ("[null, 1.0]", "JSON", "item 1 is 'null'"),
+        ('["0.5", "0.5"]', "JSON", "item 1 is '\"0.5\"'"),
+        ("[0.5, true]", "JSON", "item 2 is 'true'"),
+        ("[0.5, 0.5,]", "JSON", "item 3 is ''"),
+        ("[0.5, , 0.5]", "JSON", "item 2 is ''"),  # numpy alone reads -1.0 here
+        ("[0.5 0.5]", "JSON", "item 1 is '0.5 0.5'"),
+        ("[0.5, 0.5", "JSON", "unterminated array"),
+        ('{"a": 1}', "JSON", "JSON object"),
+        ("0.5\n\n0.5 0.5\n", "CSV", "line 3 is '0.5 0.5'"),
+        ("0.5 0.5\n\n0.5\n", "CSV", "line 1 is '0.5 0.5'"),
+        ("0.5,\n0.5\n", "CSV", "line 1 is '0.5,'"),
+        ("0.5\nnot-a-number\n", "CSV", "line 2 is 'not-a-number'"),
+    ])
+    def test_malformed_names_file_format_and_place(self, tmp_path, text, fmt, where):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_distribution(f)
+        message = str(exc.value)
+        assert message.startswith(f"{f}: not ")
+        assert fmt in message and where in message
+
+    def test_long_offending_line_is_shortened(self):
+        with pytest.raises(ValueError, match=r"line 1 is '0\.5,0\.5.*\.\.\.'$"):
+            parse_masses(",".join(["0.5"] * 1000) + "\n")
+
+    def test_undecodable_file_names_the_file(self, tmp_path):
+        f = tmp_path / "bin.csv"
+        f.write_bytes(b"\xff\xfe0.5\n")
+        with pytest.raises(ValueError, match=f"^{f}: 'utf-8' codec"):
+            load_distribution(f)
+
+    @pytest.mark.parametrize("text, error", [
+        ("", TooShort), ("[]", TooShort), ("[ \n ]", TooShort), (" \n\t\n", TooShort),
+        ("0.5", TooShort), ("nan\n0.5\n", NonPositiveMass), ("[1e400, 0.5]", NotNormalized),
+    ])
+    def test_empty_single_and_non_finite_fail_validation(self, tmp_path, text, error):
+        # numpy reads blank text as [-1.0]; the loader must not
+        f = tmp_path / "f.txt"
+        f.write_text(text)
+        with pytest.raises(error):
+            load_distribution(f)
+
+
+def _layouts(masses, crlf, blank_after, trailing_newline):
+    """The three file layouts of ``masses`` and the tokens each one holds."""
+    tokens = [repr(m) for m in masses]
+    nl = "\r\n" if crlf else "\n"
+    compact = "[" + ",".join(tokens) + "]"
+    pretty = "[" + nl + ("," + nl).join("    " + t for t in tokens) + nl + "]" + nl
+    lines = []
+    for i, t in enumerate(tokens):
+        lines.append(t)
+        lines.extend([""] * blank_after.get(i, 0))
+    csv = nl.join(lines) + (nl if trailing_newline else "")
+    return tokens, (compact, pretty, csv)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestLoaderProperties:
+    """Every layout loads the doubles that ``float()`` gives for its tokens."""
+
+    def _strategy(self, st, masses):
+        return st.tuples(
+            masses,
+            st.booleans(),
+            st.dictionaries(st.integers(0, 40), st.integers(1, 3), max_size=4),
+            st.booleans(),
+        )
+
+    def test_parse_is_bit_identical_to_float(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        # positive doubles over the whole range, subnormals included
+        doubles = st.floats(min_value=5e-324, allow_infinity=False, allow_nan=False)
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(self._strategy(st, st.lists(doubles, min_size=1, max_size=40)))
+        def check(case):
+            tokens, texts = _layouts(*case)
+            oracle = np.array([float(tok) for tok in tokens])
+            for text in texts:
+                assert _bits(parse_masses(text)) == _bits(oracle)
+
+        check()
+
+    def test_load_is_bit_identical_to_float(self, tmp_path_factory):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        weights = st.lists(st.floats(1e-4, 1e4), min_size=2, max_size=40)
+        masses = weights.map(lambda w: (np.asarray(w) / np.sum(w)).tolist())
+        folder = tmp_path_factory.mktemp("layouts")
+
+        @hyp.settings(max_examples=150, deadline=None)
+        @hyp.given(self._strategy(st, masses))
+        def check(case):
+            tokens, texts = _layouts(*case)
+            oracle = np.array([float(tok) for tok in tokens])
+            hyp.assume(abs(oracle.sum() - 1.0) <= 1e-9)
+            for i, text in enumerate(texts):
+                f = folder / f"m{i}.txt"
+                f.write_bytes(text.encode())  # keep \r\n as written
+                assert _bits(load_distribution(f).masses) == _bits(oracle)
+
+        check()
