@@ -303,8 +303,9 @@ def _build_parser() -> tuple[_Parser, argparse.Action]:
     return parser, seed
 
 
-#: built on the first main call and kept: building costs about 1 ms, as much
-#: as a whole small compute
+#: built on the first main call and kept for later calls in the same process,
+#: which only in-process callers such as benchmark/worker.py make: building
+#: costs about 1 ms, as much as a whole small compute
 _PARSER: tuple[_Parser, argparse.Action] | None = None
 
 
@@ -314,11 +315,8 @@ def main(argv=None) -> int:
         _PARSER = _build_parser()
     parser, seed = _PARSER
     # a string default is converted only if used: a bad DIVBOUND_SEED is a
-    # verify usage error.  Replacing an equal default would race with a
-    # parse in another thread, whose conversion needs the same object
-    env_seed = os.environ.get("DIVBOUND_SEED", "0")
-    if seed.default != env_seed:
-        seed.default = env_seed
+    # verify usage error
+    seed.default = os.environ.get("DIVBOUND_SEED", "0")
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

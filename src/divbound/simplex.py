@@ -17,6 +17,7 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,13 +225,39 @@ _CSV = "not CSV with one number per line"
 _INLINE_SPACE = (" ", "\t")
 
 
+def _unmatched_data_raises() -> bool:
+    """Whether ``np.fromstring`` raises ValueError on unmatched data.
+
+    Older numpy releases only emit a DeprecationWarning there, which Python
+    hides by default, and return the values read before the unmatched data.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            np.fromstring("1,x", sep=",")
+        except ValueError:
+            return True
+    return False
+
+
+_UNMATCHED_RAISES = _unmatched_data_raises()
+
+
 def _numbers(text: str, sep: str) -> np.ndarray | None:
     # numpy's C parser converts each token as float() does, bit for bit;
-    # None means unmatched data.  Callers strip the text first: numpy reads
-    # whitespace alone as [-1.0], and an empty string as []
+    # None means unmatched data.  Where numpy only warns about it, the
+    # warning is made an error for the call, so a file is never cut short
+    # (warnings filters are process-wide, so on such numpy concurrent loads
+    # from several threads are not safe).
+    # Callers strip the text first: numpy reads whitespace alone as [-1.0],
+    # and an empty string as []
     try:
-        return np.fromstring(text, sep=sep)
-    except ValueError:
+        if _UNMATCHED_RAISES:
+            return np.fromstring(text, sep=sep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.fromstring(text, sep=sep)
+    except (ValueError, DeprecationWarning):
         return None
 
 

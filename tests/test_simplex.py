@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from divbound import simplex
 from divbound.errors import (
     LengthMismatch,
     NonPositiveMass,
@@ -278,6 +280,32 @@ class TestDistributionFiles:
         f.write_text(text)
         with pytest.raises(error):
             load_distribution(f)
+
+    @pytest.mark.parametrize("text", ["[0.5, 0.5, junk]", "0.5\n0.5\nabc\n"])
+    def test_numpy_that_only_warns_on_unmatched_data(self, tmp_path, monkeypatch, text):
+        # older numpy warns (hidden by default) and returns what it read
+        # before the unmatched data; the file must still be refused
+        def fromstring(text, sep):
+            values = []
+            for token in text.split(sep):
+                try:
+                    values.append(float(token))
+                except ValueError:
+                    warnings.warn("string or file could not be read to its end "
+                                  "due to unmatched data", DeprecationWarning)
+                    break
+            return np.array(values)
+
+        monkeypatch.setattr(simplex.np, "fromstring", fromstring)
+        assert not simplex._unmatched_data_raises()
+        monkeypatch.setattr(simplex, "_UNMATCHED_RAISES", False)
+        f = tmp_path / "cut.txt"
+        f.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with pytest.raises(ValueError, match=f"^{f}: not .* is '(junk|abc)'$"):
+                load_distribution(f)
+        assert list(parse_masses("[0.25, 0.75]")) == [0.25, 0.75]
 
 
 def _layouts(masses, crlf, blank_after, trailing_newline):
