@@ -9,8 +9,11 @@ give the sandwich  m C_f2(P||Q) <= C_f1(P||Q) <= M C_f2(P||Q)  for every
 pair whose mass ratios lie in [r, R] (convexity of f1 - m f2 and of
 M f2 - f1 plus nonnegativity of normalized convex f-divergences).
 
-The sharp constants m = inf g and M = sup g over [r, R] are enclosed from
-outside, m <= inf g and M >= sup g (sound, not sharp), in two ways:
+The best constants this argument gives are m = inf g and M = sup g over
+[r, R].  They are sound for every such pair but not the sharp sandwich
+constants: the extrema of C_f1 / C_f2 over those pairs can lie strictly
+inside [m, M].  They are enclosed from outside, m <= inf g and M >= sup g,
+in two ways:
 
 * :func:`numeric_mM` - an outward enclosure by cell proofs on ln|g|
   (:class:`_Ratio`); works for any generator pair with positive
@@ -108,6 +111,9 @@ class FamilyDef:
     den_gen: Gen
     label: str
     branches: tuple[Branch, ...]
+    #: the catalog's endpoint constant as printed, misprints included:
+    #: ``printed(s, t, e, R)`` at the end e of [r, R]
+    printed: Callable[[float, float, float, float], float]
 
 
 def _in04(s: float) -> bool:
@@ -123,6 +129,7 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
             Branch("32", True, lambda s, t: s + t <= 1 and t <= -1, "s + t ≤ 1, t ≤ −1"),
             Branch("33", False, lambda s, t: s + t >= 1 and t >= -1, "s + t ≥ 1, t ≥ −1"),
         ),
+        lambda s, t, e, R: ((e + 1.0) / (2.0 * e)) ** (s - 2.0) / (4.0 * e ** (t + 1.0)),
     ),
     InequalityFamily.II: FamilyDef(
         Gen.UPSILON,
@@ -132,6 +139,7 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
             Branch("34", True, lambda s, t: s >= t and t <= 2, "s ≥ t, t ≤ 2"),
             Branch("35", False, lambda s, t: s <= t and t >= 2, "s ≤ t, t ≥ 2"),
         ),
+        lambda s, t, e, R: ((e + 1.0) / 2.0) ** (s - 2.0) / (4.0 * e ** (t - 2.0)),
     ),
     InequalityFamily.III: FamilyDef(
         Gen.XI,
@@ -150,6 +158,9 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
                 lambda s, t: _in04(s) and t >= 2 and s <= t + 1,
                 "0 ≤ s ≤ 4, t ≥ 2, s ≤ t + 1",
             ),
+        ),
+        lambda s, t, e, R: (
+            ((e + 1.0) / 2.0) ** (s - 3.0) * (s * e + 4.0 - s) / (4.0 * e ** (t - 2.0))
         ),
     ),
     InequalityFamily.IV: FamilyDef(
@@ -170,6 +181,9 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
                 "0 ≤ s ≤ 4, t ≥ −1, s + t ≥ 2",
             ),
         ),
+        lambda s, t, e, R: (
+            ((e + 1.0) / (2.0 * e)) ** (s - 3.0) * ((4.0 - s) * e + s) / (4.0 * e ** (t + 2.0))
+        ),
     ),
     InequalityFamily.V: FamilyDef(
         Gen.UPSILON,
@@ -179,6 +193,7 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
             Branch("40", True, lambda s, t: s >= -1 and t >= -1, "s ≥ −1, t ≥ −1"),
             Branch("41", False, lambda s, t: s <= -1 and t <= -1, "s ≤ −1, t ≤ −1"),
         ),
+        lambda s, t, e, R: e ** (t + 1.0) * ((e + 1.0) / 2.0) ** (s - t),
     ),
     InequalityFamily.VI: FamilyDef(
         Gen.XI,
@@ -191,6 +206,9 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
                 lambda s, t: _in04(s) and t >= -1,
                 "0 ≤ s ≤ 4, t ≥ −1",
             ),
+        ),
+        lambda s, t, e, R: (
+            e ** (t + 1.0) * ((e + 1.0) / 2.0) ** (s - t - 1.0) * (s * e + 4.0 - s)
         ),
     ),
     InequalityFamily.VII: FamilyDef(
@@ -211,6 +229,9 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
                 "0 ≤ s ≤ 4, t ≤ s, t(4 − s) ≤ 6s − s² − 4",
             ),
         ),
+        lambda s, t, e, R: (
+            ((e + 1.0) / (2.0 * e)) ** (s - t - 1.0) * ((4.0 - s) * e + s) / e
+        ),
     ),
     InequalityFamily.VIII: FamilyDef(
         Gen.XI,
@@ -230,6 +251,7 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
                 "0 ≤ s ≤ 4, s ≤ t, s(t − s + 6) ≤ 4(1 + t)",
             ),
         ),
+        lambda s, t, e, R: ((e + 1.0) / 2.0) ** (s - t - 1.0) * (s * e + 4.0 - s),
     ),
     InequalityFamily.IX: FamilyDef(
         Gen.VARSIGMA,
@@ -243,6 +265,11 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
                 "0 ≤ s ≤ 4, t ≥ −1",
             ),
         ),
+        # misprint: (47) repeats (4 - s) R + s at both ends where the endpoint
+        # value has (4 - s) e + s, so its upper constant (at e = r) is wrong
+        lambda s, t, e, R: (
+            ((e + 1.0) / 2.0) ** (s - t - 1.0) * ((4.0 - s) * R + s) / e ** (s + 1.0)
+        ),
     ),
     InequalityFamily.X: FamilyDef(
         Gen.VARSIGMA,
@@ -255,6 +282,11 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
                 lambda s, t: 2 <= s <= 4 and 2 <= t <= 4,
                 "2 ≤ s ≤ 4, 2 ≤ t ≤ 4",
             ),
+        ),
+        lambda s, t, e, R: (
+            ((e + 1.0) / 2.0) ** (s - t)
+            * ((4.0 - s) * e + s)
+            / (e ** (s + 1.0) * (t * e + 4.0 - t))
         ),
     ),
 }
@@ -728,41 +760,14 @@ class _Ratio:
 # --------------------------------------------------------------------------
 # cataloged endpoint formulas
 
-# Generic per-family endpoint coefficient, transcribed literally from the
-# catalog text.  Families IX and X are handled separately: X's printed
-# bounds mix both endpoints in one expression, and IX's printed upper
-# coefficient repeats (4-s)R + s where the endpoint value has (4-s)r + s.
-
-
-def _printed_coef(family: InequalityFamily, s: float, t: float, e: float) -> float:
-    if family is InequalityFamily.I:
-        return ((e + 1.0) / (2.0 * e)) ** (s - 2.0) / (4.0 * e ** (t + 1.0))
-    if family is InequalityFamily.II:
-        return ((e + 1.0) / 2.0) ** (s - 2.0) / (4.0 * e ** (t - 2.0))
-    if family is InequalityFamily.III:
-        return ((e + 1.0) / 2.0) ** (s - 3.0) * (s * e + 4.0 - s) / (4.0 * e ** (t - 2.0))
-    if family is InequalityFamily.IV:
-        return (
-            ((e + 1.0) / (2.0 * e)) ** (s - 3.0)
-            * ((4.0 - s) * e + s)
-            / (4.0 * e ** (t + 2.0))
-        )
-    if family is InequalityFamily.V:
-        return e ** (t + 1.0) * ((e + 1.0) / 2.0) ** (s - t)
-    if family is InequalityFamily.VI:
-        return e ** (t + 1.0) * ((e + 1.0) / 2.0) ** (s - t - 1.0) * (s * e + 4.0 - s)
-    if family is InequalityFamily.VII:
-        return ((e + 1.0) / (2.0 * e)) ** (s - t - 1.0) * ((4.0 - s) * e + s) / e
-    if family is InequalityFamily.VIII:
-        return ((e + 1.0) / 2.0) ** (s - t - 1.0) * (s * e + 4.0 - s)
-    raise KeyError(family)
-
 
 def printed_mM(
     family: InequalityFamily, s: float, t: float, r: float, R: float
 ) -> Optional[tuple[float, float]]:
     """The catalog's endpoint constants exactly as printed, or None when
-    (s, t) lies outside every region.  Misprints are reproduced verbatim;
+    (s, t) lies outside every region: the family's ``printed`` constant at
+    the ends of [r, R], in its active branch's order.  Misprints are
+    reproduced verbatim;
     this is the adjudication target for the erratum fixtures, not the
     engine's source of truth.  Evaluated in Python floats, the text may
     raise an :class:`ArithmeticError` (``OverflowError``,
@@ -770,25 +775,9 @@ def printed_mM(
     br = active_branch(family, s, t)
     if br is None:
         return None
-    if family is InequalityFamily.IX:
-        coef = (4.0 - s) * R + s
-        m = ((R + 1.0) / 2.0) ** (s - t - 1.0) * coef / R ** (s + 1.0)
-        M = ((r + 1.0) / 2.0) ** (s - t - 1.0) * coef / r ** (s + 1.0)
-        return m, M
-    if family is InequalityFamily.X:
-        m = (
-            ((R + 1.0) / 2.0) ** (s - t)
-            * ((4.0 - s) * R + s)
-            / (R ** (s + 1.0) * (t * R + 4.0 - t))
-        )
-        M = (
-            ((r + 1.0) / 2.0) ** (s - t)
-            * ((4.0 - s) * r + s)
-            / (r ** (s + 1.0) * (t * r + 4.0 - t))
-        )
-        return m, M
+    printed = FAMILY_DEFS[family].printed
     lo, hi = (r, R) if br.increasing else (R, r)
-    return _printed_coef(family, s, t, lo), _printed_coef(family, s, t, hi)
+    return printed(s, t, lo, R), printed(s, t, hi, R)
 
 
 # --------------------------------------------------------------------------

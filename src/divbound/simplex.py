@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DivboundError,
     LengthMismatch,
     NonPositiveMass,
     NotNormalized,
@@ -193,12 +194,7 @@ def sample_pair(
 
 
 def sample_pair_matrix(
-    n: int,
-    count: int,
-    seed: int,
-    concentration: float = 1.0,
-    *,
-    eps_mass: float = EPS_MASS,
+    n: int, count: int, seed: int, concentration: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` pairs as two (count, n) matrices.
 
@@ -213,8 +209,8 @@ def sample_pair_matrix(
     alpha = np.full(n, concentration)
     for i in range(count):
         rng = np.random.default_rng([seed, i])
-        P[i] = _draw(rng, alpha, eps_mass, MAX_REJECTIONS)
-        Q[i] = _draw(rng, alpha, eps_mass, MAX_REJECTIONS)
+        P[i] = _draw(rng, alpha, EPS_MASS, MAX_REJECTIONS)
+        Q[i] = _draw(rng, alpha, EPS_MASS, MAX_REJECTIONS)
     return P, Q
 
 
@@ -315,11 +311,17 @@ def parse_masses(text: str) -> np.ndarray:
 def load_distribution(path, *, renormalize: bool = False) -> Distribution:
     """Read a distribution from a JSON-array or one-number-per-line CSV file.
 
-    A file that cannot be decoded or parsed raises :class:`ValueError`
-    whose message starts with ``path``.
+    A file that cannot be decoded or parsed raises :class:`ValueError`, and
+    one whose masses fail validation raises the :func:`validate` error; the
+    message starts with ``path`` either way.
     """
     try:
         raw = parse_masses(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return normalize(raw) if renormalize else validate(raw)
+    try:
+        return normalize(raw) if renormalize else validate(raw)
+    except DivboundError as exc:
+        # same error, class and fields kept; only the message gains the path
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -631,6 +631,23 @@ class TestPrintedText:
     def test_none_outside_regions(self):
         assert printed_mM(F.X, 0.0, 0.0, 0.5, 2.0) is None
 
+    @pytest.mark.parametrize("family, s, t, expected", [
+        (F.I, 2.0, 0.5, (0.05635005735649856, 1.5214515486254616)),
+        (F.II, 2.0, 1.0, (0.075, 0.675)),
+        (F.III, 3.0, 1.0, (0.14250000000000002, 6.142500000000001)),
+        (F.IV, 1.0, -1.0, (0.33727810650887563, 1.794740686632579)),
+        (F.V, 0.0, 1.0, (0.13846153846153844, 3.9405405405405403)),
+        (F.VI, 1.0, 0.0, (0.9899999999999999, 15.390000000000002)),
+        (F.VII, 1.0, 1.0, (2.9230769230769225, 4.91891891891892)),
+        (F.VIII, 1.0, 2.0, (1.6654492330168005, 7.810650887573963)),
+        (F.IX, 1.0, 0.0, (1.2482853223593964, 101.11111111111113)),  # misprinted M
+        (F.X, 3.0, 2.5, (0.01768282767836357, 145.98326787042643)),
+    ])
+    def test_pinned_bit_for_bit(self, family, s, t, expected):
+        # a drift below the errata tolerance would go unseen by the errata
+        # checks, so the printed text is pinned exactly on [0.3, 2.7]
+        assert printed_mM(family, s, t, 0.3, 2.7) == expected
+
 
 class TestSandwich:
     def test_worked_example_family_II(self, fixed_pair):

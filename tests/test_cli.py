@@ -418,8 +418,8 @@ class TestExitCodes:
         assert exc.value.code == 0
 
 
-# content of a malformed P file, and whether the loader (not validation)
-# rejects it, in which case the message names the file
+# content of a malformed P file, and whether the parser (not validation)
+# rejects it, in which case the message names the format after the file
 MALFORMED = {
     "nested": ("[[0.5], [0.5]]", True),
     "null": ("[null, 1.0]", True),
@@ -441,7 +441,7 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("command", ["compute", "bounds"])
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_one_error_line_exit_1(self, capsys, tmp_path, pair_files, command, case):
-        text, names_file = MALFORMED[case]
+        text, parse_error = MALFORMED[case]
         bad = tmp_path / f"{case}.txt"
         bad.write_text(text)
         _, q = pair_files
@@ -454,7 +454,8 @@ class TestMalformedFiles:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err
-        assert err.startswith(f"error: {bad}: not ") == names_file
+        assert err.startswith(f"error: {bad}: ")
+        assert err.startswith(f"error: {bad}: not ") == parse_error
 
     def test_bad_value_names_the_q_file(self, capsys, tmp_path, pair_files):
         p, _ = pair_files
@@ -463,6 +464,14 @@ class TestMalformedFiles:
         code, _, err = invoke(capsys, "compute", "kl", "--p", p, "--q", str(q))
         assert code == 1
         assert err == f"error: {q}: not CSV with one number per line: line 2 is 'abc'\n"
+
+    def test_invalid_masses_name_the_q_file(self, capsys, tmp_path, pair_files):
+        p, _ = pair_files
+        q = tmp_path / "q.json"
+        q.write_text("[0.7, 0.7]")
+        code, out, err = invoke(capsys, "compute", "kl", "--p", p, "--q", str(q))
+        assert (code, out) == (1, "")
+        assert err == f"error: {q}: masses sum to 1.4, deviating from 1 by more than 1e-09\n"
 
 
 class TestBenchmarkStyleFiles:

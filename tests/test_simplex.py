@@ -278,8 +278,11 @@ class TestDistributionFiles:
         # numpy reads blank text as [-1.0]; the loader must not
         f = tmp_path / "f.txt"
         f.write_text(text)
-        with pytest.raises(error):
+        with pytest.raises(error) as exc:
             load_distribution(f)
+        assert str(exc.value).startswith(f"{f}: ")
+        if error is NonPositiveMass:
+            assert (exc.value.index, exc.value.threshold) == (0, simplex.EPS_MASS)
 
     @pytest.mark.parametrize("text", ["[0.5, 0.5, junk]", "0.5\n0.5\nabc\n"])
     def test_numpy_that_only_warns_on_unmatched_data(self, tmp_path, monkeypatch, text):
