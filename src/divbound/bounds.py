@@ -15,8 +15,9 @@ constants: the extrema of C_f1 / C_f2 over those pairs can lie strictly
 inside [m, M].  They are enclosed from outside, m <= inf g and M >= sup g,
 in two ways:
 
-* :func:`numeric_mM` - an outward enclosure by cell proofs on ln|g|
-  (:class:`_Ratio`); works for any generator pair with positive
+* :func:`numeric_mM` - an outward enclosure of ln|g| at r, R and the
+  roots where g' changes sign, which are the roots of a cubic decided
+  exactly (:class:`_Ratio`); works for any generator pair with positive
   denominator curvature, monotone or not, and returns m <= inf g and
   M >= sup g.
 
@@ -55,8 +56,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .errors import (
@@ -65,7 +68,7 @@ from .errors import (
     NonPositiveArgument,
     RegionViolation,
 )
-from .generators import Gen, GeneratorSpec, log_d2
+from .generators import D2_FORMS, Gen, GeneratorSpec, log_d2
 from .generators import csiszar
 from .simplex import Distribution, ratio_bounds
 
@@ -381,88 +384,140 @@ def numeric_mM(
 ) -> tuple[float, float]:
     """inf and sup of the curvature ratio over [r, R], enclosed from outside.
 
-    Works on ln|g| by cell proofs (:class:`_Ratio`): a ratio proven
-    monotone costs its two endpoint values, and only cells that may hold
-    an interior extremum are refined, until each extremum is enclosed to
-    about 1e-13 relative.  The result is padded outward by the rounding
-    allowance of the evaluations, so ``m <= inf g`` and ``M >= sup g``;
-    for r == R they are the value at r padded both ways.  Curvatures
-    beyond the double range are fine as long as the extrema are not.
-    Raises :class:`DegenerateDenominator` when the denominator curvature is
-    not positive on [r, R] and :class:`NonFiniteValue` when an extremum
-    overflows double precision or a non-zero one underflows it.
+    The extrema of g lie at r, R and the roots where its cubic N changes
+    sign (:class:`_Ratio`), so ln|g| is evaluated only at r, R, the zero of
+    g and the ends of a bracket a few ulps wide around each such root.
+    Padded outward by the rounding allowance of the evaluations, the result
+    holds ``m <= inf g`` and ``M >= sup g``; for r == R it is the value at r
+    padded both ways.  Curvatures beyond the double range are fine as long
+    as the extrema are not.  Raises :class:`DegenerateDenominator` when the
+    denominator curvature is not positive on [r, R] and
+    :class:`NonFiniteValue` when an extremum overflows double precision or
+    a non-zero one underflows it.
     """
-    return _enclosure(_Ratio(num, den, r, R))
-
-
-def _enclosure(ratio: _Ratio) -> tuple[float, float]:
-    """:func:`numeric_mM` of a ratio already built."""
-    m, M, _ = ratio.extrema()
-    if not (math.isfinite(m) and math.isfinite(M)):
-        raise _non_finite(ratio.num, ratio.den, ratio.lo, ratio.hi,
-                          f"has non-finite extrema m = {m!r}, M = {M!r}")
-    return m, M
+    return _Ratio(num, den, r, R).extrema()[:2]
 
 
 # --------------------------------------------------------------------------
-# cell proofs on ln|g|
+# the curvature ratio and its cubic
 
-#: rounding allowance per unit of term magnitude, in ln|g| and in its slope
+#: rounding allowance per unit of term magnitude in ln|g|
 _ERR = 8.0 * sys.float_info.epsilon
-#: target width of the enclosure of an extremum of ln|g| (relative in g)
-_TOL = 1e-13
 #: ln of the least normal double
 _LOG_TINY = math.log(sys.float_info.min)
-#: refinements one enclosure may spend before it settles for its bounds
-_MAX_SPLITS = 400
-#: bisections the monotonicity proof may spend before it gives up
-_MAX_PROOF_SPLITS = 64
+#: error of the float filter per unit of magnitude form: a value it decides
+#: takes at most 12 rounded steps (gamma_12 < 6.1 eps), and the magnitude
+#: form rounds too.  It runs only on doubles s, t, x that are 0 or within
+#: [1e-30, 1e30] in magnitude, so no step leaves the normal range.
+_FILTER = 16.0 * sys.float_info.epsilon
 
 
-def _mean_value(fa: float, fb: float, lo: float, hi: float, h: float) -> tuple[float, float]:
-    """(upper, lower) bound of f on a cell of width h from its end values and
-    lo <= f' <= hi: f lies below both lines fa + hi t and fb - lo (h - t)
-    and above fa + lo t and fb - hi (h - t).  Each pair of lines crosses
-    inside the cell; the crossing is the bound unless f is monotone there,
-    when the end values are."""
-    dd = hi - lo
-    if not dd > 0.0:
-        return max(fa, fb), min(fa, fb)
-    up = fa + hi * min(max((fb - fa - lo * h) / dd, 0.0), h)
-    low = fa + lo * min(max((fa - fb + hi * h) / dd, 0.0), h)
-    return max(fa, fb, up), min(fa, fb, low)
+def _filterable(v) -> bool:
+    return isinstance(v, float) and (v == 0.0 or 1e-30 <= abs(v) <= 1e30)
 
 
-class _Pt:
-    """ln|g| at one point: ``y = ln x``, ``l1 = ln(1+x)``, value ``L`` with
-    rounding allowance ``e``, the sign ``s`` of g (0 at a zero of g), the
-    terms ``lv``, ``lw`` of the linear factors, the slope ``D`` with its
-    Moebius terms ``bm``, ``t1``, ``t2`` and their allowance ``dp``, and the
-    slope's own slope terms x/(1+x)^2, t1(1-t1), t2(1-t2) with allowance
-    ``kp``."""
+def _coefficients(num: GeneratorSpec, den: GeneratorSpec, s, t, one=1, f=int) -> tuple:
+    """(c0, c1, c2, c3) of N(x) = sum c_k x^k at (s, t) from the unfolded
+    :data:`D2_FORMS`, in the arithmetic of s, t and ``one``; with f = abs,
+    on |s| and |t|, their magnitude forms.  A + B enters only as a
+    difference of alpha + beta forms, so a coefficient that vanishes for
+    every (s, t) comes out exactly 0."""
 
-    __slots__ = ("x", "y", "l1", "L", "e", "s", "lv", "lw", "bm", "t1", "t2", "dp", "D",
-                 "hb", "h1", "h2", "kp")
+    def terms(gen: Gen, v) -> tuple:
+        (a0, a1), (b0, b1), _, (p0, p1), (q0, q1) = D2_FORMS[gen]
+        return (f(a0) * one + f(a1) * v, f(a0 + b0) * one + f(a1 + b1) * v,
+                f(p0) * one + f(p1) * v, f(q0) * one + f(q1) * v)
+
+    (a1, ab1, p1, q1), (a2, ab2, p2, q2) = terms(num.gen, s), terms(den.gen, t)
+    sign = f(-1)
+    A, AB = a1 + sign * a2, ab1 + sign * ab2
+    u, w = p1 * q2 + p2 * q1, p1 * q2 + sign * (p2 * q1)
+    qq, pp = q1 * q2, p1 * p2
+    return A * qq, A * u + AB * qq + w * one, A * pp + AB * u + w * one, AB * pp
+
+
+def _decide(vals, mags) -> Optional[list[int]]:
+    """Signs of float values within ``_FILTER`` times their magnitude forms
+    of the exact ones, or None when one lies too close to 0 to tell."""
+    signs = []
+    for v, m in zip(vals, mags):
+        if abs(v) <= _FILTER * m and m:
+            return None
+        signs.append((v > 0.0) - (v < 0.0))
+    return signs
+
+
+def _exact(num: GeneratorSpec, den: GeneratorSpec) -> tuple:
+    """N's coefficients times E^3, E = the product of the denominators of s
+    and t, in integers: exact, with the signs and roots of N's."""
+    (S, ds), (T, dt) = num.s.as_integer_ratio(), den.s.as_integer_ratio()
+    return _coefficients(num, den, S * dt, T * ds, ds * dt)
+
+
+@lru_cache(maxsize=4096)
+def _cubic(num: GeneratorSpec, den: GeneratorSpec) -> tuple:
+    """N's float coefficients at (num.s, den.s), their magnitude forms
+    (None where the filter may not run), and the sign of N on all of
+    (0, inf) where Descartes' rule on the coefficients rules out a positive
+    root (+1 for N = 0), else 0."""
+    s, t = num.s, den.s
+    c, cm = _coefficients(num, den, s, t, 1.0), _coefficients(num, den, abs(s), abs(t), 1.0, abs)
+    if not (_filterable(s) and _filterable(t)):
+        cm = None
+    signs = cm and _decide(c, cm) or [(v > 0) - (v < 0) for v in _exact(num, den)]
+    return c, cm, 0 if _turns(signs) else next((v for v in signs if v), 1)
+
+
+def _moebius(c, a, b) -> tuple:
+    """Coefficients of N((a + b y) / (1 + y)) (1 + y)^3, whose roots y > 0
+    are the roots of N in (a, b): the first is N(a), the last N(b)."""
+    c0, c1, c2, c3 = c
+    aa, ab, bb = a * a, a * b, b * b
+    return (c0 + c1 * a + c2 * aa + c3 * (aa * a),
+            3 * c0 + c1 * (a + a + b) + c2 * (aa + ab + ab) + 3 * c3 * (aa * b),
+            3 * c0 + c1 * (a + b + b) + c2 * (ab + ab + bb) + 3 * c3 * (a * bb),
+            c0 + c1 * b + c2 * bb + c3 * (bb * b))
+
+
+def _horner(c, x) -> tuple:
+    return (((c[3] * x + c[2]) * x + c[1]) * x + c[0],)
+
+
+def _discriminant(c) -> int:
+    """Of the cubic sum c_k x^k (c2^2 times that of the quadratic when
+    c3 = 0): positive for three distinct real roots, 0 for a multiple one."""
+    c0, c1, c2, c3 = c
+    return (18 * c3 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 ** 2 * c1 ** 2
+            - 4 * c3 * c1 ** 3 - 27 * c3 ** 2 * c0 ** 2)
+
+
+def _turns(signs) -> int:
+    """Sign changes along a sequence, zeros skipped."""
+    nz = [v for v in signs if v]
+    return sum(u != v for u, v in zip(nz, nz[1:]))
+
+
+#: ln|g| at x: ``y = ln x``, ``l1 = ln(1+x)``, value ``L`` with rounding
+#: allowance ``e``, the sign ``s`` of g (0 at a zero of g) and the terms
+#: ``lv``, ``lw`` of the linear factors
+_Pt = namedtuple("_Pt", "x y l1 L e s lv lw")
 
 
 class _Ratio:
-    """ln|g| of g = f1''/f2'' on [lo, hi], from the :func:`log_d2` records:
-
-        ln|g| = A ln x + B ln(1+x) + ln|p1 x + q1| - ln(p2 x + q2) + C.
-
-    In y = ln x its slope is D = A + B x/(1+x) + t1 - t2 with
-    t_i = p_i x / (p_i x + q_i).  Each term is monotone on either side of
-    its pole, so on a cell [a, b] that holds no zero of p1 x + q1 the terms'
-    end values bound D.  A cell where D keeps one sign holds its extrema
-    at its ends; elsewhere the mean-value form bounds them, with a width
-    that shrinks with the square of the cell.  Cells ending at a zero of g
-    are bounded directly: every term of ln|g| is monotone or, for the
-    numerator factor, quasi-convex, so the sum of the terms' end maxima
-    bounds ln|g| from above.  Every bound is widened by the rounding
-    allowance of the values it uses (``_ERR`` per unit of magnitude,
-    including the conditioning of p x + q).  The zero of g is taken at the
-    rounded -q1/p1, so within a few ulps of it the sign of g, and values
-    of order eps (|p1 x| + |q1|) relative to the rest of g, are as rounded.
+    """g = f1''/f2'' on [lo, hi].  Its values come from the :func:`log_d2`
+    records, ln|g| = A ln x + B ln(1+x) + ln|p1 x + q1| - ln(p2 x + q2) + C,
+    and its shape from the cubic N(x) = x (ln|g|)' (1+x)(p1 x + q1)(p2 x + q2),
+    x (ln|g|)' = A + B x/(1+x) + p1 x/(p1 x + q1) - p2 x/(p2 x + q2), built
+    from s and t themselves (:data:`D2_FORMS`).  There f'' is a positive power
+    times p x + q, and p2 x + q2 > 0, so g' has the sign of N: g rises
+    exactly where N > 0, and its extrema lie at lo, hi and the roots where N
+    changes sign.  A float filter with a rigorous error bound decides the
+    signs of N, and exact integer arithmetic where it cannot (Shewchuk 1997).
+    Values of ln|g| carry a rounding allowance (``_ERR`` per unit of
+    magnitude, including the conditioning of p x + q).  The zero of g is
+    taken at the rounded -q1/p1, so within a few ulps of it the sign of g,
+    and values of order eps (|p1 x| + |q1|) relative to the rest of g, are
+    as rounded.
     """
 
     def __init__(self, num: GeneratorSpec, den: GeneratorSpec, lo: float, hi: float):
@@ -483,229 +538,160 @@ class _Ratio:
         self.C = a.c - b.c
         self.sign = a.sign
         self.p1, self.q1, self.p2, self.q2 = a.p, a.q, b.p, b.q
-        # where t_i(1 - t_i) peaks, if it does for x > 0
-        self.peak1 = a.q / a.p if a.p * a.q > 0.0 else math.nan
-        self.peak2 = b.q / b.p if b.p * b.q > 0.0 else math.nan
         # magnitudes behind the rounding of A, B and C
         self.sa = abs(a.alpha) + abs(b.alpha)
         self.sb = abs(a.beta) + abs(b.beta)
         self.sc = abs(a.c) + abs(b.c)
+        self.c, self.cm, self.whole = _cubic(num, den)
+        if not (_filterable(lo) and _filterable(hi)):
+            self.cm = None
         # ln|g| at lo and hi, where every use of the ratio starts
         self.ends = (self.point(lo), self.point(hi))
 
+    @cached_property
+    def exact(self) -> tuple:
+        """:func:`_exact` of the ratio's generators."""
+        return _exact(self.num, self.den)
+
+    def signs(self, a: float, b: float) -> list[int]:
+        """Signs of the :func:`_moebius` coefficients of (a, b): from the
+        float filter, else exactly, with a and b as integers over their
+        common denominator d and N's coefficients scaled to match."""
+        signs = self.cm and _decide(_moebius(self.c, a, b), _moebius(self.cm, a, b))
+        if signs:
+            return signs
+        (A, da), (B, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        d = max(da, db)
+        c = [v * d ** (3 - k) for k, v in enumerate(self.exact)]
+        return [(v > 0) - (v < 0) for v in _moebius(c, A * (d // da), B * (d // db))]
+
     def point(self, x: float, zero: bool = False) -> _Pt:
         """ln|g| at x; ``zero`` marks x as the zero of p1 x + q1."""
-        pt = _Pt()
-        pt.x = x
-        pt.y = y = math.log(x)
-        pt.l1 = l1 = math.log1p(x)
+        y, l1 = math.log(x), math.log1p(x)
         L = self.A * y + self.B * l1 + self.C
         e = self.sa * abs(y) + self.sb * l1 + self.sc + 1.0
-        pt.bm = bm = self.B * x / (1.0 + x)
-        pt.hb = hb = x / ((1.0 + x) * (1.0 + x))
-        dp = abs(self.A) + abs(bm)
-        kp = abs(self.B) * (hb + 0.25)
-        s = self.sign
-        pt.lv = pt.lw = pt.t1 = pt.t2 = pt.h1 = pt.h2 = 0.0
+        s, lv, lw = self.sign, 0.0, 0.0
         if self.p1:
             v = 0.0 if zero else self.p1 * x + self.q1
             if v:
-                pt.lv = lv = math.log(abs(v))
-                k = (abs(self.p1 * x) + abs(self.q1)) / abs(v)
-                pt.t1 = t1 = self.p1 * x / v
-                pt.h1 = h1 = t1 * self.q1 / v
+                lv = math.log(abs(v))
                 L += lv
-                e += abs(lv) + k
-                dp += abs(t1) * (1.0 + k)
-                kp += 2.0 * abs(h1) * (1.0 + k)
+                e += abs(lv) + (abs(self.p1 * x) + abs(self.q1)) / abs(v)
                 if v < 0.0:
                     s = -s
             else:
-                pt.lv = L = -math.inf
+                lv = L = -math.inf
                 s = 0.0
         if self.p2:
             w = self.p2 * x + self.q2
-            pt.lw = lw = math.log(w)
-            k = (abs(self.p2 * x) + abs(self.q2)) / w
-            pt.t2 = t2 = self.p2 * x / w
-            pt.h2 = h2 = t2 * self.q2 / w
+            lw = math.log(w)
             L -= lw
-            e += abs(lw) + k
-            dp += abs(t2) * (1.0 + k)
-            kp += 2.0 * abs(h2) * (1.0 + k)
+            e += abs(lw) + (abs(self.p2 * x) + abs(self.q2)) / w
         if s and not math.isfinite(L):
             raise _non_finite(self.num, self.den, self.lo, self.hi,
                               f"has log-curvature {L!r} at x = {x!r}")
-        pt.L, pt.s = L, s
-        pt.e = _ERR * (e + abs(L)) if s else _ERR * e
-        pt.dp = _ERR * dp
-        pt.kp = _ERR * kp
-        pt.D = self.A + bm + pt.t1 - pt.t2
-        return pt
+        return _Pt(x, y, l1, L, _ERR * (e + abs(L)) if s else _ERR * e, s, lv, lw)
 
-    def slope(self, a: _Pt, b: _Pt) -> tuple[float, float]:
-        """Bounds on D over the cell [a, b]; a and b share a non-zero sign.
+    def roots(self, signs: Optional[list[int]] = None) -> list[tuple[float, float]]:
+        """Intervals [u, w] of [lo, hi], in order, that hold the roots of N
+        in (lo, hi) where N changes sign, at least one each.
 
-        The terms' end values give the first bound.  When it straddles 0,
-        the mean-value form of D itself tightens it: D' = B x/(1+x)^2 +
-        t1(1-t1) - t2(1-t2), each term monotone or with a single peak of
-        1/4 (at x = 1 and at x = q/p), so the terms' end values and peaks
-        bound D' as well.  Terms that cancel loosen the first bound by the
-        cell width, the second only by its square.
-        """
-        pad = max(a.dp, b.dp)
-        lo = self.A + min(a.bm, b.bm) + min(a.t1, b.t1) - max(a.t2, b.t2) - pad
-        hi = self.A + max(a.bm, b.bm) + max(a.t1, b.t1) - min(a.t2, b.t2) + pad
-        if lo < 0.0 < hi:
-            xa, xb = a.x, b.x
-            hb = max(a.hb, b.hb) if not xa < 1.0 < xb else 0.25
-            hb = (self.B * min(a.hb, b.hb), self.B * hb)
-            h1 = max(a.h1, b.h1) if not xa < self.peak1 < xb else 0.25
-            h2 = max(a.h2, b.h2) if not xa < self.peak2 < xb else 0.25
-            h = b.y - a.y
-            up, low = _mean_value(
-                a.D, b.D,
-                min(hb) + min(a.h1, b.h1) - h2,
-                max(hb) + h1 - min(a.h2, b.h2),
-                h,
-            )
-            pad += h * max(a.kp, b.kp)
-            lo, hi = max(lo, low - pad), min(hi, up + pad)
-        return lo, hi
-
-    def _cell(self, a: _Pt, b: _Pt):
-        """(upper bound of sup, lower bound of inf, rounding allowance) of
-        ln|g| on [a, b], or None when the cell is proven monotone (its
-        extrema are a and b)."""
-        if a.s and a.s == b.s:
-            lo, hi = self.slope(a, b)
-            if lo >= 0.0 or hi <= 0.0:
-                return None
-            ub, lb = _mean_value(a.L, b.L, lo, hi, b.y - a.y)
-            return ub, lb, max(a.e, b.e)
-        # one end is a zero of g, where t1 runs off to -inf (from the left)
-        # or +inf (from the right): the other end's t1 bounds D on one side
-        pad = max(a.dp, b.dp)
-        if a.s:
-            hi = self.A + max(a.bm, b.bm) + a.t1 - min(a.t2, b.t2) + pad
-            if hi <= 0.0:
-                return None
-        else:
-            lo = self.A + min(a.bm, b.bm) + b.t1 - max(a.t2, b.t2) - pad
-            if lo >= 0.0:
-                return None
-        ub = (self.C + max(self.A * a.y, self.A * b.y) + max(self.B * a.l1, self.B * b.l1)
-              + max(a.lv, b.lv) - min(a.lw, b.lw))
-        return ub, -math.inf, max(a.e, b.e)
-
-    def _split(self, a: _Pt, b: _Pt) -> list[_Pt]:
-        """New points inside (a, b): a pair close around the root of D when
-        its end values bracket one, else the midpoint in ln x."""
-        ya, yb = a.y, b.y
-        if a.s and a.s == b.s and (a.D > a.dp and b.D < -b.dp or a.D < -a.dp and b.D > b.dp):
-            y, curv = self._root(a, b)
-            if curv > 0.0:
-                delta = math.sqrt(0.5 * _TOL / curv)
-                if ya < y - delta and y + delta < yb:
-                    x1, x2 = math.exp(y - delta), math.exp(y + delta)
-                    if a.x < x1 < x2 < b.x:
-                        return [self.point(x1), self.point(x2)]
-        x = math.exp(0.5 * (ya + yb))
-        return [self.point(x)] if a.x < x < b.x else []
-
-    def _root(self, a: _Pt, b: _Pt) -> tuple[float, float]:
-        """Newton on D in y, kept inside the bracket [a, b]; returns the
-        root and the magnitude of D's slope terms there."""
-        A, B, p1, q1, p2, q2 = self.A, self.B, self.p1, self.q1, self.p2, self.q2
-        ya, yb, up = a.y, b.y, a.D < 0.0
-        y = ya + (yb - ya) * a.D / (a.D - b.D)
-        curv = 0.0
-        for _ in range(40):
-            x = math.exp(y)
-            m = x / (1.0 + x)
-            d, d1 = A + B * m, B * m * (1.0 - m)
-            curv = abs(d1)
-            if p1:
-                t = p1 * x / (p1 * x + q1)
-                d += t
-                d1 += t * (1.0 - t)
-                curv += abs(t * (1.0 - t))
-            if p2:
-                t = p2 * x / (p2 * x + q2)
-                d -= t
-                d1 -= t * (1.0 - t)
-                curv += abs(t * (1.0 - t))
-            if (d < 0.0) == up:
-                ya = y
-            else:
-                yb = y
-            step = d / d1 if d1 else math.inf
-            yn = y - step
-            if not ya < yn < yb:
-                yn = 0.5 * (ya + yb)
-            if abs(yn - y) <= 1e-14 * (1.0 + abs(y)):
-                return yn, curv
-            y = yn
-        return y, curv
-
-    def _enclose(self, a: _Pt, b: _Pt, need_inf: bool):
-        """Enclosures of sup and inf of ln|g| between a and b, where g keeps
-        one sign: (sup upper bound, sup attained, inf lower bound, inf
-        attained).  Cells are refined only while their bound reaches more
-        than ``_TOL`` past the best value attained so far."""
-        hi_att, lo_att = max(a.L, b.L), min(a.L, b.L)
-        hi_ub, lo_lb = max(a.L + a.e, b.L + b.e), min(a.L - a.e, b.L - b.e)
-        cells = [(a, b)]
-        splits = _MAX_SPLITS
-        while cells:
-            a, b = cells.pop()
-            bound = self._cell(a, b)
-            if bound is None:
+        Descartes' rule on the Moebius image of an interval (``signs``, its
+        :func:`_moebius` signs) bounds its roots (Collins & Akritas 1976):
+        one sign change means one simple root; more split the interval at
+        its geometric mean, down to adjacent doubles.  A root on a split
+        point is [x, x]."""
+        todo = [] if self.whole else [
+            (self.lo, self.hi, signs or self.signs(self.lo, self.hi))]
+        out = []
+        while todo:
+            u, w, signs = todo.pop()
+            turns = _turns(signs)
+            x = math.sqrt(u) * math.sqrt(w)
+            if turns > 1 and not u < x < w:
+                x = u + 0.5 * (w - u)
+            if turns < 2 or not u < x < w:
+                # an even count between adjacent doubles is two simple roots
+                # only if N has three distinct real ones; else it is none,
+                # or one of even multiplicity
+                if turns % 2 or turns and _discriminant(self.exact) > 0:
+                    out.append((u, w))
                 continue
-            ub, lb, e = bound
-            if ub > hi_att + _TOL or (need_inf and lb < lo_att - _TOL):
-                new = self._split(a, b) if splits else []
-                if new:
-                    splits -= 1
-                    for p in new:
-                        hi_att, lo_att = max(hi_att, p.L), min(lo_att, p.L)
-                        hi_ub, lo_lb = max(hi_ub, p.L + p.e), min(lo_lb, p.L - p.e)
-                    chain = [a, *new, b]
-                    cells.extend(zip(chain, chain[1:]))
-                    continue
-            hi_ub = max(hi_ub, ub + e)
-            if need_inf:
-                lo_lb = min(lo_lb, lb - e)
-        return hi_ub, hi_att, lo_lb, lo_att
+            left, right = self.signs(u, x), self.signs(x, w)
+            if not left[3] and [v for v in left if v][-1] != [v for v in right if v][0]:
+                out.append((x, x))
+            todo += [(u, x, left), (x, w, right)]
+        return sorted(out)
+
+    def bracket(self, u: float, w: float) -> tuple[float, float]:
+        """[a, b] around the one root of N in (u, w), a simple one: Newton's
+        iterate x, kept inside by bisection, then x -+ h, h widened until the
+        filter shows N changing sign between the ends."""
+        c0, c1, c2, c3 = self.c
+        up = next(v for v in self.signs(u, w) if v)  # N just above u
+        a, b, x = u, w, math.sqrt(u) * math.sqrt(w)
+        for _ in range(100):
+            v, dv = ((c3 * x + c2) * x + c1) * x + c0, (3.0 * c3 * x + 2.0 * c2) * x + c1
+            if not v:
+                break
+            a, b = (x, b) if (v > 0.0) == (up > 0) else (a, x)
+            y = x - v / dv if dv else x
+            if not a <= y <= b:
+                y = math.sqrt(a) * math.sqrt(b)
+            if abs(y - x) <= math.ulp(x):
+                break
+            x = y
+        h = math.ulp(x)
+        while True:
+            h *= 4.0
+            a, b = max(u, x - h), min(w, x + h)
+            if (a == u or self._filtered(a) == up) and (b == w or self._filtered(b) == -up):
+                return a, b
+
+    def _filtered(self, x: float) -> Optional[int]:
+        """The sign of N(x) where the float filter decides it, else None."""
+        signs = self.cm and _decide(_horner(self.c, x), _horner(self.cm, x))
+        return signs[0] if signs else None
 
     def extrema(self) -> tuple[float, float, float]:
         """(m, M, width) with m <= inf g and M >= sup g on [lo, hi]; width
-        bounds the relative distance of m and M from the extrema."""
+        bounds the relative distance of m and M from the extrema.
+
+        g is monotone between the candidates, lo, hi and the :meth:`bracket`
+        of each of :meth:`roots`, through its zero too.  Across a bracket
+        each term of ln|g| is monotone, or, for ln|p1 x + q1| at a zero of g,
+        quasi-convex, so the terms' end values bound it.  A candidate holds
+        g in s [exp(lo), exp(hi)]; the extreme ones are picked in the log
+        domain, so only they must fit in doubles."""
         r, R = self.lo, self.hi
         a, b = self.ends
         if r == R:
             return self.bound(a, False), self.bound(a, True), a.e
         pts = [a, b]
-        if self.p1:
-            x0 = -self.q1 / self.p1
-            if r < x0 < R:
-                pts.insert(1, self.point(x0, zero=True))
-            elif a.s * b.s < 0.0:
-                # the zero lies within rounding of r or R: take that end as it
-                k = 0 if abs(x0 - r) <= abs(x0 - R) else 1
-                pts[k] = self.point(pts[k].x, zero=True)
-        has_zero = not all(p.s for p in pts)
-        lows, highs = ([0.0], [0.0]) if has_zero else ([], [])
-        width = 0.0
-        for a, b in zip(pts, pts[1:]):
-            s = a.s or b.s
-            sup_ub, sup_att, inf_lb, inf_att = self._enclose(a, b, not has_zero)
-            width = max(width, sup_ub - sup_att)
-            (highs if s > 0.0 else lows).append(s * self._magnitude(sup_ub))
-            if not has_zero:
-                width = max(width, inf_att - inf_lb)
-                (lows if s > 0.0 else highs).append(s * self._magnitude(inf_lb, False))
-        return min(lows), max(highs), width
+        x0 = -self.q1 / self.p1 if self.p1 else r
+        if a.s * b.s < 0.0 and not r < x0 < R:
+            # the zero of g lies within rounding of r or R: take that end as it
+            k = 0 if abs(x0 - r) <= abs(x0 - R) else 1
+            pts[k] = self.point(pts[k].x, zero=True)
+        cands = [(p.s, p.L + p.e, p.L - p.e) for p in pts]
+        width = max(p.e for p in pts)
+        A, B, C = self.A, self.B, self.C
+        for u, w in self.roots():
+            p, q = map(self.point, self.bracket(u, w) if math.nextafter(u, w) < w else (u, w))
+            e = max(p.e, q.e)
+            top = (C + max(A * p.y, A * q.y) + max(B * p.l1, B * q.l1)
+                   + max(p.lv, q.lv) - min(p.lw, q.lw) + e)
+            width = max(width, top - max(p.L, q.L))
+            low = -math.inf  # where g has a zero on the bracket
+            if p.s * q.s > 0.0:
+                low = (C + min(A * p.y, A * q.y) + min(B * p.l1, B * q.l1)
+                       + min(p.lv, q.lv) - max(p.lw, q.lw) - e)
+                width = max(width, min(p.L, q.L) - low)
+            cands += [(s, top, low) for s in {p.s, q.s} - {0.0}]
+        s, L = max((s, s * (hi if s > 0.0 else lo)) for s, hi, lo in cands)
+        M = s and s * self._magnitude(s * L, s > 0.0)
+        s, L = min((s, s * (lo if s > 0.0 else hi)) for s, hi, lo in cands)
+        return s and s * self._magnitude(s * L, s < 0.0), M, width
 
     def bound(self, pt: _Pt, upper: bool) -> float:
         """g at pt padded outward by its rounding allowance: a bound from
@@ -728,33 +714,16 @@ class _Ratio:
             raise _non_finite(self.num, self.den, self.lo, self.hi, _OVERFLOW) from exc
 
     def direction(self) -> int:
-        """+1 / -1 when g is proven monotone on [lo, hi] (+1 when flat), 0
-        when the proof does not close or g has a zero on the range."""
+        """+1 / -1 when g is monotone on [lo, hi] (+1 when flat, N = 0), 0
+        when N changes sign in (lo, hi) or g has a zero on [lo, hi]."""
         if self.p1 and (self.p1 * self.lo + self.q1) * (self.p1 * self.hi + self.q1) <= 0.0:
             return 0
-        a, b = self.ends
-        sign = a.s
-        up = down = False
-        cells = [(a, b)]
-        splits = _MAX_PROOF_SPLITS
-        while cells:
-            a, b = cells.pop()
-            lo, hi = self.slope(a, b)
-            if lo >= 0.0 or hi <= 0.0:  # monotone on the cell; flat if both
-                up = up or (lo >= 0.0 and hi > 0.0)
-                down = down or (hi <= 0.0 and lo < 0.0)
-                if up and down:
-                    return 0
-                continue
-            if a.D > a.dp and b.D < -b.dp or a.D < -a.dp and b.D > b.dp or not splits:
-                return 0
-            x = math.exp(0.5 * (a.y + b.y))
-            if not a.x < x < b.x:
-                return 0
-            splits -= 1
-            m = self.point(x)
-            cells += [(a, m), (m, b)]
-        return int(-sign) if down else int(sign)
+        if self.whole:
+            return self.whole
+        signs = self.signs(self.lo, self.hi)
+        if min(signs) < 0 < max(signs) and self.roots(signs):
+            return 0
+        return next((v for v in signs if v), 1)
 
 
 # --------------------------------------------------------------------------
@@ -767,11 +736,10 @@ def printed_mM(
     """The catalog's endpoint constants exactly as printed, or None when
     (s, t) lies outside every region: the family's ``printed`` constant at
     the ends of [r, R], in its active branch's order.  Misprints are
-    reproduced verbatim;
-    this is the adjudication target for the erratum fixtures, not the
-    engine's source of truth.  Evaluated in Python floats, the text may
-    raise an :class:`ArithmeticError` (``OverflowError``,
-    ``ZeroDivisionError``) far from ratio 1."""
+    reproduced verbatim; this is the adjudication target for the erratum
+    fixtures, not the engine's source of truth.  Evaluated in Python
+    floats, the text may raise an :class:`ArithmeticError`
+    (``OverflowError``, ``ZeroDivisionError``) far from ratio 1."""
     br = active_branch(family, s, t)
     if br is None:
         return None
@@ -839,9 +807,10 @@ def closed_form_mM(
 ) -> BoundCertificate:
     """Certificate for the family at (s, t) over [r, R].
 
-    In-region: when the curvature ratio is proven monotone on [r, R]
-    (:meth:`_Ratio.direction`) in the branch's direction, or its end values
-    are equal within their rounding allowance, m and M are its log-domain
+    In-region: when the curvature ratio is monotone on [r, R] in the
+    branch's direction, as its cubic decides (:meth:`_Ratio.direction`), or
+    its end values are equal within their rounding allowance, m and M are
+    its log-domain
     values at the ends, padded outward (:meth:`_Ratio.bound`), so
     ``m <= inf g`` and ``M >= sup g``; for r == R they are the value at r
     padded both ways.  Otherwise the :func:`numeric_mM` enclosure of the
@@ -885,7 +854,7 @@ def closed_form_mM(
             f"endpoint values of tag ({br.tag}) are not proven extrema in double "
             f"precision at (s={s}, t={t}); numeric extrema shipped"
         )
-    m, M = _enclosure(ratio)
+    m, M, _ = ratio.extrema()
     return BoundCertificate(
         family, s, t, r, R, m, M, CertificateSource.NUMERIC, br is not None, erratum
     )

@@ -162,10 +162,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     subjects = tuple(s.strip() for s in args.subjects.split(",")) if args.subjects else DEFAULT_SUBJECTS
-    lo, _, hi = args.n_range.partition(":")
     config = VerifyConfig(
         trials=args.trials,
-        n_range=(int(lo), int(hi or lo)),
+        n_range=args.n_range,
         seed=args.seed,
         concentration=args.concentration,
         rel_tol=args.rel_tol,
@@ -189,6 +188,15 @@ def _cmd_verify(args) -> int:
         _emit(report.to_json())
     print(f"verify: wall time {report.wall_time:.3f}s", file=sys.stderr)
     return EXIT_OK if report.all_passed else EXIT_VIOLATION
+
+
+def _n_range(text: str) -> tuple[int, int]:
+    """``--n-range``: ``lo:hi``, or ``n`` and ``n:`` for n alone."""
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi or lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi, n or n:, got {text!r}") from None
 
 
 def _catalog_entries() -> dict:
@@ -291,7 +299,8 @@ def _build_parser() -> tuple[_Parser, argparse.Action]:
     seed = v.add_argument("--seed", type=int, default="0")
     v.add_argument("--subjects", default=None,
                    help="comma list: identities,families,corollaries,bounds-grid,all")
-    v.add_argument("--n-range", default="2:10", help="simplex sizes, e.g. 2:10")
+    v.add_argument("--n-range", type=_n_range, default="2:10",
+                   help="simplex sizes, e.g. 2:10")
     v.add_argument("--concentration", type=float, default=1.0)
     v.add_argument("--rel-tol", type=float, default=SLACK_REL_TOL)
     v.add_argument("--format", default="json", **fmt)

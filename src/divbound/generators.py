@@ -208,7 +208,7 @@ def gen_d2(spec: GeneratorSpec, x):
         return _pow(u, s - 2.0) / 4.0
     if g is Gen.XI:
         u = (x + 1.0) / 2.0
-        return _pow(u, s - 3.0) * (s * x + 4.0 - s) / 4.0
+        return _pow(u, s - 3.0) * (s * x + (4.0 - s)) / 4.0
     if g is Gen.VARSIGMA:
         v = (x + 1.0) / (2.0 * x)
         return _pow(v, s - 3.0) * ((4.0 - s) * x + s) / (4.0 * x * x * x * x)
@@ -222,8 +222,9 @@ class LogD2(NamedTuple):
     The linear factor is present only when ``p`` and ``q`` are both
     non-zero and differ; otherwise it is folded into the other fields
     (``p x`` into ``alpha``, ``q`` into ``c``, ``p (1+x)`` into ``beta``) and
-    ``p = q = 0``.  Each term is monotone in x on either side of the zero
-    of ``p x + q``, which is what the bound engine's cell proofs rely on.
+    ``p = q = 0``.  The bound engine reads ln|f''| from these fields, and
+    builds its cubic N from :data:`D2_FORMS` at s itself: the fields are
+    rounded.
     """
 
     alpha: float
@@ -236,23 +237,25 @@ class LogD2(NamedTuple):
 
 _LN2 = math.log(2.0)
 
+#: ln|f''| of the table above, with u = (1+x)/2, v = u/x, ln u = ln(1+x) -
+#: ln 2 and ln v = ln u - ln x, as alpha ln x + beta ln(1+x) + c ln 2 +
+#: ln|p x + q| (q = 1 and p = 0 where f'' has no linear factor): the fields
+#: alpha, beta, c, p and q, each k0 + k1 s as (k0, k1)
+D2_FORMS = {
+    Gen.PHI: ((-2, 1), (0, 0), (0, 0), (0, 0), (1, 0)),
+    Gen.PSI: ((-1, -1), (-2, 1), (0, -1), (0, 0), (1, 0)),
+    Gen.UPSILON: ((0, 0), (-2, 1), (0, -1), (0, 0), (1, 0)),
+    Gen.XI: ((0, 0), (-3, 1), (1, -1), (0, 1), (4, -1)),
+    Gen.VARSIGMA: ((-1, -1), (-3, 1), (1, -1), (4, -1), (0, 1)),
+}
+
 
 def log_d2(spec: GeneratorSpec) -> LogD2:
-    """The closed form of :func:`gen_d2` as a :class:`LogD2` record; with
-    u = (1+x)/2 and v = u/x, ln u = ln(1+x) - ln 2 and ln v = ln u - ln x."""
+    """The closed form of :func:`gen_d2` as a :class:`LogD2` record, from
+    :data:`D2_FORMS` at ``spec.s``."""
+    (a0, a1), (b0, b1), (c0, c1), (p0, p1), (q0, q1) = D2_FORMS[spec.gen]
     s = spec.s
-    g = spec.gen
-    if g is Gen.PHI:
-        return LogD2(s - 2.0, 0.0, 0.0, 1.0)
-    if g is Gen.PSI:
-        return LogD2(-s - 1.0, s - 2.0, -s * _LN2, 1.0)
-    if g is Gen.UPSILON:
-        return LogD2(0.0, s - 2.0, -s * _LN2, 1.0)
-    if g is Gen.XI:
-        return _fold(0.0, s - 3.0, -(s - 1.0) * _LN2, s, 4.0 - s)
-    if g is Gen.VARSIGMA:
-        return _fold(-s - 1.0, s - 3.0, -(s - 1.0) * _LN2, 4.0 - s, s)
-    raise KeyError(f"unknown generator {g!r}")
+    return _fold(a0 + a1 * s, b0 + b1 * s, (c0 + c1 * s) * _LN2, p0 + p1 * s, q0 + q1 * s)
 
 
 def _fold(alpha: float, beta: float, c: float, p: float, q: float) -> LogD2:

@@ -13,11 +13,11 @@ so the report depends only on the configuration, not on scheduling.
 Identical configurations produce bit-identical report JSON.
 
 Trials are grouped by simplex size into blocks, and the loop over blocks is
-the outer one.  Before it, the curvature ratio of each distinct sandwich
-check is proven monotone once, on the envelope of all blocks' ratios; a
-ratio proven monotone there is monotone on every block and takes outward
-bounds of its endpoint values, read from the log-domain curvature records,
-and a ratio whose proof does not close takes each row's own
+the outer one.  Before it, the cubic of each distinct sandwich check's
+curvature ratio decides once, on the envelope of all blocks' ratios,
+whether the ratio is monotone; a ratio monotone there is monotone on every
+block and takes outward bounds of its endpoint values, read from the
+log-domain curvature records, and any other ratio takes each row's own
 :func:`numeric_mM` enclosure.  The sandwich checks of one block share one
 table of generator values (:class:`_BlockTable`), evaluated once per block
 along a stacked ``s`` axis, and the checks of one inequality family take
@@ -30,8 +30,8 @@ Pass counts and worst values of all checks are reduced block by block
 
 :func:`brute_force_mM` is the deliberately plain oracle for the bound
 engine - a dense linear grid with no refinement, on a different
-discretization than the engine's cell proofs - so the two can
-cross-validate each other.
+discretization and algebraic path than the engine's cubic - so the two
+can cross-validate each other.
 """
 
 from __future__ import annotations
@@ -266,8 +266,9 @@ class _Group:
     ``rows`` are the checks' positions in the run's check list, ``num`` and
     ``den`` the rows of their generators in the spec table a
     :class:`_BlockTable` evaluates, and, once :meth:`prove` has run,
-    ``direction`` and ``sign`` the monotonicity proof (0 where it does not
-    close) and the sign of each curvature ratio on the envelope it was given.
+    ``direction`` and ``sign`` the direction of each curvature ratio (0
+    where it is not monotone or has a zero) and its sign on the envelope it
+    was given.
     """
 
     def __init__(self, rows, ratios, index: dict[GeneratorSpec, int]):

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from divbound.bounds import (
     family_generators,
     g_ratio,
     in_region,
+    PARAM_GRID,
     numeric_mM,
     printed_mM,
     region_grid,
@@ -244,41 +246,67 @@ class TestEnclosure:
 
         check()
 
-    def test_cell_bounds_hold_inside_the_cell_property(self):
-        # the slope bounds contain the slope, and a cell's bounds (or, for a
-        # cell proven monotone, its end values) contain ln|g|, at points
-        # sampled inside cells that do and do not end at a zero of g
+    def test_decision_matches_a_50_digit_scan_property(self):
+        # where the cubic N decides g monotone, a 50-digit scan of g finds no
+        # change of direction; where it does not, g has a zero on [r, R] or
+        # N changes sign in (r, R), and each root's bracket holds an exact
+        # sign change of N (or the root itself, on a split point)
         hyp = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
+        mpmath = pytest.importorskip("mpmath")
 
-        @hyp.settings(max_examples=300, deadline=None)
-        @hyp.given(st.sampled_from(list(F)), st.floats(-12.0, 12.0), st.floats(0.0, 4.0),
-                   st.floats(-4.0, 4.0), st.floats(-4.0, 1.0), st.booleans())
-        def check(family, s, t, la, lw, at_zero):
-            num, den = family_generators(family, s, t)
-            ratio = bounds._Ratio(num, den, 1e-8, 1e8)
-            xa = 10.0 ** la
-            xb = xa * (1.0 + 10.0 ** lw)
-            x0 = -ratio.q1 / ratio.p1 if ratio.p1 else 0.0
-            if at_zero and 1e-8 < x0 < 1e8:
-                xa, xb = (x0, xb * x0 / xa) if la > 0.0 else (xa * x0 / xb, x0)
-            a = ratio.point(xa, zero=xa == x0)
-            b = ratio.point(xb, zero=xb == x0)
-            inner = [ratio.point(float(x)) for x in np.geomspace(xa, xb, 203)[1:-1]]
-            if (a.s and b.s and a.s != b.s) or any(p.s != (a.s or b.s) for p in inner):
-                return  # a zero of g inside the cell, also past the last inner point
-            e = max(a.e, b.e, *(p.e for p in inner))
-            if a.s and b.s:
-                lo, hi = ratio.slope(a, b)
-                assert all(lo - p.dp <= p.D <= hi + p.dp for p in inner)
-            bound = ratio._cell(a, b)
-            if bound is None:
-                top, bottom = max(a.L, b.L), min(a.L, b.L)
-            else:
-                top, bottom = bound[0], bound[1]
-            assert all(bottom - e <= p.L <= top + e for p in inner)
+        @st.composite
+        def requests(draw):
+            family = draw(st.sampled_from(list(F)))
+            s = draw(st.floats(-12.0, 12.0))
+            t = draw(st.floats(0.0, 4.0) if family is F.X else st.floats(-12.0, 12.0))
+            r = 10.0 ** draw(st.floats(-11.0, 0.0))
+            return family, s, t, r, r * 10.0 ** draw(st.floats(0.0, 13.0))
+
+        def exact_sign(ratio, x):
+            c0, c1, c2, c3 = ratio.exact
+            x = Fraction(x)
+            v = ((c3 * x + c2) * x + c1) * x + c0
+            return (v > 0) - (v < 0)
+
+        @hyp.settings(max_examples=150, deadline=None)
+        @hyp.given(requests())
+        def check(request):
+            family, s, t, r, R = request
+            ratio = bounds._Ratio(*family_generators(family, s, t), r, R)
+            direction = ratio.direction()
+            if direction:
+                xs = np.exp(np.linspace(np.log(r), np.log(R), 257))
+                g = [mp_curvature_ratio(ratio.num, ratio.den, float(x)) for x in xs]
+                with mpmath.workdps(50):
+                    steps = [(b - a) * direction for a, b in zip(g, g[1:])]
+                    assert all(d >= -mpmath.mpf(10) ** -40 * abs(a) for d, a in zip(steps, g)), request
+                return
+            roots = ratio.roots()
+            assert roots or ratio.p1 and (ratio.p1 * r + ratio.q1) * (ratio.p1 * R + ratio.q1) <= 0.0
+            for u, w in roots:
+                assert r <= u <= w <= R, request
+                a, b = ratio.bracket(u, w) if math.nextafter(u, w) < w else (u, w)
+                assert u <= a <= b <= w, request
+                if a == b:
+                    assert exact_sign(ratio, a) == 0, request
+                elif math.nextafter(a, b) < b:
+                    assert exact_sign(ratio, a) * exact_sign(ratio, b) < 0 or a == u or b == w, request
 
         check()
+
+    def test_vii_large_interval_is_proven_decreasing(self):
+        # N(x) = c0 + c1 x with c0, c1 < 0: its x^2 coefficient p1 (A + B + 1)
+        # vanishes for every (s, t) and is built as exactly 0, where the
+        # rounded record fields put a spurious root near x = 2.8e16
+        family, s, t, r, R = F.VII, 3.5, -2.978951757508582, 1.0, 1e17
+        ratio = bounds._Ratio(*family_generators(family, s, t), r, R)
+        assert ratio.c[2] == 0.0 and ratio.c[3] == 0.0
+        assert ratio.direction() == -1 and ratio.roots() == []
+        cert = closed_form_mM(family, s, t, r, R)
+        assert cert.source is CertificateSource.CLOSED_FORM and cert.erratum is None
+        lo, hi = dense_log_extrema(*family_generators(family, s, t), r, R)
+        assert cert.m <= lo + 1e-12 * abs(lo) and cert.M >= hi - 1e-12 * abs(hi)
 
     @pytest.mark.parametrize("r,R", [(1e-6, 1e6), (0.5, 2.0), (1.0, 1.0)])
     def test_constant_ratio_is_one(self, r, R):
@@ -331,6 +359,60 @@ class TestEnclosure:
         # the true M is about exp(976); not a DegenerateDenominator
         with pytest.raises(NonFiniteValue, match="overflows double precision"):
             numeric_mM(*family_generators(F.V, 300.0, -300.0), 0.01, 100.0)
+
+
+class TestCubic:
+    """N(x) = x (ln|g|)' (1+x)(p1 x + q1)(p2 x + q2) of :class:`bounds._Ratio`."""
+
+    def test_coefficients_match_a_symbolic_derivation(self):
+        # N from the five f'' closed forms, derived symbolically in s and t
+        # for every family, against the builder at exact rational (s, t)
+        sp = pytest.importorskip("sympy")
+        s, t = sp.symbols("s t")
+        x = sp.symbols("x", positive=True)
+        u, v = (x + 1) / 2, (x + 1) / (2 * x)
+        d2 = {  # (f'', its linear factor p x + q)
+            Gen.PHI: lambda a: (x ** (a - 2), 1),
+            Gen.PSI: lambda a: (v ** (a - 2) / (4 * x ** 3), 1),
+            Gen.UPSILON: lambda a: (u ** (a - 2) / 4, 1),
+            Gen.XI: lambda a: (u ** (a - 3) * (a * x + 4 - a) / 4, a * x + 4 - a),
+            Gen.VARSIGMA: lambda a: (v ** (a - 3) * ((4 - a) * x + a) / (4 * x ** 4),
+                                     (4 - a) * x + a),
+        }
+        vii = (Fraction(3.5), Fraction(-2.978951757508582))
+        for family in F:
+            fd = bounds.FAMILY_DEFS[family]
+            (f1, lin1), (f2, lin2) = d2[fd.num_gen](s), d2[fd.den_gen](t)
+            lg = sp.expand_log(sp.log(f1) - sp.log(f2), force=True)
+            n = sp.cancel(sp.together(x * sp.diff(lg, x) * (1 + x) * lin1 * lin2))
+            poly = sp.Poly(n, x)
+            assert poly.degree() <= 3, family
+            coefs = [sp.Poly(poly.coeff_monomial(x ** k), s, t) for k in range(4)]
+            points = [(Fraction(a), Fraction(b)) for a in PARAM_GRID for b in PARAM_GRID]
+            for a, b in points + [vii] * (family is F.VII):
+                expected = tuple(
+                    sum(int(c) * a ** i * b ** j for (i, j), c in c_k.terms()) for c_k in coefs)
+                num, den = family_generators(family, float(a), float(b))
+                assert bounds._coefficients(num, den, a, b) == expected, (family, a, b)
+        # the x^2 coefficient of VII is p1 (A + B + 1), 0 for every (s, t),
+        # and exactly 0 in floats as well
+        num, den = family_generators(F.VII, 3.5, -2.978951757508582)
+        assert bounds._coefficients(num, den, *vii)[2] == 0
+        assert bounds._coefficients(num, den, 3.5, -2.978951757508582, 1.0)[2] == 0.0
+
+
+    @pytest.mark.parametrize("c,direction", [
+        ((1, -5, 3, 9), 1),  # 9 (x - 1/3)^2 (x + 1): 1/3 is no double
+        ((1, -6, 9, 0), 1),  # (3 x - 1)^2
+        ((1, -9, 27, -27), 0),  # -(3 x - 1)^3
+        ((0, 0, 0, 0), 1),  # flat
+    ])
+    def test_only_roots_of_odd_multiplicity_turn_g(self, c, direction):
+        ratio = bounds._Ratio(*family_generators(F.I, 2.0, 2.0), 0.1, 1.0)
+        ratio.c, ratio.cm = tuple(map(float, c)), tuple(float(abs(v)) for v in c)
+        ratio.exact, ratio.whole = c, 0
+        assert ratio.direction() == direction
+        assert len(ratio.roots()) == (direction == 0)
 
 
 class TestClosedForm:

@@ -250,6 +250,19 @@ class TestBounds:
         assert data["m"] <= lo + 1e-12 * abs(lo) and data["M"] >= hi - 1e-12 * abs(hi)
         assert data["m"] == pytest.approx(lo, rel=1e-6) and data["M"] == pytest.approx(hi, rel=1e-6)
 
+    def test_vii_on_a_long_interval_is_certified_in_closed_form(self, capsys):
+        # g decreases on all of [1, 1e17]; a cubic built from the rounded
+        # record fields has a spurious root near 2.8e16
+        code, out, err = invoke(capsys, "bounds", "--family", "VII", "--s", "3.5",
+                                "--t=-2.978951757508582", "--r", "1", "--R", "1e17")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["source"] == "closed-form" and data["erratum"] is None
+        num, den = family_generators(InequalityFamily.VII, data["s"], data["t"])
+        lo, hi = dense_log_extrema(num, den, 1.0, 1e17)
+        assert data["m"] <= lo and data["M"] >= hi
+        assert data["m"] == pytest.approx(lo, rel=1e-12) and data["M"] == pytest.approx(hi, rel=1e-12)
+
     @pytest.mark.parametrize("argv,source", [
         # printed_mM's e ** (t + 2) underflows to 0 and its division raised
         # ZeroDivisionError; the ratio is proven decreasing
@@ -368,6 +381,21 @@ class TestVerify:
         data = json.loads(out)
         assert any(c["passes"] < c["attempts"] for c in data["checks"].values())
         assert any(c["witness"] for c in data["checks"].values())
+
+    @pytest.mark.parametrize("value", ["abc", "2:5:7", "x:3", ":4"])
+    def test_bad_n_range_names_the_flag(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--trials", "5", f"--n-range={value}"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert f"error: argument --n-range: expected lo:hi, n or n:, got {value!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value,expected", [("3:6", [3, 6]), ("4", [4, 4]), ("4:", [4, 4])])
+    def test_n_range_forms(self, capsys, value, expected):
+        code, out, _ = invoke(capsys, "verify", "--trials", "5", "--subjects", "identities",
+                              "--n-range", value)
+        assert code == 0 and json.loads(out)["config"]["n_range"] == expected
 
     def test_text_format(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--trials", "10", "--seed", "0",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,14 @@ class TestClosedForms:
                    + np.log(np.abs(lin)) + rec.c)
         assert np.array_equal(sign, np.sign(d2)), spec
         assert scaled_ok(log_abs, np.log(np.abs(d2)), 1e-14), spec
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-9, 1e-12])
+    def test_xi_curvature_exact_at_four(self, x):
+        # XI(4)'' = u^1 (4 x + 0) / 4 = x (x + 1) / 2: the linear factor is
+        # exact as s x + (4 - s), while (s x + 4) - s cancels near x = 0
+        exact = Fraction(x) * (Fraction(x) + 1) / 2
+        d2 = gen_eval(GeneratorSpec(Gen.XI, 4.0), x).d2
+        assert abs(Fraction(d2) - exact) <= Fraction(1e-14) * exact
 
     @pytest.mark.parametrize("gen,s", [(Gen.XI, 0.0), (Gen.XI, 2.0), (Gen.XI, 4.0),
                                        (Gen.VARSIGMA, 0.0), (Gen.VARSIGMA, 2.0),
