@@ -657,8 +657,8 @@ class _Ratio:
         """(m, M, width) with m <= inf g and M >= sup g on [lo, hi]; width
         bounds the relative distance of m and M from the extrema.
 
-        g is monotone between the candidates, lo, hi and the :meth:`bracket`
-        of each of :meth:`roots`, through its zero too.  Across a bracket
+        g is monotone between the candidates: lo, hi, the zero of g and the
+        :meth:`bracket` of each of :meth:`roots`.  Across a bracket
         each term of ln|g| is monotone, or, for ln|p1 x + q1| at a zero of g,
         quasi-convex, so the terms' end values bound it.  A candidate holds
         g in s [exp(lo), exp(hi)]; the extreme ones are picked in the log
@@ -668,12 +668,15 @@ class _Ratio:
         if r == R:
             return self.bound(a, False), self.bound(a, True), a.e
         pts = [a, b]
-        x0 = -self.q1 / self.p1 if self.p1 else r
-        if a.s * b.s < 0.0 and not r < x0 < R:
-            # the zero of g lies within rounding of r or R: take that end as it
-            k = 0 if abs(x0 - r) <= abs(x0 - R) else 1
-            pts[k] = self.point(pts[k].x, zero=True)
-        cands = [(p.s, p.L + p.e, p.L - p.e) for p in pts]
+        if self.p1:
+            x0 = -self.q1 / self.p1
+            if r < x0 < R:
+                pts.insert(1, self.point(x0, zero=True))
+            elif a.s * b.s < 0.0:
+                # the zero lies within rounding of r or R: take that end as it
+                k = 0 if abs(x0 - r) <= abs(x0 - R) else 1
+                pts[k] = self.point(pts[k].x, zero=True)
+        cands = [(p.s, p.L + p.e, p.L - p.e) if p.s else (0.0, 0.0, 0.0) for p in pts]
         width = max(p.e for p in pts)
         A, B, C = self.A, self.B, self.C
         for u, w in self.roots():
