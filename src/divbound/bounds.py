@@ -386,9 +386,8 @@ def numeric_mM(
 
     The extrema of g lie at r, R and the roots where its cubic N changes
     sign (:class:`_Ratio`), so ln|g| is evaluated only at r, R, the zero of
-    g and the ends of a bracket a few ulps wide around each such root.
-    Padded outward by the rounding allowance of the evaluations, the result
-    holds ``m <= inf g`` and ``M >= sup g``; for r == R it is the value at r
+    g and the ends of a narrow bracket around each such root.  Padded
+    outward by the rounding allowance of the evaluations, the result holds ``m <= inf g`` and ``M >= sup g``; for r == R it is the value at r
     padded both ways.  Curvatures beyond the double range are fine as long
     as the extrema are not.  Raises :class:`DegenerateDenominator` when the
     denominator curvature is not positive on [r, R] and
@@ -665,8 +664,6 @@ class _Ratio:
         domain, so only they must fit in doubles."""
         r, R = self.lo, self.hi
         a, b = self.ends
-        if r == R:
-            return self.bound(a, False), self.bound(a, True), a.e
         pts = [a, b]
         if self.p1:
             x0 = -self.q1 / self.p1
