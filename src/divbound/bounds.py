@@ -406,13 +406,13 @@ _ERR = 8.0 * sys.float_info.epsilon
 _LOG_TINY = math.log(sys.float_info.min)
 #: error of the float filter per unit of magnitude form: a value it decides
 #: takes at most 12 rounded steps (gamma_12 < 6.1 eps), and the magnitude
-#: form rounds too.  It runs only on doubles s, t, x that are 0 or within
+#: form rounds too.  It runs only on s, t, x that are 0 or within
 #: [1e-30, 1e30] in magnitude, so no step leaves the normal range.
 _FILTER = 16.0 * sys.float_info.epsilon
 
 
 def _filterable(v) -> bool:
-    return isinstance(v, float) and (v == 0.0 or 1e-30 <= abs(v) <= 1e30)
+    return v == 0.0 or 1e-30 <= abs(v) <= 1e30
 
 
 def _coefficients(num: GeneratorSpec, den: GeneratorSpec, s, t, one=1, f=int) -> tuple:
@@ -459,7 +459,7 @@ def _cubic(num: GeneratorSpec, den: GeneratorSpec) -> tuple:
     (None where the filter may not run), and the sign of N on all of
     (0, inf) where Descartes' rule on the coefficients rules out a positive
     root (+1 for N = 0), else 0."""
-    s, t = num.s, den.s
+    s, t = float(num.s), float(den.s)
     c, cm = _coefficients(num, den, s, t, 1.0), _coefficients(num, den, abs(s), abs(t), 1.0, abs)
     if not (_filterable(s) and _filterable(t)):
         cm = None
@@ -531,7 +531,7 @@ class _Ratio:
             raise DegenerateDenominator(
                 f"{den.gen.value}(s={den.s}) has non-positive curvature on [{lo}, {hi}]"
             )
-        self.num, self.den, self.lo, self.hi = num, den, lo, hi
+        self.num, self.den, self.lo, self.hi = num, den, float(lo), float(hi)
         self.A = a.alpha - b.alpha
         self.B = a.beta - b.beta
         self.C = a.c - b.c
@@ -542,10 +542,10 @@ class _Ratio:
         self.sb = abs(a.beta) + abs(b.beta)
         self.sc = abs(a.c) + abs(b.c)
         self.c, self.cm, self.whole = _cubic(num, den)
-        if not (_filterable(lo) and _filterable(hi)):
+        if not (_filterable(self.lo) and _filterable(self.hi)):
             self.cm = None
         # ln|g| at lo and hi, where every use of the ratio starts
-        self.ends = (self.point(lo), self.point(hi))
+        self.ends = (self.point(self.lo), self.point(self.hi))
 
     @cached_property
     def exact(self) -> tuple:
@@ -624,13 +624,14 @@ class _Ratio:
 
     def bracket(self, u: float, w: float) -> tuple[float, float]:
         """[a, b] around the one root of N in (u, w), a simple one: Newton's
-        iterate x, kept inside by bisection, then x -+ h, h widened until the
-        filter shows N changing sign between the ends."""
+        iterate x, kept inside by bisection, then x -+ h, h starting where
+        the float filter can decide and doubled until the signs of N at the
+        ends show the root between them."""
         c0, c1, c2, c3 = self.c
         up = next(v for v in self.signs(u, w) if v)  # N just above u
         a, b, x = u, w, math.sqrt(u) * math.sqrt(w)
         for _ in range(100):
-            v, dv = ((c3 * x + c2) * x + c1) * x + c0, (3.0 * c3 * x + 2.0 * c2) * x + c1
+            v, dv = _horner(self.c, x)[0], (3.0 * c3 * x + 2.0 * c2) * x + c1
             if not v:
                 break
             a, b = (x, b) if (v > 0.0) == (up > 0) else (a, x)
@@ -641,16 +642,13 @@ class _Ratio:
                 break
             x = y
         h = math.ulp(x)
+        if self.cm and dv:
+            h += _FILTER * _horner(self.cm, x)[0] / abs(dv)
         while True:
-            h *= 4.0
             a, b = max(u, x - h), min(w, x + h)
-            if (a == u or self._filtered(a) == up) and (b == w or self._filtered(b) == -up):
+            if (a == u or self.signs(a, a)[0] == up) and (b == w or self.signs(b, b)[0] == -up):
                 return a, b
-
-    def _filtered(self, x: float) -> Optional[int]:
-        """The sign of N(x) where the float filter decides it, else None."""
-        signs = self.cm and _decide(_horner(self.c, x), _horner(self.cm, x))
-        return signs[0] if signs else None
+            h *= 2.0
 
     def extrema(self) -> tuple[float, float, float]:
         """(m, M, width) with m <= inf g and M >= sup g on [lo, hi]; width

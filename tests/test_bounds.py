@@ -186,6 +186,14 @@ class TestNumericMM:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
             numeric_mM(num, den, 1e-6, 1.0)
 
+    def test_numpy_and_int_arguments_match_floats(self):
+        # the filter and its exact fallback see the same doubles either way
+        num, den = family_generators(F.I, 0.0, 0.0)
+        expected = numeric_mM(num, den, 0.5, 2.0)
+        assert numeric_mM(num, den, np.float64(0.5), 2) == expected
+        num, den = GeneratorSpec(Gen.PSI, np.float64(0.0)), GeneratorSpec(Gen.PHI, 0)
+        assert numeric_mM(num, den, np.float64(0.5), np.float64(2.0)) == expected
+
     def test_rejects_bad_interval(self):
         with pytest.raises(NonPositiveArgument):
             numeric_mM(PSI2, PHI2, 0.0, 1.0)
