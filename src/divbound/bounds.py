@@ -593,7 +593,8 @@ class _Ratio:
 
     def roots(self, signs: Optional[list[int]] = None) -> list[tuple[float, float]]:
         """Intervals [u, w] of [lo, hi], in order, that hold the roots of N
-        in (lo, hi) where N changes sign, at least one each.
+        in (lo, hi) where N changes sign: at least one each, but for an
+        interval between adjacent doubles, which may hold none.
 
         Descartes' rule on the Moebius image of an interval (``signs``, its
         :func:`_moebius` signs) bounds its roots (Collins & Akritas 1976):

@@ -69,6 +69,10 @@ class Gen(Enum):
     XI = "xi-gen"
     VARSIGMA = "varsigma-gen"
 
+    # members are singletons: hash by identity, in C, not by name in Python
+    # (log_d2 and every spec-keyed table hash a Gen per lookup)
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
