@@ -12,13 +12,13 @@ from divbound.bounds import (
     CROSS_CHECK_TOL,
     CertificateSource,
     InequalityFamily,
+    PARAM_GRID,
     active_branch,
     closed_form_mM,
     corollary_table,
     family_generators,
     g_ratio,
     in_region,
-    PARAM_GRID,
     numeric_mM,
     printed_mM,
     region_grid,
@@ -407,7 +407,6 @@ class TestCubic:
         num, den = family_generators(F.VII, 3.5, -2.978951757508582)
         assert bounds._coefficients(num, den, *vii)[2] == 0
         assert bounds._coefficients(num, den, 3.5, -2.978951757508582, 1.0)[2] == 0.0
-
 
     @pytest.mark.parametrize("c,direction", [
         ((1, -5, 3, 9), 1),  # 9 (x - 1/3)^2 (x + 1): 1/3 is no double
