@@ -374,7 +374,7 @@ class TestCubic:
 
     def test_coefficients_match_a_symbolic_derivation(self):
         # N from the five f'' closed forms, derived symbolically in s and t
-        # for every family, against the builder at exact rational (s, t)
+        # for every family, against _coefficients at exact rational (s, t)
         sp = pytest.importorskip("sympy")
         s, t = sp.symbols("s t")
         x = sp.symbols("x", positive=True)
