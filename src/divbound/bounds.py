@@ -59,7 +59,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import (
@@ -387,7 +387,8 @@ def numeric_mM(
     The extrema of g lie at r, R and the roots where its cubic N changes
     sign (:class:`_Ratio`), so ln|g| is evaluated only at r, R, the zero of
     g and the ends of a narrow bracket around each such root.  Padded
-    outward by the rounding allowance of the evaluations, the result holds ``m <= inf g`` and ``M >= sup g``; for r == R it is the value at r
+    outward by the rounding allowance of the evaluations, the result holds
+    ``m <= inf g`` and ``M >= sup g``; for r == R it is the value at r
     padded both ways.  Curvatures beyond the double range are fine as long
     as the extrema are not.  Raises :class:`DegenerateDenominator` when the
     denominator curvature is not positive on [r, R] and
@@ -404,9 +405,12 @@ def numeric_mM(
 _ERR = 8.0 * sys.float_info.epsilon
 #: ln of the least normal double
 _LOG_TINY = math.log(sys.float_info.min)
-#: error of the float filter per unit of magnitude form: a value it decides
-#: takes at most 12 rounded steps (gamma_12 < 6.1 eps), and the magnitude
-#: form rounds too.  It runs only on s, t, x that are 0 or within
+#: error of the float filter per unit of magnitude form.  Each form k0 +
+#: k1 s that :func:`_at` reads has |k1| <= 1, so it is exact or one rounding
+#: off its own value; from the forms a value the filter decides takes at
+#: most 15 rounded steps on any path (gamma_15 < 7.6 eps), and its
+#: magnitude form, the same steps on the absolute values of the terms, is
+#: low by at most as much.  It runs only on s, t, x that are 0 or within
 #: [1e-30, 1e30] in magnitude, so no step leaves the normal range.
 _FILTER = 16.0 * sys.float_info.epsilon
 
@@ -415,56 +419,37 @@ def _filterable(v) -> bool:
     return v == 0.0 or 1e-30 <= abs(v) <= 1e30
 
 
-def _coefficients(num: GeneratorSpec, den: GeneratorSpec, s, t, one=1, f=int) -> tuple:
-    """(c0, c1, c2, c3) of N(x) = sum c_k x^k at (s, t) from the unfolded
-    :data:`D2_FORMS`, in the arithmetic of s, t and ``one``; with f = abs,
-    on |s| and |t|, their magnitude forms.  A + B enters only as a
+def _at(forms, v, one) -> tuple:
+    """alpha, alpha + beta, p and q of a :data:`D2_FORMS` row at v, with
+    ``one`` the unit of the constant terms."""
+    (a0, a1), (b0, b1), _, (p0, p1), (q0, q1) = forms
+    return (a0 * one + a1 * v, (a0 + b0) * one + (a1 + b1) * v,
+            p0 * one + p1 * v, q0 * one + q1 * v)
+
+
+def _coefficients(f1, f2, s, t, one=1) -> tuple:
+    """(c0, c1, c2, c3) of N(x) = sum c_k x^k from the :data:`D2_FORMS` row
+    f1 of the numerator at s and f2 of the denominator at t, in the
+    arithmetic of s, t and ``one``, and their magnitude forms: the same sums
+    over the absolute values of the terms.  A + B enters only as a
     difference of alpha + beta forms, so a coefficient that vanishes for
     every (s, t) comes out exactly 0."""
-
-    def terms(gen: Gen, v) -> tuple:
-        (a0, a1), (b0, b1), _, (p0, p1), (q0, q1) = D2_FORMS[gen]
-        return (f(a0) * one + f(a1) * v, f(a0 + b0) * one + f(a1 + b1) * v,
-                f(p0) * one + f(p1) * v, f(q0) * one + f(q1) * v)
-
-    (a1, ab1, p1, q1), (a2, ab2, p2, q2) = terms(num.gen, s), terms(den.gen, t)
-    sign = f(-1)
-    A, AB = a1 + sign * a2, ab1 + sign * ab2
-    u, w = p1 * q2 + p2 * q1, p1 * q2 + sign * (p2 * q1)
-    qq, pp = q1 * q2, p1 * p2
-    return A * qq, A * u + AB * qq + w * one, A * pp + AB * u + w * one, AB * pp
+    (a1, ab1, p1, q1), (a2, ab2, p2, q2) = _at(f1, s, one), _at(f2, t, one)
+    A, AB, pq, qp, qq, pp = a1 - a2, ab1 - ab2, p1 * q2, p2 * q1, q1 * q2, p1 * p2
+    u, w = pq + qp, pq - qp
+    Am, ABm, um = abs(a1) + abs(a2), abs(ab1) + abs(ab2), abs(pq) + abs(qp)
+    qm, pm = abs(qq), abs(pp)
+    return ((A * qq, A * u + AB * qq + w * one, A * pp + AB * u + w * one, AB * pp),
+            (Am * qm, Am * um + ABm * qm + um * one, Am * pm + ABm * um + um * one, ABm * pm))
 
 
 def _decide(vals, mags) -> Optional[list[int]]:
     """Signs of float values within ``_FILTER`` times their magnitude forms
     of the exact ones, or None when one lies too close to 0 to tell."""
-    signs = []
     for v, m in zip(vals, mags):
         if abs(v) <= _FILTER * m and m:
             return None
-        signs.append((v > 0.0) - (v < 0.0))
-    return signs
-
-
-def _exact(num: GeneratorSpec, den: GeneratorSpec) -> tuple:
-    """N's coefficients times E^3, E = the product of the denominators of s
-    and t, in integers: exact, with the signs and roots of N's."""
-    (S, ds), (T, dt) = num.s.as_integer_ratio(), den.s.as_integer_ratio()
-    return _coefficients(num, den, S * dt, T * ds, ds * dt)
-
-
-@lru_cache(maxsize=4096)
-def _cubic(num: GeneratorSpec, den: GeneratorSpec) -> tuple:
-    """N's float coefficients at (num.s, den.s), their magnitude forms
-    (None where the filter may not run), and the sign of N on all of
-    (0, inf) where Descartes' rule on the coefficients rules out a positive
-    root (+1 for N = 0), else 0."""
-    s, t = float(num.s), float(den.s)
-    c, cm = _coefficients(num, den, s, t, 1.0), _coefficients(num, den, abs(s), abs(t), 1.0, abs)
-    if not (_filterable(s) and _filterable(t)):
-        cm = None
-    signs = cm and _decide(c, cm) or [(v > 0) - (v < 0) for v in _exact(num, den)]
-    return c, cm, 0 if _turns(signs) else next((v for v in signs if v), 1)
+    return [(v > 0.0) - (v < 0.0) for v in vals]
 
 
 def _moebius(c, a, b) -> tuple:
@@ -476,10 +461,6 @@ def _moebius(c, a, b) -> tuple:
             3 * c0 + c1 * (a + a + b) + c2 * (aa + ab + ab) + 3 * c3 * (aa * b),
             3 * c0 + c1 * (a + b + b) + c2 * (ab + ab + bb) + 3 * c3 * (a * bb),
             c0 + c1 * b + c2 * bb + c3 * (bb * b))
-
-
-def _horner(c, x) -> tuple:
-    return (((c[3] * x + c[2]) * x + c[1]) * x + c[0],)
 
 
 def _discriminant(c) -> int:
@@ -541,16 +522,20 @@ class _Ratio:
         self.sa = abs(a.alpha) + abs(b.alpha)
         self.sb = abs(a.beta) + abs(b.beta)
         self.sc = abs(a.c) + abs(b.c)
-        self.c, self.cm, self.whole = _cubic(num, den)
-        if not (_filterable(self.lo) and _filterable(self.hi)):
-            self.cm = None
+        s, t = float(num.s), float(den.s)
+        c, cm = _coefficients(D2_FORMS[num.gen], D2_FORMS[den.gen], s, t)
+        self.c, self.cm = c, cm if _filterable(s) and _filterable(t) and (
+            1e-30 <= self.lo and self.hi <= 1e30) else None
         # ln|g| at lo and hi, where every use of the ratio starts
         self.ends = (self.point(self.lo), self.point(self.hi))
 
     @cached_property
     def exact(self) -> tuple:
-        """:func:`_exact` of the ratio's generators."""
-        return _exact(self.num, self.den)
+        """N's coefficients times E^3, E the product of the denominators of
+        s and t, in integers: exact, with the signs and roots of N's."""
+        (S, ds), (T, dt) = (float(spec.s).as_integer_ratio() for spec in (self.num, self.den))
+        forms = D2_FORMS[self.num.gen], D2_FORMS[self.den.gen]
+        return _coefficients(*forms, S * dt, T * ds, ds * dt)[0]
 
     def signs(self, a: float, b: float) -> list[int]:
         """Signs of the :func:`_moebius` coefficients of (a, b): from the
@@ -593,21 +578,18 @@ class _Ratio:
 
     def roots(self, signs: Optional[list[int]] = None) -> list[tuple[float, float]]:
         """Intervals [u, w] of [lo, hi], in order, that hold the roots of N
-        in (lo, hi) where N changes sign: at least one each, but for an
-        interval between adjacent doubles, which may hold none.
+        in (lo, hi) where N changes sign: one each, but for an interval
+        between adjacent doubles, which may hold none.
 
         Descartes' rule on the Moebius image of an interval (``signs``, its
         :func:`_moebius` signs) bounds its roots (Collins & Akritas 1976):
         one sign change means one simple root; more split the interval at
         its geometric mean, down to adjacent doubles.  A root on a split
         point is [x, x]."""
-        todo = [] if self.whole else [
-            (self.lo, self.hi, signs or self.signs(self.lo, self.hi))]
-        out = []
+        todo, out = [(self.lo, self.hi, signs or self.signs(self.lo, self.hi))], []
         while todo:
             u, w, signs = todo.pop()
-            turns = _turns(signs)
-            x = math.sqrt(u) * math.sqrt(w)
+            turns, x = _turns(signs), math.sqrt(u) * math.sqrt(w)
             if turns > 1 and not u < x < w:
                 x = u + 0.5 * (w - u)
             if turns < 2 or not u < x < w:
@@ -624,27 +606,27 @@ class _Ratio:
         return sorted(out)
 
     def bracket(self, u: float, w: float) -> tuple[float, float]:
-        """[a, b] around the one root of N in (u, w), a simple one: Newton's
-        iterate x, kept inside by bisection, then x -+ h, h starting where
-        the float filter can decide and doubled until the signs of N at the
-        ends show the root between them."""
+        """[a, b] within one of :meth:`roots`' intervals [u, w], around its
+        root: Newton's iterate x, kept inside by bisection, then x -+ h, h
+        starting a few ulps out, at four times the width where the float
+        filter stops deciding, and doubled until the signs of N at the ends
+        show the root between them."""
+        if not math.nextafter(u, w) < w:
+            return u, w
         c0, c1, c2, c3 = self.c
         up = next(v for v in self.signs(u, w) if v)  # N just above u
         a, b, x = u, w, math.sqrt(u) * math.sqrt(w)
         for _ in range(100):
-            v, dv = _horner(self.c, x)[0], (3.0 * c3 * x + 2.0 * c2) * x + c1
-            if not v:
-                break
+            v, dv = ((c3 * x + c2) * x + c1) * x + c0, (3.0 * c3 * x + 2.0 * c2) * x + c1
             a, b = (x, b) if (v > 0.0) == (up > 0) else (a, x)
-            y = x - v / dv if dv else x
-            if not a <= y <= b:
-                y = math.sqrt(a) * math.sqrt(b)
+            y = x - v / dv if v and dv else x
+            x, y = (y, x) if a <= y <= b else (math.sqrt(a) * math.sqrt(b), x)
             if abs(y - x) <= math.ulp(x):
                 break
-            x = y
         h = math.ulp(x)
-        if self.cm and dv:
-            h += _FILTER * _horner(self.cm, x)[0] / abs(dv)
+        if self.cm and dv:  # four times where the filter stops deciding
+            m0, m1, m2, m3 = self.cm
+            h += 4.0 * _FILTER * (((m3 * x + m2) * x + m1) * x + m0) / abs(dv)
         while True:
             a, b = max(u, x - h), min(w, x + h)
             if (a == u or self.signs(a, a)[0] == up) and (b == w or self.signs(b, b)[0] == -up):
@@ -676,7 +658,7 @@ class _Ratio:
         width = max(p.e for p in pts)
         A, B, C = self.A, self.B, self.C
         for u, w in self.roots():
-            p, q = map(self.point, self.bracket(u, w) if math.nextafter(u, w) < w else (u, w))
+            p, q = map(self.point, self.bracket(u, w))
             e = max(p.e, q.e)
             top = (C + max(A * p.y, A * q.y) + max(B * p.l1, B * q.l1)
                    + max(p.lv, q.lv) - min(p.lw, q.lw) + e)
@@ -717,12 +699,12 @@ class _Ratio:
         when N changes sign in (lo, hi) or g has a zero on [lo, hi]."""
         if self.p1 and (self.p1 * self.lo + self.q1) * (self.p1 * self.hi + self.q1) <= 0.0:
             return 0
-        if self.whole:
-            return self.whole
         signs = self.signs(self.lo, self.hi)
-        if min(signs) < 0 < max(signs) and self.roots(signs):
-            return 0
-        return next((v for v in signs if v), 1)
+        if min(signs) < 0 < max(signs):
+            # N may change sign, or have a root of even multiplicity, with
+            # the sign just above lo on either side of it
+            return 0 if self.roots(signs) else next(v for v in signs if v)
+        return max(signs) or min(signs) or 1
 
 
 # --------------------------------------------------------------------------
@@ -740,8 +722,11 @@ def printed_mM(
     floats, the text may raise an :class:`ArithmeticError`
     (``OverflowError``, ``ZeroDivisionError``) far from ratio 1."""
     br = active_branch(family, s, t)
-    if br is None:
-        return None
+    return None if br is None else _printed(family, br, s, t, r, R)
+
+
+def _printed(family: InequalityFamily, br: Branch, s, t, r, R) -> tuple[float, float]:
+    """:func:`printed_mM` with the active branch already found."""
     printed = FAMILY_DEFS[family].printed
     lo, hi = (r, R) if br.increasing else (R, r)
     return printed(s, t, lo, R), printed(s, t, hi, R)
@@ -809,14 +794,14 @@ def closed_form_mM(
     In-region: when the curvature ratio is monotone on [r, R] in the
     branch's direction, as its cubic decides (:meth:`_Ratio.direction`), or
     its end values are equal within their rounding allowance, m and M are
-    its log-domain
-    values at the ends, padded outward (:meth:`_Ratio.bound`), so
-    ``m <= inf g`` and ``M >= sup g``; for r == R they are the value at r
-    padded both ways.  Otherwise the :func:`numeric_mM` enclosure of the
-    same ratio is shipped with an erratum note.  The printed catalog text
-    is compared last, on endpoint values only, and can only add an
-    erratum.  Out-of-region: numeric enclosure with ``region_ok=False``
-    unless ``strict``, which raises :class:`RegionViolation`.
+    its log-domain values at the ends, padded outward
+    (:meth:`_Ratio.bound`), so ``m <= inf g`` and ``M >= sup g``; for
+    r == R they are the value at r padded both ways.  Otherwise the
+    :func:`numeric_mM` enclosure of the same ratio is shipped with an
+    erratum note.  The printed catalog text is compared last, on endpoint
+    values only, and can only add an erratum.  Out-of-region: numeric
+    enclosure with ``region_ok=False`` unless ``strict``, which raises
+    :class:`RegionViolation`.
     """
     num, den = family_generators(family, s, t)
     br = active_branch(family, s, t)
@@ -836,7 +821,7 @@ def closed_form_mM(
             lo, hi = (a, b) if up > 0 else (b, a)
             m, M = ratio.bound(lo, False), ratio.bound(hi, True)
             try:
-                printed = printed_mM(family, s, t, r, R)
+                printed = _printed(family, br, s, t, r, R)
                 erratum = None if _agrees(printed[0], m) and _agrees(printed[1], M) else (
                     f"catalog text for tag ({br.tag}) disagrees with the curvature-ratio "
                     f"endpoint values; corrected endpoint values shipped"

@@ -69,10 +69,6 @@ class Gen(Enum):
     XI = "xi-gen"
     VARSIGMA = "varsigma-gen"
 
-    # members are singletons: hash by identity, in C, not by name in Python
-    # (log_d2 and every spec-keyed table hash a Gen per lookup)
-    __hash__ = object.__hash__
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -259,7 +255,10 @@ def log_d2(spec: GeneratorSpec) -> LogD2:
     :data:`D2_FORMS` at ``spec.s``."""
     (a0, a1), (b0, b1), (c0, c1), (p0, p1), (q0, q1) = D2_FORMS[spec.gen]
     s = spec.s
-    return _fold(a0 + a1 * s, b0 + b1 * s, (c0 + c1 * s) * _LN2, p0 + p1 * s, q0 + q1 * s)
+    alpha, beta, c = a0 + a1 * s, b0 + b1 * s, (c0 + c1 * s) * _LN2
+    if not (p0 or p1):  # no linear factor
+        return LogD2(alpha, beta, c, 1.0)
+    return _fold(alpha, beta, c, p0 + p1 * s, q0 + q1 * s)
 
 
 def _fold(alpha: float, beta: float, c: float, p: float, q: float) -> LogD2:

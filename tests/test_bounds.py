@@ -32,7 +32,7 @@ from divbound.errors import (
     NonPositiveArgument,
     RegionViolation,
 )
-from divbound.generators import Gen, GeneratorSpec
+from divbound.generators import D2_FORMS, Gen, GeneratorSpec
 from divbound.measures import (
     chi_square,
     hellinger,
@@ -294,7 +294,7 @@ class TestEnclosure:
             assert roots or ratio.p1 and (ratio.p1 * r + ratio.q1) * (ratio.p1 * R + ratio.q1) <= 0.0
             for u, w in roots:
                 assert r <= u <= w <= R, request
-                a, b = ratio.bracket(u, w) if math.nextafter(u, w) < w else (u, w)
+                a, b = ratio.bracket(u, w)
                 assert u <= a <= b <= w, request
                 if a == b:
                     assert exact_sign(ratio, a) == 0, request
@@ -400,13 +400,18 @@ class TestCubic:
             for a, b in points + [vii] * (family is F.VII):
                 expected = tuple(
                     sum(int(c) * a ** i * b ** j for (i, j), c in c_k.terms()) for c_k in coefs)
-                num, den = family_generators(family, float(a), float(b))
-                assert bounds._coefficients(num, den, a, b) == expected, (family, a, b)
+                forms = D2_FORMS[fd.num_gen], D2_FORMS[fd.den_gen]
+                assert bounds._coefficients(*forms, a, b)[0] == expected, (family, a, b)
         # the x^2 coefficient of VII is p1 (A + B + 1), 0 for every (s, t),
         # and exactly 0 in floats as well
-        num, den = family_generators(F.VII, 3.5, -2.978951757508582)
-        assert bounds._coefficients(num, den, *vii)[2] == 0
-        assert bounds._coefficients(num, den, 3.5, -2.978951757508582, 1.0)[2] == 0.0
+        forms = D2_FORMS[Gen.VARSIGMA], D2_FORMS[Gen.PSI]
+        assert bounds._coefficients(*forms, *vii)[0][2] == 0
+        assert bounds._coefficients(*forms, 3.5, -2.978951757508582)[0][2] == 0.0
+
+    def test_forms_round_once(self):
+        # the float filter's error bound counts one rounding per form k0 + k1 s
+        for (_, a1), (_, b1), _, (_, p1), (_, q1) in D2_FORMS.values():
+            assert max(abs(a1), abs(a1 + b1), abs(p1), abs(q1)) <= 1
 
     @pytest.mark.parametrize("c,direction", [
         ((1, -5, 3, 9), 1),  # 9 (x - 1/3)^2 (x + 1): 1/3 is no double
@@ -417,7 +422,7 @@ class TestCubic:
     def test_only_roots_of_odd_multiplicity_turn_g(self, c, direction):
         ratio = bounds._Ratio(*family_generators(F.I, 2.0, 2.0), 0.1, 1.0)
         ratio.c, ratio.cm = tuple(map(float, c)), tuple(float(abs(v)) for v in c)
-        ratio.exact, ratio.whole = c, 0
+        ratio.exact = c
         assert ratio.direction() == direction
         assert len(ratio.roots()) == (direction == 0)
 
