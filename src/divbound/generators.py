@@ -84,8 +84,8 @@ class GeneratorSpec:
     s: float
 
     def __post_init__(self):
-        finite = np.isfinite(self.s)
-        if not (finite.all() if isinstance(self.s, np.ndarray) else finite):
+        s = self.s
+        if not (np.isfinite(s).all() if isinstance(s, np.ndarray) else math.isfinite(s)):
             raise ValueError(f"s must be finite, got {self.s}")
 
 
