@@ -333,7 +333,7 @@ def g_ratio(num: GeneratorSpec, den: GeneratorSpec, x):
     xs = np.asarray(x, float)
     if not np.all(xs > 0.0):
         raise NonPositiveArgument(f"curvature ratio needs x > 0, got {x}")
-    L, sign, _ = log_curvatures([num, den], xs.reshape(-1))
+    L, sign, _ = log_curvatures(np.array([log_d2(num), log_d2(den)]), xs.reshape(-1))
     if not np.all((sign[1] > 0.0) & ~np.isnan(L[1])):
         raise DegenerateDenominator(f"{den.gen.value}(s={den.s}) has non-positive "
                                     f"curvature at x = {x}")
@@ -345,12 +345,12 @@ def g_ratio(num: GeneratorSpec, den: GeneratorSpec, x):
     return g if np.ndim(x) else float(g)
 
 
-def log_curvatures(specs: list[GeneratorSpec], x: np.ndarray):
+def log_curvatures(records: np.ndarray, x: np.ndarray):
     """``(L, sign, e)``: ln|f''|, the sign of f'' and the rounding allowance
-    of L for each spec at each point of the 1-D ``x > 0``, as ``(specs x
-    points)`` arrays from the :func:`log_d2` records.  The allowance is
-    :meth:`_Ratio.point`'s rule for one curvature, and 0 where f'' = 0."""
-    records = np.array([log_d2(s) for s in specs]).reshape(-1, 6)
+    of L for each of the ``(specs x 6)`` :func:`log_d2` ``records`` at each
+    point of the 1-D ``x > 0``, as ``(specs x points)`` arrays.  The
+    allowance is :meth:`_Ratio.point`'s rule for one curvature, and 0 where
+    f'' = 0."""
     alpha, beta, c, sign, p, q = (a[:, None] for a in records.T)
     y, l1 = np.log(x), np.log1p(x)
     L = alpha * y + beta * l1 + c
@@ -571,10 +571,11 @@ class _Ratio:
             lw = math.log(w)
             L -= lw
             e += abs(lw) + (abs(self.p2 * x) + abs(self.q2)) / w
-        if s and not math.isfinite(L):
+        e = _ERR * (e + abs(L)) if s else _ERR * e
+        if not math.isfinite(e):  # nor is L, unless g = 0 here
             raise _non_finite(self.num, self.den, self.lo, self.hi,
-                              f"has log-curvature {L!r} at x = {x!r}")
-        return _Pt(x, y, l1, L, _ERR * (e + abs(L)) if s else _ERR * e, s, lv, lw)
+                              f"has log-curvature {L!r} +- {e!r} at x = {x!r}")
+        return _Pt(x, y, l1, L, e, s, lv, lw)
 
     def roots(self, signs: Optional[list[int]] = None) -> list[tuple[float, float]]:
         """Intervals [u, w] of [lo, hi], in order, that hold the roots of N

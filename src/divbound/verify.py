@@ -13,20 +13,19 @@ so the report depends only on the configuration, not on scheduling.
 Identical configurations produce bit-identical report JSON.
 
 Trials are grouped by simplex size into blocks, and the loop over blocks is
-the outer one.  Before it, the cubic of each distinct sandwich check's
-curvature ratio decides once, on the envelope of all blocks' ratios,
-whether the ratio is monotone; a ratio monotone there is monotone on every
-block and takes outward bounds of its endpoint values, read from the
-log-domain curvature records, and any other ratio takes each row's own
-:func:`numeric_mM` enclosure.  The sandwich checks of one block share one
-table of generator values (:class:`_BlockTable`), evaluated once per block
-along a stacked ``s`` axis, and the checks of one inequality family take
-one array step over ``(checks x rows)`` indexed into it.  The other checks
-of a block read one table of measure values and family ``s`` sweeps
-(:class:`_Values`), so a value that several checks read is summed once.
-Pass counts and worst values of all checks are reduced block by block
-(:class:`_Tally`) with the first-index rule of a full-array
-``argmax``/``argmin``.
+the outer one.  Before it, one object (:class:`_Sandwiches`) takes all
+sandwich checks: the cubic of each distinct curvature ratio decides once,
+on the envelope of all blocks' ratios, whether the ratio is monotone; a
+ratio monotone there is monotone on every block and takes outward bounds of
+its endpoint values, read from the log-domain curvature records, and any
+other ratio takes each row's own :func:`numeric_mM` enclosure.  Per block,
+it evaluates one table of generator values along a stacked ``s`` axis, and
+the checks of one inequality family take one array step over ``(checks x
+rows)`` indexed into it.  The other checks of a block read one table of
+measure values and family ``s`` sweeps (:class:`_Values`), so a value that
+several checks read is summed once.  Each block keeps every check's
+first-index ``argmax``/``argmin`` (:class:`_Tally`), and one more over
+these, in trial order, picks the run's worst trial.
 
 :func:`brute_force_mM` is the deliberately plain oracle for the bound
 engine - a dense linear grid with no refinement, on a different
@@ -39,7 +38,10 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import groupby
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,7 +63,7 @@ from .bounds import (
 )
 from .errors import ConfigInvalid, DegenerateDenominator, RegionViolation
 from .families import _FAMILIES, Family, in_convex_range, phi_s
-from .generators import GeneratorSpec, csiszar_bulk, gen_d2
+from .generators import GeneratorSpec, csiszar_bulk, gen_d2, log_d2
 
 SUBJECTS = ("identities", "families", "corollaries", "bounds-grid")
 DEFAULT_SUBJECTS = ("identities", "families", "corollaries")
@@ -79,17 +81,18 @@ class VerifyConfig:
     subjects: tuple[str, ...] = DEFAULT_SUBJECTS
 
     def __post_init__(self):
-        if not (1 <= self.trials <= MAX_TRIALS):
-            raise ConfigInvalid(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         lo, hi = self.n_range
-        if not (2 <= lo <= hi):
-            raise ConfigInvalid(f"n_range must satisfy 2 <= lo <= hi, got {self.n_range}")
-        if not (self.concentration > 0 and np.isfinite(self.concentration)):
-            raise ConfigInvalid(
-                f"concentration must be positive and finite, got {self.concentration}"
-            )
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ConfigInvalid(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        # (field, its values that must be integers, whether it is in range, the range)
+        for name, ints, ok, need in (
+            ("trials", [self.trials], 1 <= self.trials <= MAX_TRIALS,
+             f"an integer in [1, {MAX_TRIALS}]"),
+            ("n_range", self.n_range, 2 <= lo <= hi, "integers with 2 <= lo <= hi"),
+            ("seed", [self.seed], self.seed >= 0, "a non-negative integer"),
+            ("concentration", [], 0.0 < self.concentration < np.inf, "positive and finite"),
+            ("rel_tol", [], 0.0 < self.rel_tol < 1.0, "in (0, 1)"),
+        ):
+            if not ok or any(isinstance(v, bool) or not isinstance(v, Integral) for v in ints):
+                raise ConfigInvalid(f"{name} must be {need}, got {getattr(self, name)!r}")
         unknown = [s for s in self.subjects if s not in SUBJECTS and s != "all"]
         if unknown:
             raise ConfigInvalid(f"unknown subjects {unknown}; valid: {list(SUBJECTS)}")
@@ -192,7 +195,7 @@ class _Check:
     kind: str  # "residual" | "slack"
     fn: Callable[[_Values], np.ndarray]
     # (numerator, denominator) of a sandwich check, which :func:`run`
-    # evaluates by family from the block table
+    # evaluates by family through its :class:`_Sandwiches`
     gens: Optional[tuple[GeneratorSpec, GeneratorSpec]] = None
 
 
@@ -260,109 +263,88 @@ def _family_checks() -> list[_Check]:
     return checks
 
 
-class _Group:
-    """The sandwich checks of one inequality family, as arrays over the checks.
+#: one inequality family's sandwich checks, as arrays over the checks
+_Family = namedtuple("_Family", "rows num den direction sign m M numeric")
 
-    ``rows`` are the checks' positions in the run's check list, ``num`` and
-    ``den`` the rows of their generators in the spec table a
-    :class:`_BlockTable` evaluates, and, once :meth:`prove` has run,
-    ``direction`` and ``sign`` the direction of each curvature ratio (0
-    where it is not monotone or has a zero) and its sign on the envelope it
-    was given.
+
+class _Sandwiches:
+    """The sandwich checks of a run, from each check's ``(num, den)`` pair
+    (None for other checks) and an envelope [lo, hi] of every block's ratios.
+
+    Holds the spec table ``specs`` (each generator kind's specs together),
+    its :func:`log_d2` ``records`` and, per inequality family (the generator
+    kinds of its ratios), a :data:`_Family`: the checks' ``rows`` in the
+    check list, their generators' rows ``num`` and ``den`` in the spec
+    table, each ratio's ``direction`` on [lo, hi] (0 where not monotone or
+    where g has a zero; +1 on a zero-width envelope), proven once per
+    distinct ratio, and its ``sign``.  ``m`` and ``M`` index the bounds each
+    constant divides: at r (m) and R (M) where g rises, else the reverse; a
+    lower bound of |g| (numerator's lower over denominator's upper) for m if
+    g > 0 and M if g < 0.  ``numeric`` lists the unproven ``(check, ratio)``.
     """
 
-    def __init__(self, rows, ratios, index: dict[GeneratorSpec, int]):
-        self.rows = np.array(rows)
-        self.ratios = ratios
-        self.num = np.array([index[num] for num, _ in ratios])
-        self.den = np.array([index[den] for _, den in ratios])
+    def __init__(self, ratios: list[Optional[tuple[GeneratorSpec, GeneratorSpec]]],
+                 lo: float, hi: float):
+        self.specs = sorted(dict.fromkeys(spec for ratio in ratios if ratio for spec in ratio),
+                            key=lambda spec: spec.gen.value)
+        self.records = np.array([log_d2(spec) for spec in self.specs]).reshape(-1, 6)
+        self.stacks = [GeneratorSpec(gen, np.array([spec.s for spec in specs]))
+                       for gen, specs in groupby(self.specs, lambda spec: spec.gen)]
+        index = {spec: i for i, spec in enumerate(self.specs)}
+        members, proofs = {}, {}
+        for k, ratio in enumerate(ratios):
+            if ratio is not None:
+                members.setdefault((ratio[0].gen, ratio[1].gen), []).append(k)
+                if ratio not in proofs:
+                    g = _Ratio(*ratio, lo, hi)
+                    proofs[ratio] = g.direction() if lo < hi else 1, g.ends[0].s
+        self.families = []
+        for ks in members.values():
+            num, den = (np.array([index[ratios[k][side]] for k in ks]) for side in (0, 1))
+            direction, sign = map(np.array, zip(*(proofs[ratios[k]] for k in ks)))
+            end, neg = (direction <= 0).astype(int), 2 * (sign < 0)
+            self.families.append(_Family(
+                np.array(ks), num, den, direction, sign[:, None],
+                ((num, neg + end), (den, 2 - neg + end)),
+                ((num, 3 - neg - end), (den, 1 + neg - end)),
+                [(c, ratios[ks[c]]) for c in np.flatnonzero(direction == 0)],
+            ))
 
-    def prove(self, lo: float, hi: float, proofs: dict) -> None:
-        """Prove each ratio monotone on [lo, hi], once per distinct ratio
-        across every group sharing ``proofs``; on a zero-width [lo, hi]
-        every ratio counts as increasing.  ``m`` and ``M`` then index the
-        :class:`_BlockTable` bounds each constant divides: at r (m) and R (M)
-        where g rises, else the reverse; a lower bound of |g| (numerator's
-        lower over denominator's upper) for m if g > 0 and M if g < 0."""
-        for ratio in self.ratios:
-            if ratio not in proofs:
-                g = _Ratio(*ratio, lo, hi)
-                proofs[ratio] = g.direction() if lo < hi else 1, g.ends[0].s
-        self.direction, self.sign = map(np.array, zip(*map(proofs.get, self.ratios)))
-        end, neg = (self.direction <= 0).astype(int), 2 * (self.sign < 0)
-        self.m = (self.num, neg + end), (self.den, 2 - neg + end)
-        self.M = (self.num, 3 - neg - end), (self.den, 1 + neg - end)
-
-
-def _sandwich_groups(
-    ratios: list[Optional[tuple[GeneratorSpec, GeneratorSpec]]],
-) -> tuple[list[GeneratorSpec], list[_Group]]:
-    """The spec table and the per-family groups of the sandwich checks.
-
-    ``ratios[k]`` is check k's ``(num, den)`` pair, or None for a check
-    that is not a sandwich check.  The generator kinds of a ratio name its
-    inequality family."""
-    index: dict[GeneratorSpec, int] = {}
-    members: dict[tuple, list[int]] = {}
-    for k, ratio in enumerate(ratios):
-        if ratio is not None:
-            for spec in ratio:
-                index.setdefault(spec, len(index))
-            members.setdefault((ratio[0].gen, ratio[1].gen), []).append(k)
-    groups = [_Group(ks, [ratios[k] for k in ks], index) for ks in members.values()]
-    return list(index), groups
-
-
-class _BlockTable:
-    """Generator values shared by the sandwich checks of one block of pairs.
-
-    Holds the block's rows ``P``, ``Q``, each row's ratio envelope
-    ``[r, R]``, the block's pooled envelope ``[lo, hi]`` and, per spec of
-    the run's spec table, its f-divergence on every row (one compensated
-    sum per generator kind, over a stacked ``s``) and ``bounds`` on |f''|
-    at every ``r`` and ``R`` in the slots ``lo_r, lo_R, hi_r, hi_R`` (one
-    :func:`log_curvatures` call, padded as ``exp(L) (1 -+ 2e)``).  Every
-    value is bit-for-bit the single spec's.  A group of checks reads these
-    rows by index, in one array step over ``(checks x rows)``.
-    """
-
-    def __init__(self, P: np.ndarray, Q: np.ndarray, specs: list[GeneratorSpec]):
-        self.P, self.Q = P, Q
+    def table(self, P: np.ndarray, Q: np.ndarray) -> tuple:
+        """``(r, R, bounds, div)`` of a block of pairs: each row's ratio
+        envelope [r, R] and, per spec, ``bounds`` on |f''| at every r and R in
+        the slots ``lo_r, lo_R, hi_r, hi_R`` (one :func:`log_curvatures` call,
+        padded as ``exp(L) (1 -+ 2e)``) and its f-divergence ``div`` on every
+        row (one compensated sum per generator kind, over a stacked ``s``).
+        Every value is bit-for-bit the single spec's."""
         ratios = P / Q
-        self.r, self.R = ratios.min(axis=1), ratios.max(axis=1)
-        self.lo, self.hi = float(self.r.min()), float(self.R.max())
-        L, _, e = log_curvatures(specs, np.concatenate([self.r, self.R]))
+        r, R = ratios.min(axis=1), ratios.max(axis=1)
+        L, _, e = log_curvatures(self.records, np.concatenate([r, R]))
         with np.errstate(over="ignore"):
             mag = np.exp(L)
         # the relative padding needs a normal exp(L); past it widen to 0, max / 2, 2 * tiny
         lo = np.minimum(mag * (1.0 - 2.0 * e), 0.5 * _HUGE) * (mag >= _TINY)
         hi = np.maximum(mag * (1.0 + 2.0 * e), 2.0 * _TINY)
-        self.bounds = np.concatenate([lo, hi], axis=1).reshape(len(specs), 4, P.shape[0])
-        self.div = np.empty((len(specs), P.shape[0]))
-        for gen in dict.fromkeys(spec.gen for spec in specs):
-            rows = [i for i, spec in enumerate(specs) if spec.gen is gen]
-            stack = GeneratorSpec(gen, np.array([specs[i].s for i in rows]))
-            self.div[rows] = csiszar_bulk(stack, P, Q)
+        bounds = np.concatenate([lo, hi], axis=1).reshape(len(self.specs), 4, P.shape[0])
+        div = [np.empty((0, P.shape[0]))] + [csiszar_bulk(stack, P, Q) for stack in self.stacks]
+        return r, R, bounds, np.concatenate(div)
 
-    def constants(self, group: _Group) -> tuple[np.ndarray, np.ndarray]:
-        """Sandwich constants m, M of each check's curvature ratio on each
-        row's [r, R], as ``(checks x rows)`` arrays: for a ratio proven
-        monotone (:meth:`_Group.prove`), quotients of the padded bounds at
-        its ends, so ``m <= inf g`` and ``M >= sup g`` by construction;
-        elsewhere each row's :func:`numeric_mM` enclosure."""
-        b, sign = self.bounds, group.sign[:, None]
-        with np.errstate(divide="ignore", over="ignore"):
-            m, M = (sign * (b[num] / b[den]) for num, den in (group.m, group.M))
-        for k in np.flatnonzero(group.direction == 0):
-            for i in range(self.r.shape[0]):
-                m[k, i], M[k, i] = numeric_mM(*group.ratios[k], float(self.r[i]), float(self.R[i]))
-        return m, M
-
-    def slack(self, group: _Group) -> np.ndarray:
-        """Normalized sandwich slack of each check on each row."""
-        m, M = self.constants(group)
-        c1, c2 = self.div[group.num], self.div[group.den]
-        return np.minimum(c1 - m * c2, M * c2 - c1) / np.maximum(1.0, np.abs(c1))
+    def slacks(self, P: np.ndarray, Q: np.ndarray):
+        """``(family, m, M, slack)`` per family, one at a time, as ``(checks x
+        rows)`` arrays over the block's rows: the sandwich constants of each
+        check on each row's [r, R], for a ratio proven monotone quotients of
+        the padded bounds at its ends, so ``m <= inf g`` and ``M >= sup g``
+        by construction, elsewhere each row's :func:`numeric_mM` enclosure;
+        and the normalized slack min(C1 - m C2, M C2 - C1) / max(1, |C1|)."""
+        r, R, bounds, div = self.table(P, Q)
+        for family in self.families:
+            with np.errstate(divide="ignore", over="ignore"):
+                m, M = (family.sign * (bounds[a] / bounds[b]) for a, b in (family.m, family.M))
+            for k, ratio in family.numeric:
+                for i in range(r.shape[0]):
+                    m[k, i], M[k, i] = numeric_mM(*ratio, float(r[i]), float(R[i]))
+            c1, c2 = div[family.num], div[family.den]
+            yield family, m, M, np.minimum(c1 - m * c2, M * c2 - c1) / np.maximum(1.0, np.abs(c1))
 
 
 def sandwich_slack_bulk(
@@ -374,10 +356,10 @@ def sandwich_slack_bulk(
     curvature ratio is proven monotone on the rows' pooled ratio
     envelope; otherwise each row falls back to :func:`numeric_mM`.
     """
-    specs, (group,) = _sandwich_groups([family_generators(family, s, t)])
-    table = _BlockTable(P, Q, specs)
-    group.prove(table.lo, table.hi, {})
-    return table.slack(group)[0]
+    ratios = P / Q
+    sandwiches = _Sandwiches([family_generators(family, s, t)], ratios.min(), ratios.max())
+    (*_, slack), = sandwiches.slacks(P, Q)
+    return slack[0]
 
 
 def _sandwich_check(id: str, family: InequalityFamily, s: float, t: float) -> _Check:
@@ -441,39 +423,37 @@ class _Tally:
     Residual checks are keyed negated, so that every check's worst value is
     the first-index ``argmin`` over all trials, as if the blocks were one
     array in trial order: NaN is worse than any number, and ties go to the
-    lowest trial.  ``worst`` keeps the value as computed (the sign of a
-    zero included); ``block`` and ``row`` locate its pair.
+    lowest trial.  Each block keeps every check's own first-index ``argmin``
+    (:meth:`add`), and :meth:`worst` takes one more over these candidates in
+    trial order.
     """
 
-    def __init__(self, kinds, rel_tol: float):
-        n = len(kinds)
+    def __init__(self, kinds, rel_tol: float, blocks: int):
         self.sign = np.where(np.array(kinds) == "residual", -1.0, 1.0)
         self.rel_tol = rel_tol
-        self.passes = np.zeros(n, dtype=np.int64)
-        self.worst = np.full(n, np.nan)
-        self.trial = np.full(n, -1)
-        self.block = np.full(n, -1)
-        self.row = np.full(n, -1)
+        self.passes = np.zeros(len(kinds), dtype=np.int64)
+        # per check and block: the keyed value, trial and row of its argmin
+        self.keyed = np.empty((len(kinds), blocks))
+        self.trial, self.row = np.empty((2, len(kinds), blocks), dtype=np.int64)
 
     def add(self, block: int, idx: np.ndarray, values: np.ndarray, checks: np.ndarray) -> None:
         """Reduce one block: ``values[c, j]`` is check ``checks[c]`` on the
-        pair of trial ``idx[j]`` (``idx`` increasing)."""
-        sign = self.sign[checks]
-        keyed = values * sign[:, None]
+        pair of trial ``idx[j]`` (``idx`` increasing).  Every check is added
+        once per block."""
+        keyed = values * self.sign[checks][:, None]
         self.passes[checks] += np.count_nonzero(keyed >= -self.rel_tol, axis=1)
         j = np.argmin(keyed, axis=1)
-        c = np.arange(len(checks))
-        v, i = keyed[c, j], idx[j]
-        w, t = self.worst[checks] * sign, self.trial[checks]
-        v_nan, w_nan = np.isnan(v), np.isnan(w)
-        beats = (t < 0) | np.where(
-            w_nan, v_nan & (i < t), v_nan | (v < w) | ((v == w) & (i < t))
-        )
-        won = checks[beats]
-        self.worst[won] = values[c, j][beats]
-        self.trial[won] = i[beats]
-        self.block[won] = block
-        self.row[won] = j[beats]
+        self.keyed[checks, block] = keyed[np.arange(len(checks)), j]
+        self.trial[checks, block] = idx[j]
+        self.row[checks, block] = j
+
+    def worst(self) -> tuple[np.ndarray, ...]:
+        """Per check, ``(value, trial, block, row)`` of its worst trial, the
+        value as computed (the sign of a zero included)."""
+        order = np.argsort(self.trial, axis=1)
+        c = np.arange(order.shape[0])
+        b = order[c, np.argmin(np.take_along_axis(self.keyed, order, axis=1), axis=1)]
+        return self.keyed[c, b] * self.sign, self.trial[c, b], b, self.row[c, b]
 
 
 def _shrink_witness(check: _Check, p: np.ndarray, q: np.ndarray, rel_tol: float) -> Witness:
@@ -495,45 +475,35 @@ def _shrink_witness(check: _Check, p: np.ndarray, q: np.ndarray, rel_tol: float)
 def run(config: VerifyConfig) -> VerificationReport:
     """Execute every selected check on every sampled pair.
 
-    Each sandwich check's curvature ratio is proven monotone once, on the
-    envelope of all blocks.  The loop over size blocks is then the outer
-    one: the other checks of a block read one shared :class:`_Values`, and
-    its sandwich checks one shared :class:`_BlockTable`, one inequality
-    family per array step, dropped before the next block's is built.
+    The loop over size blocks is the outer one: the other checks of a block
+    read one shared :class:`_Values`, and its sandwich checks one table of
+    the run's :class:`_Sandwiches`, proven on the envelope of all blocks.
     Violations are recorded (with a shrunk witness), never raised.
     """
     start = time.perf_counter()
     blocks = _sample_trials(config)
     checks = _build_checks(config.subjects)
     plain = np.array([k for k, check in enumerate(checks) if check.gens is None], dtype=int)
-    specs, groups = _sandwich_groups([check.gens for check in checks])
     lo = min(float((P / Q).min()) for _, P, Q in blocks)
     hi = max(float((P / Q).max()) for _, P, Q in blocks)
-    proofs: dict = {}
-    for group in groups:
-        group.prove(lo, hi, proofs)
-    tally = _Tally([check.kind for check in checks], config.rel_tol)
+    sandwiches = _Sandwiches([check.gens for check in checks], lo, hi)
+    tally = _Tally([check.kind for check in checks], config.rel_tol, len(blocks))
     for b, (idx, P, Q) in enumerate(blocks):
         shared = _Values(P, Q)
         values = np.empty((plain.shape[0], idx.shape[0]))
         for row, k in enumerate(plain):
             values[row] = checks[k].fn(shared)
         tally.add(b, idx, values, plain)
-        table = _BlockTable(P, Q, specs)
-        for group in groups:
-            tally.add(b, idx, table.slack(group), group.rows)
-        del table
+        for family, _, _, slacks in sandwiches.slacks(P, Q):
+            tally.add(b, idx, slacks, family.rows)
+    worst, _, block, row = tally.worst()
     results: dict[str, CheckResult] = {}
-    for k, check in enumerate(checks):
-        passes = int(tally.passes[k])
+    for k, (check, passes) in enumerate(zip(checks, tally.passes.tolist())):
         witness = None
         if passes < config.trials:
-            _, P, Q = blocks[tally.block[k]]
-            j = tally.row[k]
-            witness = _shrink_witness(check, P[j], Q[j], config.rel_tol)
-        results[check.id] = CheckResult(
-            check.kind, config.trials, passes, float(tally.worst[k]), witness
-        )
+            _, P, Q = blocks[block[k]]
+            witness = _shrink_witness(check, P[row[k]], Q[row[k]], config.rel_tol)
+        results[check.id] = CheckResult(check.kind, config.trials, passes, float(worst[k]), witness)
     return VerificationReport(config, results, time.perf_counter() - start)
 
 

@@ -186,6 +186,15 @@ class TestNumericMM:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
             numeric_mM(num, den, 1e-6, 1.0)
 
+    @pytest.mark.parametrize("s", [1e308, -1e308])
+    def test_overflowing_allowance_is_non_finite(self, s):
+        # ln|g| is finite at |s| = 1e308, but its rounding allowance overflows
+        # to inf, and exp(inf) is inf without an OverflowError
+        with pytest.raises(NonFiniteValue, match=r"\+- inf"):
+            closed_form_mM(F.I, s, 2.0, 0.5, 2.0)
+        with pytest.raises(NonFiniteValue, match=r"\+- inf"):
+            numeric_mM(*family_generators(F.I, s, 2.0), 0.5, 2.0)
+
     def test_numpy_and_int_arguments_match_floats(self):
         # the filter and its exact fallback see the same doubles either way
         num, den = family_generators(F.I, 0.0, 0.0)
@@ -510,11 +519,8 @@ class TestClosedForm:
                 ratios.append(family_generators(family, s, t))
                 assert cert.m <= g_ratio(*ratios[-1], np.array([0.3, 5.0])).min()
         P, Q = np.array([[0.15, 0.85], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.1, 0.9]])
-        specs, groups = verify._sandwich_groups(ratios)
-        table = verify._BlockTable(P, Q, specs)
-        for group in groups:
-            group.prove(table.lo, table.hi, {})
-            m, M = table.constants(group)
+        sandwiches = verify._Sandwiches(ratios, float((P / Q).min()), float((P / Q).max()))
+        for _, m, M, _ in sandwiches.slacks(P, Q):
             assert np.all(m <= M)
 
     def test_unevaluable_printed_text_is_an_erratum(self):

@@ -232,6 +232,17 @@ class TestBounds:
         assert out == ""
         assert err.startswith("error: ") and what in err
 
+    @pytest.mark.parametrize("with_pair", [False, True])
+    def test_overflowing_allowance_is_an_input_error(self, capsys, pair_files, with_pair):
+        # the rounding allowance of ln|g| overflows at s = 1e308; neither
+        # M = inf nor slack_high = NaN is printed
+        argv = ["bounds", "--family", "I", "--s", "1e308", "--t", "2", "--r", "0.5", "--R", "2"]
+        if with_pair:
+            argv += ["--p", pair_files[0], "--q", pair_files[1]]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: curvature ratio psi-gen(s=1e+308)") and "+- inf" in err
+
     @pytest.mark.parametrize("argv", [
         # curvatures beyond double range, extrema about 9.36e-08 and 8.13e+288
         ("--family", "I", "--s=38.5196925608098", "--t=-4.0601865298986155",
@@ -345,6 +356,14 @@ class TestVerify:
         code, out, err = invoke(capsys, "verify", "--trials", "3", "--concentration", "inf")
         assert code == 1 and out == ""
         assert "concentration must be positive and finite, got inf" in err
+
+    def test_negative_seed_names_the_field(self, capsys, monkeypatch):
+        message = "error: seed must be a non-negative integer, got -1"
+        code, out, err = invoke(capsys, "verify", "--trials", "3", "--seed", "-1")
+        assert (code, out) == (1, "") and message in err
+        monkeypatch.setenv("DIVBOUND_SEED", "-1")
+        code, out, err = invoke(capsys, "verify", "--trials", "3")
+        assert (code, out) == (1, "") and message in err
 
     def test_byte_identical_reports(self, capsys):
         args = ("verify", "--trials", "40", "--seed", "9",

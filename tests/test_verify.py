@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,9 @@ from divbound.verify import (
     VerificationReport,
     VerifyConfig,
     Witness,
-    _BlockTable,
     _build_checks,
     _Check,
-    _sandwich_groups,
+    _Sandwiches,
     _sample_trials,
     _shrink_witness,
     _Tally,
@@ -63,6 +64,17 @@ class TestConfig:
     def test_rejects_unknown_subject(self):
         with pytest.raises(ConfigInvalid):
             VerifyConfig(trials=10, subjects=("wat",))
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 5.5), ("trials", True), ("seed", 1.5), ("seed", -1),
+        ("seed", np.float64(2.0)), ("n_range", (2.5, 4)), ("n_range", (2, 4.0)),
+    ])
+    def test_integer_fields_are_checked(self, field, value):
+        # refused up front, naming the field and the value, and not by numpy
+        # inside run
+        got = re.escape(repr(value))
+        with pytest.raises(ConfigInvalid, match=f"^{field} must be .*, got {got}$"):
+            VerifyConfig(**{"trials": 10, field: value})
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_bad_concentration(self, value):
@@ -297,12 +309,21 @@ def _stacked_kernels_match(s, P, Q):
         assert np.array_equal(stacked, alone, equal_nan=True), name
 
 
+def _block_table(specs, P, Q):
+    """The spec table, curvature bounds and f-divergences of one block for
+    the ratios of ``specs`` over PHI(2), whose curvature is 1."""
+    sandwiches = _Sandwiches([(spec, PHI2) for spec in specs], 1.0, 1.0)
+    _, _, bounds, div = sandwiches.table(P, Q)
+    return sandwiches.specs, bounds, div
+
+
 def _block_table_matches(specs, P, Q):
-    table = _BlockTable(P, Q, specs)
-    for i, spec in enumerate(specs):
-        alone = _BlockTable(P, Q, [spec])
-        assert np.array_equal(table.div[i], csiszar_bulk(spec, P, Q), equal_nan=True), spec
-        assert np.array_equal(table.bounds[i], alone.bounds[0], equal_nan=True), spec
+    table, bounds, div = _block_table(specs, P, Q)
+    for spec in specs:
+        i = table.index(spec)
+        one, alone, _ = _block_table([spec], P, Q)
+        assert np.array_equal(div[i], csiszar_bulk(spec, P, Q), equal_nan=True), spec
+        assert np.array_equal(bounds[i], alone[one.index(spec)], equal_nan=True), spec
 
 
 class TestStackedS:
@@ -396,10 +417,10 @@ def _tally_blocks(kinds, values, n_blocks, rng):
     interleaved split of the trials into blocks (each block's indices
     increasing), adding each block's checks in two random groups."""
     label = rng.integers(n_blocks, size=values.shape[1])
-    tally = _Tally(kinds, 1e-10)
     blocks = [np.flatnonzero(label == b) for b in range(n_blocks)]
     blocks = [idx for idx in blocks if idx.size]
     rng.shuffle(blocks)
+    tally = _Tally(kinds, 1e-10, len(blocks))
     for b, idx in enumerate(blocks):
         order = rng.permutation(len(kinds))
         cut = int(rng.integers(len(kinds) + 1))
@@ -423,47 +444,47 @@ class TestTally:
                 for _ in kinds
             ])
             tally, blocks = _tally_blocks(kinds, values, int(rng.integers(1, 6)), rng)
-            for k, (kind, row) in enumerate(zip(kinds, values)):
-                full = np.argmax(row) if kind == "residual" else np.argmin(row)
-                ok = row <= 1e-10 if kind == "residual" else row >= -1e-10
-                assert tally.trial[k] == full
+            worst, trial, block, row = tally.worst()
+            for k, (kind, value) in enumerate(zip(kinds, values)):
+                full = np.argmax(value) if kind == "residual" else np.argmin(value)
+                ok = value <= 1e-10 if kind == "residual" else value >= -1e-10
+                assert trial[k] == full
                 assert tally.passes[k] == np.count_nonzero(ok)
                 # NaN and the sign of 0
-                assert repr(float(tally.worst[k])) == repr(float(row[full]))
-                assert blocks[tally.block[k]][tally.row[k]] == full
+                assert repr(float(worst[k])) == repr(float(value[full]))
+                assert blocks[block[k]][row[k]] == full
 
     @pytest.mark.parametrize("kind", ["residual", "slack"])
     def test_ties_and_nan_go_to_the_first_trial(self, kind):
         # check 0 is of ``kind``, check 1 of the other kind on the negated
         # values, so the two must always agree
         other = "slack" if kind == "residual" else "residual"
-        tally = _Tally([kind, other], 1e-10)
         worse = 5.0 if kind == "residual" else -5.0
+        adds = [([3, 7], [worse, worse]), ([1, 9], [0.0, worse]), ([2], [worse]),
+                ([8, 11], [np.nan, np.nan]), ([4], [worse * 10]), ([0, 6], [worse, np.nan]),
+                ([5], [np.nan])]
 
-        def add(block, idx, values):
-            values = np.array(values)
-            tally.add(block, np.array(idx), np.vstack([values, -values]), np.array([0, 1]))
+        def tally(blocks):
+            # the first ``blocks`` blocks of ``adds``
+            tally = _Tally([kind, other], 1e-10, blocks)
+            for block, (idx, values) in enumerate(adds[:blocks]):
+                values = np.array(values)
+                tally.add(block, np.array(idx), np.vstack([values, -values]), np.array([0, 1]))
+            return tally
 
-        def state():
-            (t0, t1), (b0, b1), (j0, j1) = tally.trial, tally.block, tally.row
+        def state(blocks):
+            (v0, _), (t0, t1), (b0, b1), (j0, j1) = tally(blocks).worst()
             assert (t0, b0, j0) == (t1, b1, j1)
-            return int(t0), float(tally.worst[0]), (int(b0), int(j0))
+            return int(t0), float(v0), (int(b0), int(j0))
 
-        add(0, [3, 7], [worse, worse])
-        add(1, [1, 9], [0.0, worse])
-        assert state() == (3, worse, (0, 0))
-        add(2, [2], [worse])
-        assert state()[::2] == (2, (2, 0))
-        add(3, [8, 11], [np.nan, np.nan])
-        add(4, [4], [worse * 10])
-        trial, value, row = state()
+        assert state(2) == (3, worse, (0, 0))
+        assert state(3)[::2] == (2, (2, 0))
+        trial, value, row = state(5)
         assert trial == 8 and np.isnan(value) and row == (3, 0)
-        add(5, [0, 6], [worse, np.nan])
-        assert state()[::2] == (6, (5, 1))
-        add(6, [5], [np.nan])
-        assert state()[::2] == (5, (6, 0))
-        assert tally.passes.tolist() == [1, 1]
-        assert float(tally.worst[1]) != float(tally.worst[1])
+        assert state(6)[::2] == (6, (5, 1))
+        assert state(7)[::2] == (5, (6, 0))
+        assert tally(7).passes.tolist() == [1, 1]
+        assert np.isnan(tally(7).worst()[0][1])
 
 
 class TestWitnessShrinking:
@@ -589,17 +610,15 @@ class TestGroupProof:
         (F.I, 0.0, 0.0, 0),     # x/(x+1)^2 peaks at x = 1
     ])
     def test_proof_follows_the_ratio(self, family, s, t, expected):
-        specs, (group,) = _sandwich_groups([family_generators(family, s, t)])
-        table = _BlockTable(self.P, self.Q, specs)
-        assert (table.lo, table.hi) == (0.4, 2.0)
-        group.prove(table.lo, table.hi, {})
-        assert group.direction.tolist() == [expected]
+        ratios = self.P / self.Q
+        assert (ratios.min(), ratios.max()) == (0.4, 2.0)
+        (checks,) = _Sandwiches([family_generators(family, s, t)], 0.4, 2.0).families
+        assert checks.direction.tolist() == [expected]
 
     def test_zero_width_envelope_counts_as_increasing(self, monkeypatch):
         monkeypatch.setattr(_Ratio, "direction", lambda self: pytest.fail("proved"))
-        _, (group,) = _sandwich_groups([family_generators(F.I, 0.0, 0.0)])
-        group.prove(1.5, 1.5, {})
-        assert group.direction.tolist() == [1]
+        (checks,) = _Sandwiches([family_generators(F.I, 0.0, 0.0)], 1.5, 1.5).families
+        assert checks.direction.tolist() == [1]
 
     def test_unproven_block_encloses_each_row(self):
         from divbound.bounds import sandwich_check
@@ -627,24 +646,24 @@ class TestBlockTableSoundness:
                     for _ in range(2))
             if in_region(family, s, t):
                 ratios.append(family_generators(family, float(s), float(t)))
-        specs, groups = _sandwich_groups(ratios)
         proven = 0
         for seed in (1, 2):
             P, Q = sample_pair_matrix(6, 30, seed=seed, concentration=0.3)
-            # some f-divergences of the table overflow here; only its
-            # curvature bounds are read
+            r, R = (P / Q).min(axis=1), (P / Q).max(axis=1)
+            sandwiches = _Sandwiches(ratios, float(r.min()), float(R.max()))
+            # some f-divergences and slacks overflow here; only the
+            # constants are read
             with np.errstate(over="ignore", invalid="ignore"):
-                table = _BlockTable(P, Q, specs)
-            for group in groups:
-                group.prove(table.lo, table.hi, {})
-                m, M = table.constants(group)
-                for k in np.flatnonzero(group.direction):
+                families = list(sandwiches.slacks(P, Q))
+            for family, m, M, _ in families:
+                for k in np.flatnonzero(family.direction):
                     proven += 1
+                    ratio = ratios[family.rows[k]]
                     for i in range(30):
                         lo, hi = mpmath.mpf(m[k, i]), mpmath.mpf(M[k, i])
-                        for x in (table.r[i], table.R[i]):
-                            g = mp_curvature_ratio(*group.ratios[k], float(x))
-                            assert lo <= g <= hi, (group.ratios[k], float(x))
+                        for x in (r[i], R[i]):
+                            g = mp_curvature_ratio(*ratio, float(x))
+                            assert lo <= g <= hi, (ratio, float(x))
         assert proven >= 500
 
 
@@ -661,12 +680,15 @@ class TestBlockTableSoundness:
         specs += [GeneratorSpec(Gen.PSI, 31.0), GeneratorSpec(Gen.UPSILON, -38.0),
                   GeneratorSpec(Gen.XI, -300.0), GeneratorSpec(Gen.VARSIGMA, 40.0)]
         with np.errstate(over="ignore", invalid="ignore"):
-            table = _BlockTable(P, Q, specs)
-        for i, spec in enumerate(specs):
-            for j, x in enumerate(np.concatenate([table.r, table.R]).tolist()):
+            table, bounds, _ = _block_table(specs, P, Q)
+        ratios = P / Q
+        ends = np.concatenate([ratios.min(axis=1), ratios.max(axis=1)]).tolist()
+        for spec in specs:
+            i = table.index(spec)
+            for j, x in enumerate(ends):
                 d2 = abs(mp_curvature_ratio(spec, PHI2, x))
                 end, row = divmod(j, P.shape[0])
-                lo, hi = table.bounds[i, end, row], table.bounds[i, 2 + end, row]
+                lo, hi = bounds[i, end, row], bounds[i, 2 + end, row]
                 assert mpmath.mpf(lo) <= d2 <= mpmath.mpf(hi), (spec, x)
 
 
