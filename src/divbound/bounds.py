@@ -57,7 +57,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Optional
@@ -331,6 +331,8 @@ def g_ratio(num: GeneratorSpec, den: GeneratorSpec, x):
     (:func:`log_curvatures`), so curvatures beyond the double range are fine
     unless the ratio itself overflows (:class:`NonFiniteValue`)."""
     xs = np.asarray(x, float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError(f"curvature ratio needs finite x, got {x}")
     if not np.all(xs > 0.0):
         raise NonPositiveArgument(f"curvature ratio needs x > 0, got {x}")
     L, sign, _ = log_curvatures(np.array([log_d2(num), log_d2(den)]), xs.reshape(-1))
@@ -501,6 +503,8 @@ class _Ratio:
     """
 
     def __init__(self, num: GeneratorSpec, den: GeneratorSpec, lo: float, hi: float):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"interval ends must be finite, got [{lo}, {hi}]")
         if not (lo > 0.0 and hi > 0.0):
             raise NonPositiveArgument(f"interval must be positive, got [{lo}, {hi}]")
         if not lo <= hi:
@@ -737,6 +741,24 @@ def _printed(family: InequalityFamily, br: Branch, s, t, r, R) -> tuple[float, f
 # certificates
 
 
+def _json_fields(value, skip=frozenset()):
+    """``value`` as JSON values: numbers, strings and None as they are, numpy
+    scalars by ``.item()``, enums by value, tuples as lists, dicts by value,
+    and a record by its dataclass fields in order, minus ``skip``."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_json_fields(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_fields(v) for k, v in value.items()}
+    return {f.name: _json_fields(getattr(value, f.name))
+            for f in fields(value) if f.name not in skip}
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """A verified sandwich  m*C_f2 <= C_f1 <= M*C_f2  on [r, R].
@@ -760,18 +782,7 @@ class BoundCertificate:
     erratum: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "s": self.s,
-            "t": self.t,
-            "r": self.r,
-            "R": self.R,
-            "m": self.m,
-            "M": self.M,
-            "source": self.source.value,
-            "region_ok": self.region_ok,
-            "erratum": self.erratum,
-        }
+        return _json_fields(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False)
@@ -804,6 +815,8 @@ def closed_form_mM(
     enclosure with ``region_ok=False`` unless ``strict``, which raises
     :class:`RegionViolation`.
     """
+    # numpy scalars as the Python numbers they hold: float32 would round m, M
+    s, t, r, R = (v.item() if isinstance(v, np.generic) else v for v in (s, t, r, R))
     num, den = family_generators(family, s, t)
     br = active_branch(family, s, t)
     if br is None and strict:
@@ -856,14 +869,7 @@ class SandwichReport:
     certificate: BoundCertificate
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "mid": self.mid,
-            "rhs": self.rhs,
-            "slack_low": self.slack_low,
-            "slack_high": self.slack_high,
-            "passed": self.passed,
-        }
+        return _json_fields(self, skip={"certificate"})
 
 
 def sandwich_check(

@@ -7,6 +7,10 @@ Exit codes: 0 success, 1 input/config error, 2 verification violation,
 3 strict-mode region violation.  Data goes to stdout in the requested
 format; diagnostics go to stderr only.  Identical invocations on identical
 inputs (and seed) produce byte-identical stdout.
+
+Output formats: JSON keys are the record's fields, in order; CSV is written
+by Python's :mod:`csv` module, so a cell holding a comma or a quote is
+quoted, and a missing value is an empty cell.
 """
 
 from __future__ import annotations
@@ -58,7 +62,23 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _emit(text: str) -> None:
+def _write(fmt: str, data: dict, rows: list, lines: list) -> None:
+    """Print a result as JSON from ``data``, CSV from ``rows`` (header
+    first) or text from ``lines``."""
+    if fmt == "json":
+        text = json.dumps(data, ensure_ascii=False)
+    elif fmt == "csv":
+        import csv
+        import io
+
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [_fmt(v) if isinstance(v, float) else "" if v is None else str(v) for v in row]
+            for row in rows
+        )
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines)
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
@@ -105,12 +125,8 @@ def _cmd_compute(args) -> int:
         raise NonFiniteValue(
             f"{name} evaluates to {value!r}: a term of the sum overflows double precision"
         )
-    if args.format == "json":
-        _emit(json.dumps({"name": name, "s": s_field, "value": value}))
-    elif args.format == "csv":
-        _emit("name,s,value\n" + f"{name},{'' if s_field is None else _fmt(s_field)},{_fmt(value)}")
-    else:
-        _emit(_fmt(value))
+    data = {"name": name, "s": s_field, "value": value}
+    _write(args.format, data, [list(data), list(data.values())], [_fmt(value)])
     return EXIT_OK
 
 
@@ -133,30 +149,23 @@ def _cmd_bounds(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         cert = closed_form_mM(family, args.s, args.t, r, R, strict=args.strict_closed_form)
         payload = cert.to_dict()
+        rows = [list(payload), list(payload.values())]
         if P is not None:
             payload["sandwich"] = _sandwich(cert, P, Q).to_dict()
-    if args.format == "csv":
-        keys = [k for k in payload if k != "sandwich"]
-        row = [str(payload[k]) if not isinstance(payload[k], float) else _fmt(payload[k])
-               for k in keys]
-        _emit(",".join(keys) + "\n" + ",".join(row))
-    elif args.format == "text":
-        lines = [f"family {cert.family.value}  s={_fmt(cert.s)}  t={_fmt(cert.t)}",
-                 f"interval [{_fmt(cert.r)}, {_fmt(cert.R)}]",
-                 f"m = {_fmt(cert.m)}",
-                 f"M = {_fmt(cert.M)}",
-                 f"source = {cert.source.value}  region_ok = {cert.region_ok}"]
-        if cert.erratum:
-            lines.append(f"erratum: {cert.erratum}")
-        if P is not None:
-            rep = payload["sandwich"]
-            lines.append(
-                f"sandwich: {_fmt(rep['lhs'])} <= {_fmt(rep['mid'])} <= "
-                f"{_fmt(rep['rhs'])} ({'pass' if rep['passed'] else 'FAIL'})"
-            )
-        _emit("\n".join(lines))
-    else:
-        _emit(json.dumps(payload, ensure_ascii=False))
+    lines = [f"family {cert.family.value}  s={_fmt(cert.s)}  t={_fmt(cert.t)}",
+             f"interval [{_fmt(cert.r)}, {_fmt(cert.R)}]",
+             f"m = {_fmt(cert.m)}",
+             f"M = {_fmt(cert.M)}",
+             f"source = {cert.source.value}  region_ok = {cert.region_ok}"]
+    if cert.erratum:
+        lines.append(f"erratum: {cert.erratum}")
+    if P is not None:
+        rep = payload["sandwich"]
+        lines.append(
+            f"sandwich: {_fmt(rep['lhs'])} <= {_fmt(rep['mid'])} <= "
+            f"{_fmt(rep['rhs'])} ({'pass' if rep['passed'] else 'FAIL'})"
+        )
+    _write(args.format, payload, rows, lines)
     return EXIT_OK
 
 
@@ -171,21 +180,15 @@ def _cmd_verify(args) -> int:
         subjects=subjects,
     )
     report = run(config)
-    if args.format == "text":
-        lines = []
-        for cid, res in report.checks.items():
-            status = "pass" if res.passes == res.attempts else "FAIL"
-            lines.append(
-                f"{status}  {cid}  {res.passes}/{res.attempts}  worst={_fmt(res.worst_slack)}"
-            )
-        _emit("\n".join(lines))
-    elif args.format == "csv":
-        rows = ["check,kind,attempts,passes,worst_slack"]
-        for cid, res in report.checks.items():
-            rows.append(f"{cid},{res.kind},{res.attempts},{res.passes},{_fmt(res.worst_slack)}")
-        _emit("\n".join(rows))
-    else:
-        _emit(report.to_json())
+    rows = [["check", "kind", "attempts", "passes", "worst_slack"]]
+    lines = []
+    for cid, res in report.checks.items():
+        rows.append([cid, res.kind, res.attempts, res.passes, res.worst_slack])
+        status = "pass" if res.passes == res.attempts else "FAIL"
+        lines.append(
+            f"{status}  {cid}  {res.passes}/{res.attempts}  worst={_fmt(res.worst_slack)}"
+        )
+    _write(args.format, report.to_dict(), rows, lines)
     print(f"verify: wall time {report.wall_time:.3f}s", file=sys.stderr)
     return EXIT_OK if report.all_passed else EXIT_VIOLATION
 
@@ -233,31 +236,23 @@ def _catalog_entries() -> dict:
 
 def _cmd_catalog(args) -> int:
     data = _catalog_entries()
-    if args.format == "json":
-        _emit(json.dumps(data, ensure_ascii=False))
-    elif args.format == "csv":
-        rows = ["section,name,detail"]
-        for m in data["measures"]:
-            rows.append(f"measure,{m},")
-        for f in data["families"]:
-            rows.append(f"family,{f},")
-        for e in data["inequality_families"]:
-            rows.append(f"inequality,({e['tag']}),\"{e['label']} [{e['condition']}]\"")
-        for c in data["corollaries"]:
-            rows.append(f"corollary,{c['name']},\"{c['display']}\"")
-        _emit("\n".join(rows))
-    else:
-        lines = ["measures:"]
-        lines += [f"  {m}" for m in data["measures"]]
-        lines.append("families (--s <real>):")
-        lines += [f"  {f}" for f in data["families"]]
-        lines.append("inequality families:")
-        for e in data["inequality_families"]:
-            lines.append(f"  ({e['tag']}): {e['label']}  [{e['condition']}]  --family {e['family']}")
-        lines.append("corollaries:")
-        for c in data["corollaries"]:
-            lines.append(f"  {c['name']}: {c['display']}  (family {c['family']}, s={c['s']:g}, t={c['t']:g})")
-        _emit("\n".join(lines))
+    rows = [["section", "name", "detail"]]
+    rows += [["measure", m, None] for m in data["measures"]]
+    rows += [["family", f, None] for f in data["families"]]
+    rows += [["inequality", f"({e['tag']})", f"{e['label']} [{e['condition']}]"]
+             for e in data["inequality_families"]]
+    rows += [["corollary", c["name"], c["display"]] for c in data["corollaries"]]
+    lines = ["measures:"]
+    lines += [f"  {m}" for m in data["measures"]]
+    lines.append("families (--s <real>):")
+    lines += [f"  {f}" for f in data["families"]]
+    lines.append("inequality families:")
+    for e in data["inequality_families"]:
+        lines.append(f"  ({e['tag']}): {e['label']}  [{e['condition']}]  --family {e['family']}")
+    lines.append("corollaries:")
+    for c in data["corollaries"]:
+        lines.append(f"  {c['name']}: {c['display']}  (family {c['family']}, s={c['s']:g}, t={c['t']:g})")
+    _write(args.format, data, rows, lines)
     return EXIT_OK
 
 

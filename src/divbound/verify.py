@@ -52,6 +52,7 @@ from .bounds import (
     PARAM_GRID,
     SLACK_REL_TOL,
     _Ratio,
+    _json_fields,
     InequalityFamily,
     closed_form_mM,
     corollary_table,
@@ -100,14 +101,7 @@ class VerifyConfig:
             raise ConfigInvalid("subjects must not be empty")
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "n_range": list(self.n_range),
-            "seed": self.seed,
-            "concentration": self.concentration,
-            "rel_tol": self.rel_tol,
-            "subjects": list(self.subjects),
-        }
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ class Witness:
     t: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {"p": list(self.p), "q": list(self.q), "s": self.s, "t": self.t}
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -130,13 +124,7 @@ class CheckResult:
     witness: Optional[Witness] = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "attempts": self.attempts,
-            "passes": self.passes,
-            "worst_slack": self.worst_slack,
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -150,14 +138,8 @@ class VerificationReport:
         return all(c.passes == c.attempts for c in self.checks.values())
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "seed": self.config.seed,
-            "config": self.config.to_dict(),
-            "checks": {k: v.to_dict() for k, v in self.checks.items()},
-        }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
+        out = _json_fields(self, skip=() if include_timing else {"wall_time"})
+        return {"seed": out["config"]["seed"], **out}
 
     def to_json(self, include_timing: bool = False) -> str:
         # wall_time is excluded by default so identical configurations

@@ -67,6 +67,13 @@ class TestGRatio:
         with pytest.raises(NonPositiveArgument):
             g_ratio(PSI2, PHI2, 0.0)
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan, np.array([1.0, math.inf])])
+    def test_rejects_non_finite_x(self, x):
+        # PHI(2)'' = 1 everywhere: a non-finite x is the fault, not the
+        # denominator, and numpy is never asked for log(inf)
+        with pytest.raises(ValueError, match="needs finite x"):
+            g_ratio(PSI2, PHI2, x)
+
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateDenominator):
             g_ratio(PHI2, GeneratorSpec(Gen.XI, 5.0), 0.1)
@@ -208,6 +215,14 @@ class TestNumericMM:
             numeric_mM(PSI2, PHI2, 0.0, 1.0)
         with pytest.raises(ValueError):
             numeric_mM(PSI2, PHI2, 2.0, 1.0)
+
+    @pytest.mark.parametrize("r,R", [(0.5, math.inf), (math.nan, 2.0), (0.5, math.nan),
+                                     (-math.inf, 2.0), (math.inf, math.inf)])
+    def test_rejects_non_finite_interval(self, r, R):
+        with pytest.raises(ValueError, match="interval ends must be finite"):
+            numeric_mM(PSI2, PHI2, r, R)
+        with pytest.raises(ValueError, match="interval ends must be finite"):
+            closed_form_mM(F.I, 2.0, 2.0, r, R)
 
 
 class TestEnclosure:
@@ -709,6 +724,17 @@ class TestClosedForm:
                            "region_ok", "erratum"]
         assert d["family"] == "II" and d["source"] == "closed-form"
         assert "0.5" in cert.to_json()
+
+    @pytest.mark.parametrize("np_type", [np.int32, np.int64, np.float32, np.float64])
+    @pytest.mark.parametrize("arg", range(4))
+    def test_numpy_scalar_arguments_serialize(self, arg, np_type):
+        # each of s, t, r, R as a numpy scalar serializes as the same value
+        # passed as a Python number
+        args = [3, 2, 1, 4]
+        python = args.copy()
+        python[arg] = np_type(args[arg]).item()
+        args[arg] = np_type(args[arg])
+        assert closed_form_mM(F.I, *args).to_json() == closed_form_mM(F.I, *python).to_json()
 
 
 class TestPrintedText:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import warnings
 
@@ -323,6 +325,12 @@ class TestBounds:
         assert code == 3 and out == "" and "region" in err.lower()
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("ends", [("--r", "0.5", "--R", "inf"), ("--r", "nan", "--R", "2")])
+    def test_non_finite_interval_is_an_input_error(self, capsys, ends):
+        code, out, err = invoke(capsys, "bounds", "--family", "I", "--s", "2", "--t", "2", *ends)
+        assert code == 1 and out == ""
+        assert err.startswith("error: interval ends must be finite, got [")
+
     def test_needs_interval_or_pair(self, capsys):
         code, _, err = invoke(capsys, "bounds", "--family", "I", "--s", "2", "--t", "2")
         assert code == 1
@@ -451,6 +459,66 @@ class TestCatalog:
         code, out, _ = invoke(capsys, "catalog", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "section,name,detail"
+
+
+def _cell(value) -> str:
+    # a JSON value as its CSV cell
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+class TestCsvOutput:
+    """Every CSV output reads back with ``csv.reader`` as rows of the
+    header's width, holding the JSON output's values."""
+
+    def read(self, capsys, *argv):
+        code, out, _ = invoke(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(row) == len(rows[0]) for row in rows)
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        return rows, json.loads(out)
+
+    @pytest.mark.parametrize("args", [("kl",), ("phi", "--s", "0.5")])
+    def test_compute(self, capsys, pair_files, args):
+        p, q = pair_files
+        rows, data = self.read(capsys, "compute", *args, "--p", p, "--q", q)
+        assert rows == [list(data), [_cell(v) for v in data.values()]]
+
+    @pytest.mark.parametrize("args", [
+        # the erratum holds a comma
+        ("--family", "III", "--s", "2.539", "--t", "2.156", "--r", "0.05", "--R", "20"),
+        # no erratum: an empty cell
+        ("--family", "I", "--s", "2", "--t", "2", "--r", "0.5", "--R", "2"),
+        ("--family", "II", "--s", "2", "--t", "1", "--pair"),
+    ])
+    def test_bounds(self, capsys, pair_files, args):
+        if args[-1] == "--pair":
+            args = args[:-1] + ("--p", pair_files[0], "--q", pair_files[1])
+        rows, data = self.read(capsys, "bounds", *args)
+        data.pop("sandwich", None)
+        assert rows == [list(data), [_cell(v) for v in data.values()]]
+        assert len(rows[0]) == 10
+
+    def test_verify(self, capsys):
+        rows, data = self.read(capsys, "verify", "--trials", "20", "--seed", "3",
+                               "--subjects", "all,bounds-grid")
+        assert rows[0] == ["check", "kind", "attempts", "passes", "worst_slack"]
+        assert rows[1:] == [
+            [cid] + [_cell(res[k]) for k in rows[0][1:]] for cid, res in data["checks"].items()
+        ]
+        assert any("," in row[0] for row in rows)
+
+    def test_catalog(self, capsys):
+        rows, data = self.read(capsys, "catalog")
+        assert rows == (
+            [["section", "name", "detail"]]
+            + [["measure", m, ""] for m in data["measures"]]
+            + [["family", f, ""] for f in data["families"]]
+            + [["inequality", f"({e['tag']})", f"{e['label']} [{e['condition']}]"]
+               for e in data["inequality_families"]]
+            + [["corollary", c["name"], c["display"]] for c in data["corollaries"]]
+        )
 
 
 class TestExitCodes:

@@ -105,6 +105,21 @@ class TestRun:
         b = run(VerifyConfig(trials=40, seed=2, subjects=("identities",)))
         assert a.to_json() != b.to_json()
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", np.int32(5)), ("trials", np.int64(5)),
+        ("seed", np.int32(3)), ("seed", np.int64(3)),
+        ("n_range", (np.int32(2), np.int64(4))), ("n_range", (np.int64(3), np.int32(3))),
+        ("concentration", np.float32(0.5)), ("concentration", np.float64(0.5)),
+        ("rel_tol", np.float32(2.0 ** -40)), ("rel_tol", np.float64(1e-300)),
+    ])
+    def test_numpy_scalar_fields_serialize(self, field, value):
+        # the report, witnesses included (rel_tol 1e-300 fails some checks),
+        # serializes as that of the same values passed as Python numbers
+        python = tuple(v.item() for v in value) if field == "n_range" else value.item()
+        base = {"trials": 5, "seed": 3, "subjects": ("identities", "corollaries")}
+        got = run(VerifyConfig(**{**base, field: value})).to_json()
+        assert got == run(VerifyConfig(**{**base, field: python})).to_json()
+
     def test_timing_excluded_from_canonical_json(self):
         rep = run(VerifyConfig(trials=5, seed=0, subjects=("identities",)))
         assert "wall_time" not in rep.to_json()
