@@ -490,11 +490,12 @@ class TestCsvOutput:
         ("--family", "III", "--s", "2.539", "--t", "2.156", "--r", "0.05", "--R", "20"),
         # no erratum: an empty cell
         ("--family", "I", "--s", "2", "--t", "2", "--r", "0.5", "--R", "2"),
-        ("--family", "II", "--s", "2", "--t", "1", "--pair"),
+        # from a pair: the sandwich record is JSON only
+        ("--family", "II", "--s", "2", "--t", "1"),
     ])
     def test_bounds(self, capsys, pair_files, args):
-        if args[-1] == "--pair":
-            args = args[:-1] + ("--p", pair_files[0], "--q", pair_files[1])
+        if "--r" not in args:
+            args += ("--p", pair_files[0], "--q", pair_files[1])
         rows, data = self.read(capsys, "bounds", *args)
         data.pop("sandwich", None)
         assert rows == [list(data), [_cell(v) for v in data.values()]]
