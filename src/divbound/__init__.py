@@ -34,6 +34,7 @@ from .errors import (
     ConfigInvalid,
     DegenerateDenominator,
     DivboundError,
+    InvalidArgument,
     LengthMismatch,
     NonFiniteValue,
     NonPositiveArgument,
@@ -95,6 +96,7 @@ __all__ = [
     "GeneratorSpec",
     "GeneratorValue",
     "InequalityFamily",
+    "InvalidArgument",
     "LengthMismatch",
     "MeasureId",
     "MeasureKind",

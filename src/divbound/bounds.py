@@ -64,12 +64,12 @@ from typing import Callable, Optional
 
 from .errors import (
     DegenerateDenominator,
+    InvalidArgument,
     NonFiniteValue,
     NonPositiveArgument,
     RegionViolation,
 )
-from .generators import D2_FORMS, Gen, GeneratorSpec, log_d2
-from .generators import csiszar
+from .generators import D2_FORMS, Gen, GeneratorSpec, csiszar, log_d2
 from .simplex import Distribution, ratio_bounds
 
 import numpy as np
@@ -332,7 +332,7 @@ def g_ratio(num: GeneratorSpec, den: GeneratorSpec, x):
     unless the ratio itself overflows (:class:`NonFiniteValue`)."""
     xs = np.asarray(x, float)
     if not np.all(np.isfinite(xs)):
-        raise ValueError(f"curvature ratio needs finite x, got {x}")
+        raise InvalidArgument(f"curvature ratio needs finite x, got {x}")
     if not np.all(xs > 0.0):
         raise NonPositiveArgument(f"curvature ratio needs x > 0, got {x}")
     L, sign, _ = log_curvatures(np.array([log_d2(num), log_d2(den)]), xs.reshape(-1))
@@ -504,11 +504,11 @@ class _Ratio:
 
     def __init__(self, num: GeneratorSpec, den: GeneratorSpec, lo: float, hi: float):
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"interval ends must be finite, got [{lo}, {hi}]")
+            raise InvalidArgument(f"interval ends must be finite, got [{lo}, {hi}]")
         if not (lo > 0.0 and hi > 0.0):
             raise NonPositiveArgument(f"interval must be positive, got [{lo}, {hi}]")
         if not lo <= hi:
-            raise ValueError(f"need r <= R, got [{lo}, {hi}]")
+            raise InvalidArgument(f"need r <= R, got [{lo}, {hi}]")
         a, b = log_d2(num), log_d2(den)
         if not (b.sign > 0.0 and math.isfinite(b.alpha + b.beta + b.c)) or (
             b.p and not (b.p * lo + b.q > 0.0 and b.p * hi + b.q > 0.0)
@@ -526,7 +526,7 @@ class _Ratio:
         self.sa = abs(a.alpha) + abs(b.alpha)
         self.sb = abs(a.beta) + abs(b.beta)
         self.sc = abs(a.c) + abs(b.c)
-        s, t = float(num.s), float(den.s)
+        s, t = num.s, den.s
         c, cm = _coefficients(D2_FORMS[num.gen], D2_FORMS[den.gen], s, t)
         self.c, self.cm = c, cm if _filterable(s) and _filterable(t) and (
             1e-30 <= self.lo and self.hi <= 1e30) else None
@@ -537,7 +537,7 @@ class _Ratio:
     def exact(self) -> tuple:
         """N's coefficients times E^3, E the product of the denominators of
         s and t, in integers: exact, with the signs and roots of N's."""
-        (S, ds), (T, dt) = (float(spec.s).as_integer_ratio() for spec in (self.num, self.den))
+        (S, ds), (T, dt) = (spec.s.as_integer_ratio() for spec in (self.num, self.den))
         forms = D2_FORMS[self.num.gen], D2_FORMS[self.den.gen]
         return _coefficients(*forms, S * dt, T * ds, ds * dt)[0]
 

@@ -33,7 +33,7 @@ from .bounds import (
     corollary_table,
     family_generators,
 )
-from .errors import DivboundError, NonFiniteValue, RegionViolation
+from .errors import DivboundError, InvalidArgument, NonFiniteValue, RegionViolation
 from .families import ZETA_CONVEX_RANGE, Family, FamilyId, family_value, in_convex_range
 from .measures import MeasureId, MeasureKind, Orientation, evaluate
 from .simplex import load_distribution, ratio_bounds
@@ -95,15 +95,14 @@ def _cmd_compute(args) -> int:
     P, Q = _load_pair(args)
     base, _, suffix = name.partition(":")
     family = _FAMILY_NAMES.get(base)
-    # main reports each ValueError as an input error
     if family is None and base not in _MEASURE_NAMES:
-        raise ValueError(f"unknown measure or family {name!r}")
+        raise InvalidArgument(f"unknown measure or family {name!r}")
     if family is not None and args.s is None:
-        raise ValueError(f"family {base!r} requires --s")
+        raise InvalidArgument(f"family {base!r} requires --s")
     try:
         orientation = Orientation(suffix or Orientation.PQ.value)
     except ValueError:
-        raise ValueError(f"unknown orientation suffix {suffix!r}") from None
+        raise InvalidArgument(f"unknown orientation suffix {suffix!r}") from None
     if orientation is Orientation.QP:
         P, Q = Q, P
     if family is not None:
@@ -327,10 +326,7 @@ def main(argv=None) -> int:
     except RegionViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGION
-    except DivboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
+    except (DivboundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

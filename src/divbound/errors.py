@@ -1,12 +1,17 @@
 """Exception hierarchy.
 
-Every error raised by this package derives from :class:`DivboundError`, so
-callers (including the CLI) can distinguish domain errors from bugs.
+Errors raised by this package derive from :class:`DivboundError`, so callers
+(including the CLI) can tell domain errors from bugs; only ``MeasureId.parse``
+(``KeyError``), file reads (``OSError``) and ``printed_mM`` raise others.
 """
 
 
 class DivboundError(Exception):
     """Base class for all divbound errors."""
+
+
+class InvalidArgument(DivboundError, ValueError):
+    """An argument of the wrong type or outside its domain; also a ``ValueError``."""
 
 
 class NonPositiveMass(DivboundError):

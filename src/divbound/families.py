@@ -52,6 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._accum import comp_sum
+from .errors import InvalidArgument
 from .generators import Gen, GeneratorSpec, _by_form, _lpow, _stack, log_d2
 from .simplex import Distribution, require_same_length
 
@@ -74,7 +75,7 @@ class FamilyId:
 
     def __post_init__(self):
         if not np.isfinite(self.s):
-            raise ValueError(f"s must be finite, got {self.s}")
+            raise InvalidArgument(f"s must be finite, got {self.s}")
 
 
 def phi_s(s, p, q):

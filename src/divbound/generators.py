@@ -33,11 +33,11 @@ generator phi_s(y) = [y L_(s-1)(y) - (y-1)]/s for s >= 1/2, else
     VARSIGMA  f = (1-x) L_(s-1)(v)    f' = -L_(s-1)(v) + (x-1) v^(s-2) / (2x^2)
 
 The two phi_s forms are algebraically equal and each is regular on its own
-side of s = 1/2, so the choice is not a switching band.  The f'' closed
-forms are uniform in s as written, and each is held to a
-central-finite-difference oracle by the test suite before anything
-downstream trusts them: certificates are built from curvature ratios, so
-d2 is analytic code, never numerical differentiation.
+side of s = 1/2, so the choice is not a switching band.  Each kind is one
+row of one table: f, f' and f'' as written and ln|f''| (:data:`D2_FORMS`).
+Each f'' is uniform in s and held to a central-finite-difference oracle by
+the tests before anything downstream trusts it: certificates are built
+from curvature ratios, so d2 is analytic code, never numerical differentiation.
 
 A spec may carry a 1-D array of s, a stack of one generator kind: f, f'
 and f'' then gain a leading axis over s.  The stack is split by the
@@ -51,14 +51,16 @@ C_f inherits nonnegativity from convexity.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
 from ._accum import comp_sum
-from .errors import NonPositiveArgument
+from .errors import InvalidArgument, NonPositiveArgument
 from .simplex import Distribution, require_same_length
 
 
@@ -72,7 +74,7 @@ class Gen(Enum):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Generator kind and parameter.
+    """Generator kind and parameter; a scalar ``s`` is held as a Python float.
 
     ``s`` may also be a 1-D array: a stack of specs of one kind, which
     :func:`gen_value`, :func:`gen_d1`, :func:`gen_d2` and
@@ -85,8 +87,12 @@ class GeneratorSpec:
 
     def __post_init__(self):
         s = self.s
-        if not (np.isfinite(s).all() if isinstance(s, np.ndarray) else math.isfinite(s)):
-            raise ValueError(f"s must be finite, got {self.s}")
+        if type(s) is not float and not isinstance(s, np.ndarray):
+            if isinstance(s, (bool, np.bool_)) or not isinstance(s, Real):
+                raise InvalidArgument(f"s must be a real number, got {s!r}")
+            object.__setattr__(self, "s", s := float(s))
+        if not (math.isfinite(s) if type(s) is float else np.isfinite(s).all()):
+            raise InvalidArgument(f"s must be finite, got {s}")
 
 
 @dataclass(frozen=True)
@@ -154,65 +160,66 @@ def _phi(s, y):
     )
 
 
+def _v(x):
+    return (x + 1.0) / (2.0 * x)
+
+
+#: a kind's f, f', f'' of (s, x), s as :func:`_stack` gives it, and d2_forms
+_Row = namedtuple("_Row", "f d1 d2 d2_forms")
+
+_ROWS = {
+    Gen.PHI: _Row(
+        _phi,
+        lambda s, x: _lpow(s - 1.0, x),
+        lambda s, x: _pow(x, s - 2.0),
+        ((-2, 1), (0, 0), (0, 0), (0, 0), (1, 0))),
+    Gen.PSI: _Row(
+        lambda s, x: x * _phi(s, _v(x)),
+        lambda s, x: _phi(s, v := _v(x)) - _lpow(s - 1.0, v) / (2.0 * x),
+        lambda s, x: _pow(_v(x), s - 2.0) / (4.0 * x * x * x),
+        ((-1, -1), (-2, 1), (0, -1), (0, 0), (1, 0))),
+    Gen.UPSILON: _Row(
+        lambda s, x: _phi(s, (x + 1.0) / 2.0),
+        lambda s, x: _lpow(s - 1.0, (x + 1.0) / 2.0) / 2.0,
+        lambda s, x: _pow((x + 1.0) / 2.0, s - 2.0) / 4.0,
+        ((0, 0), (-2, 1), (0, -1), (0, 0), (1, 0))),
+    Gen.XI: _Row(
+        lambda s, x: (x - 1.0) * _lpow(s - 1.0, (x + 1.0) / 2.0),
+        lambda s, x: _lpow(s - 1.0, u := (x + 1.0) / 2.0) + (x - 1.0) * _pow(u, s - 2.0) / 2.0,
+        lambda s, x: _pow((x + 1.0) / 2.0, s - 3.0) * (s * x + (4.0 - s)) / 4.0,
+        ((0, 0), (-3, 1), (1, -1), (0, 1), (4, -1))),
+    Gen.VARSIGMA: _Row(
+        lambda s, x: (1.0 - x) * _lpow(s - 1.0, _v(x)),
+        lambda s, x: -_lpow(s - 1.0, v := _v(x)) + (x - 1.0) * _pow(v, s - 2.0) / (2.0 * x * x),
+        lambda s, x: _pow(_v(x), s - 3.0) * ((4.0 - s) * x + s) / (4.0 * x * x * x * x),
+        ((-1, -1), (-3, 1), (1, -1), (4, -1), (0, 1))),
+}
+
+#: the d2_forms column: ln|f''| of the docstring's table, with u = (1+x)/2,
+#: v = u/x, ln u = ln(1+x) - ln 2 and ln v = ln u - ln x, as alpha ln x +
+#: beta ln(1+x) + c ln 2 + ln|p x + q| (q = 1 and p = 0 where f'' has no
+#: linear factor): the fields alpha, beta, c, p and q, each k0 + k1 s as (k0, k1)
+D2_FORMS = {g: row.d2_forms for g, row in _ROWS.items()}
+
+
+def _column(col: int, spec: GeneratorSpec, x):
+    x = np.asarray(x, float) if np.ndim(x) else x
+    return _ROWS[spec.gen][col](_stack(spec.s, x), x)
+
+
 def gen_value(spec: GeneratorSpec, x):
     """f(x) for positive x (scalar or array); no domain check."""
-    g = spec.gen
-    x = np.asarray(x, float) if np.ndim(x) else x
-    s = _stack(spec.s, x)
-    if g is Gen.PHI:
-        return _phi(s, x)
-    if g is Gen.PSI:
-        return x * _phi(s, (x + 1.0) / (2.0 * x))
-    if g is Gen.UPSILON:
-        return _phi(s, (x + 1.0) / 2.0)
-    if g is Gen.XI:
-        return (x - 1.0) * _lpow(s - 1.0, (x + 1.0) / 2.0)
-    if g is Gen.VARSIGMA:
-        return (1.0 - x) * _lpow(s - 1.0, (x + 1.0) / (2.0 * x))
-    raise KeyError(f"unknown generator {g!r}")
+    return _column(0, spec, x)
 
 
 def gen_d1(spec: GeneratorSpec, x):
     """f'(x); sign analysis only, certificates never rely on d1 alone."""
-    g = spec.gen
-    x = np.asarray(x, float) if np.ndim(x) else x
-    s = _stack(spec.s, x)
-    if g is Gen.PHI:
-        return _lpow(s - 1.0, x)
-    if g is Gen.PSI:
-        v = (x + 1.0) / (2.0 * x)
-        return _phi(s, v) - _lpow(s - 1.0, v) / (2.0 * x)
-    if g is Gen.UPSILON:
-        return _lpow(s - 1.0, (x + 1.0) / 2.0) / 2.0
-    if g is Gen.XI:
-        u = (x + 1.0) / 2.0
-        return _lpow(s - 1.0, u) + (x - 1.0) * _pow(u, s - 2.0) / 2.0
-    if g is Gen.VARSIGMA:
-        v = (x + 1.0) / (2.0 * x)
-        return -_lpow(s - 1.0, v) + (x - 1.0) * _pow(v, s - 2.0) / (2.0 * x * x)
-    raise KeyError(f"unknown generator {g!r}")
+    return _column(1, spec, x)
 
 
 def gen_d2(spec: GeneratorSpec, x):
     """f''(x); a single closed form per generator, valid for every s."""
-    g = spec.gen
-    x = np.asarray(x, float) if np.ndim(x) else x
-    s = _stack(spec.s, x)
-    if g is Gen.PHI:
-        return _pow(x, s - 2.0)
-    if g is Gen.PSI:
-        v = (x + 1.0) / (2.0 * x)
-        return _pow(v, s - 2.0) / (4.0 * x * x * x)
-    if g is Gen.UPSILON:
-        u = (x + 1.0) / 2.0
-        return _pow(u, s - 2.0) / 4.0
-    if g is Gen.XI:
-        u = (x + 1.0) / 2.0
-        return _pow(u, s - 3.0) * (s * x + (4.0 - s)) / 4.0
-    if g is Gen.VARSIGMA:
-        v = (x + 1.0) / (2.0 * x)
-        return _pow(v, s - 3.0) * ((4.0 - s) * x + s) / (4.0 * x * x * x * x)
-    raise KeyError(f"unknown generator {g!r}")
+    return _column(2, spec, x)
 
 
 class LogD2(NamedTuple):
@@ -237,23 +244,11 @@ class LogD2(NamedTuple):
 
 _LN2 = math.log(2.0)
 
-#: ln|f''| of the table above, with u = (1+x)/2, v = u/x, ln u = ln(1+x) -
-#: ln 2 and ln v = ln u - ln x, as alpha ln x + beta ln(1+x) + c ln 2 +
-#: ln|p x + q| (q = 1 and p = 0 where f'' has no linear factor): the fields
-#: alpha, beta, c, p and q, each k0 + k1 s as (k0, k1)
-D2_FORMS = {
-    Gen.PHI: ((-2, 1), (0, 0), (0, 0), (0, 0), (1, 0)),
-    Gen.PSI: ((-1, -1), (-2, 1), (0, -1), (0, 0), (1, 0)),
-    Gen.UPSILON: ((0, 0), (-2, 1), (0, -1), (0, 0), (1, 0)),
-    Gen.XI: ((0, 0), (-3, 1), (1, -1), (0, 1), (4, -1)),
-    Gen.VARSIGMA: ((-1, -1), (-3, 1), (1, -1), (4, -1), (0, 1)),
-}
-
 
 def log_d2(spec: GeneratorSpec) -> LogD2:
     """The closed form of :func:`gen_d2` as a :class:`LogD2` record, from
     :data:`D2_FORMS` at ``spec.s``."""
-    (a0, a1), (b0, b1), (c0, c1), (p0, p1), (q0, q1) = D2_FORMS[spec.gen]
+    (a0, a1), (b0, b1), (c0, c1), (p0, p1), (q0, q1) = _ROWS[spec.gen].d2_forms
     s = spec.s
     alpha, beta, c = a0 + a1 * s, b0 + b1 * s, (c0 + c1 * s) * _LN2
     if not (p0 or p1):  # no linear factor
@@ -285,11 +280,8 @@ def _require_positive(x) -> None:
 def gen_eval(spec: GeneratorSpec, x) -> GeneratorValue:
     """Value and first two derivatives of the generator at finite x > 0."""
     _require_positive(x)
-    if np.ndim(x):
-        return GeneratorValue(gen_value(spec, x), gen_d1(spec, x), gen_d2(spec, x))
-    return GeneratorValue(
-        float(gen_value(spec, x)), float(gen_d1(spec, x)), float(gen_d2(spec, x))
-    )
+    vals = gen_value(spec, x), gen_d1(spec, x), gen_d2(spec, x)
+    return GeneratorValue(*(vals if np.ndim(x) else map(float, vals)))
 
 
 def csiszar(spec: GeneratorSpec, P: Distribution, Q: Distribution) -> float:
@@ -319,12 +311,14 @@ def convexity_scan(
     record at r and R (f'' changes sign at most once, at the zero of
     p x + q).  ``min_d2`` and ``argmin_x`` are a sampled diagnostic: the
     least f'' on a log-spaced grid of ``grid`` points, and where it lies."""
+    if not (math.isfinite(r) and math.isfinite(R)):
+        raise InvalidArgument(f"interval ends must be finite, got [{r}, {R}]")
     if not (r > 0.0 and R > 0.0):
         raise NonPositiveArgument(f"interval must be positive, got [{r}, {R}]")
-    if not r <= R < np.inf:
-        raise ValueError(f"need r <= R < inf, got [{r}, {R}]")
+    if not r <= R:
+        raise InvalidArgument(f"need r <= R, got [{r}, {R}]")
     if grid < 2:
-        raise ValueError(f"need at least 2 grid points, got {grid}")
+        raise InvalidArgument(f"need at least 2 grid points, got {grid}")
     rec = log_d2(spec)
     convex = all(rec.sign * (rec.p * x + rec.q if rec.p else 1.0) >= 0.0 for x in (r, R))
     xs = np.geomspace(r, R, grid)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DivboundError,
+    InvalidArgument,
     LengthMismatch,
     NonPositiveMass,
     NotNormalized,
@@ -120,7 +121,7 @@ class RatioBounds:
 
     def __post_init__(self):
         if not (0.0 < self.r <= self.R):
-            raise ValueError(f"need 0 < r <= R, got r={self.r}, R={self.R}")
+            raise InvalidArgument(f"need 0 < r <= R, got r={self.r}, R={self.R}")
 
 
 def require_same_length(P: Distribution, Q: Distribution) -> None:
@@ -139,7 +140,7 @@ def _check_concentration(concentration: float) -> None:
     # a non-finite concentration makes numpy's Dirichlet draws NaN, which the
     # rejection loop would only report as exhausted
     if not (concentration > 0.0 and np.isfinite(concentration)):
-        raise ValueError(f"concentration must be positive and finite, got {concentration}")
+        raise InvalidArgument(f"concentration must be positive and finite, got {concentration}")
 
 
 def _draw_rows(rng, alpha, count, eps_mass, max_rejections):
@@ -288,14 +289,14 @@ def parse_masses(text: str) -> np.ndarray:
     if stripped[:1] in ("[", "{"):
         if not (stripped[0] == "[" and stripped[-1] == "]"):
             what = "a JSON object" if stripped[0] == "{" else "an unterminated array"
-            raise ValueError(f"{_JSON}: the file holds {what}")
+            raise InvalidArgument(f"{_JSON}: the file holds {what}")
         body = stripped[1:-1].strip()
         values = _numbers(body, ",")
         # numpy skips a trailing comma and reads a blank item as -1.0
         if values is None or body.endswith(",") or (
             (values == -1.0).any() and not all(item.strip() for item in body.split(","))
         ):
-            raise ValueError(_JSON + _first_bad(body.split(","), ",", blank_ok=False))
+            raise InvalidArgument(_JSON + _first_bad(body.split(","), ",", blank_ok=False))
         return values
     values = _numbers(stripped, "\n")
     # numpy splits at any whitespace: where a line can hold inline
@@ -304,7 +305,7 @@ def parse_masses(text: str) -> np.ndarray:
         any(c in stripped for c in _INLINE_SPACE)
         and values.size != sum(1 for line in stripped.splitlines() if line.strip())
     ):
-        raise ValueError(_CSV + _first_bad(text.splitlines(), "\n", blank_ok=True))
+        raise InvalidArgument(_CSV + _first_bad(text.splitlines(), "\n", blank_ok=True))
     return values
 
 
@@ -318,7 +319,7 @@ def load_distribution(path, *, renormalize: bool = False) -> Distribution:
     try:
         raw = parse_masses(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise InvalidArgument(f"{path}: {exc}") from exc
     try:
         return normalize(raw) if renormalize else validate(raw)
     except DivboundError as exc:

@@ -62,7 +62,7 @@ from .bounds import (
     numeric_mM,
     region_grid,
 )
-from .errors import ConfigInvalid, DegenerateDenominator, RegionViolation
+from .errors import ConfigInvalid, DegenerateDenominator, InvalidArgument, RegionViolation
 from .families import _FAMILIES, Family, in_convex_range, phi_s
 from .generators import GeneratorSpec, csiszar_bulk, gen_d2, log_d2
 
@@ -584,7 +584,7 @@ def brute_force_mM(
     (per thread) build its grid once.
     """
     if not 0.0 < r <= R < np.inf:
-        raise ValueError(f"need 0 < r <= R < inf, got [{r}, {R}]")
+        raise InvalidArgument(f"need 0 < r <= R < inf, got [{r}, {R}]")
     if points < 2:
         raise ConfigInvalid(f"need at least 2 points, got {points}")
     idx, work, held = workspace = _grid_workspace(points)

@@ -28,6 +28,7 @@ from divbound import bounds, generators, verify
 from divbound.errors import (
     DegenerateDenominator,
     DivboundError,
+    InvalidArgument,
     NonFiniteValue,
     NonPositiveArgument,
     RegionViolation,
@@ -157,6 +158,15 @@ class TestNumericMM:
         m, M = numeric_mM(GeneratorSpec(Gen.XI, 1.0), GeneratorSpec(Gen.PHI, 1.0), 1.0, 1.0)
         assert m <= 1.0 <= M
         assert M - m <= 1e-13
+
+    @pytest.mark.parametrize("np_type", [np.float16, np.float32, np.float64, np.int64])
+    def test_numpy_scalar_parameter_keeps_double_precision(self, np_type):
+        # PSI(3)''/PHI(2)'' = v/(4 x^3) falls from 1/4 at x = 1: an s carried
+        # through in single precision would give M = 0.24999999904767284 < sup g
+        specs = GeneratorSpec(Gen.PSI, np_type(3)), GeneratorSpec(Gen.PHI, 2.0)
+        m, M = numeric_mM(*specs, 1.0, 4.0)
+        assert (m, M) == numeric_mM(GeneratorSpec(Gen.PSI, 3.0), PHI2, 1.0, 4.0)
+        assert M == 0.25000000000000233 and M >= 0.25
 
     def test_interior_extremum_found(self):
         # I at (s=0, t=0): ratio x/(x+1)^2 peaks at x = 1 with value 1/4
@@ -735,6 +745,13 @@ class TestClosedForm:
         python[arg] = np_type(args[arg]).item()
         args[arg] = np_type(args[arg])
         assert closed_form_mM(F.I, *args).to_json() == closed_form_mM(F.I, *python).to_json()
+
+    @pytest.mark.parametrize("s,t", [(True, 1), (2.0, np.False_), ("2", 1.0)])
+    def test_rejects_non_real_parameters(self, s, t):
+        # a bool is an int to Python but no parameter here: it would
+        # certify and serialize as "s": true
+        with pytest.raises(InvalidArgument, match="must be a real number"):
+            closed_form_mM(F.II, s, t, 0.5, 2.0)
 
 
 class TestPrintedText:

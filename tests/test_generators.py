@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import continuity_violations, mass_lists, scaled_ok
-from divbound.errors import NonPositiveArgument
+from divbound.errors import InvalidArgument, NonPositiveArgument
 from divbound.families import omega_s, phi_s, zeta_s
 from divbound.generators import (
     Gen,
@@ -42,6 +42,30 @@ def central_d2(spec, x, h):
 def central_d1(spec, x, h):
     f = lambda y: gen_value(spec, y)
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+class TestSpec:
+    @pytest.mark.parametrize("s", [True, np.True_, "2", None, 1j, np.array(2.0 + 0j)[()]])
+    def test_rejects_non_real_parameter(self, s):
+        with pytest.raises(InvalidArgument, match="must be a real number"):
+            GeneratorSpec(Gen.PHI, s)
+
+    @pytest.mark.parametrize("s", [np.inf, np.float32("nan"), np.array([2.0, np.nan])])
+    def test_rejects_non_finite_parameter(self, s):
+        with pytest.raises(InvalidArgument, match="must be finite"):
+            GeneratorSpec(Gen.PHI, s)
+
+    @pytest.mark.parametrize("s", [2, np.int32(2), np.float32(2.5), np.float64(2.5), Fraction(5, 2)])
+    def test_scalar_parameter_is_held_as_float(self, s):
+        spec = GeneratorSpec(Gen.XI, s)
+        assert type(spec.s) is float and spec.s == float(s)
+        assert spec == GeneratorSpec(Gen.XI, float(s))
+        assert all(type(v) is float for v in log_d2(spec))
+        assert gen_eval(spec, 3.0) == gen_eval(GeneratorSpec(Gen.XI, float(s)), 3.0)
+
+    def test_stacked_parameter_is_kept(self):
+        s = np.array([0.0, 2.0])
+        assert GeneratorSpec(Gen.PHI, s).s is s
 
 
 class TestNormalization:
@@ -257,7 +281,9 @@ class TestConvexityScan:
         with pytest.raises(ValueError):
             convexity_scan(GeneratorSpec(Gen.PHI, 2.0), 1.0, 2.0, grid=1)
 
-    @pytest.mark.parametrize("r,R", [(1.0, np.inf), (np.inf, np.inf)])
-    def test_rejects_infinite_interval(self, r, R):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("r,R", [(1.0, np.inf), (np.inf, np.inf), (np.nan, 2.0),
+                                     (0.5, np.nan), (-np.inf, 1.0)])
+    def test_rejects_non_finite_interval(self, r, R):
+        # finiteness is checked before positivity, so a NaN end is named as such
+        with pytest.raises(InvalidArgument, match="interval ends must be finite"):
             convexity_scan(GeneratorSpec(Gen.XI, 2.0), r, R)
