@@ -712,6 +712,39 @@ class _Ratio:
         return max(signs) or min(signs) or 1
 
 
+def _directions(f1: Gen, f2: Gen, s: np.ndarray, t: np.ndarray, a: np.ndarray,
+                b: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`_Ratio.direction` and ``ends[0].s`` (the sign of g at lo) of
+    each ``_Ratio(GeneratorSpec(f1, s[k]), GeneratorSpec(f2, t[k]), lo, hi)``
+    with :func:`log_d2` records ``a[k]``, ``b[k]``: the float filter on the
+    same floats, computed for all k at once.  A row takes the scalar ratio
+    where the filter does not decide or run, where its signs change, and
+    where :class:`_Ratio` may refuse it (a denominator not positive on
+    [lo, hi], a linear factor so near 0 that the allowance may overflow)."""
+    p1, q1, p2, q2 = a[:, 4], a[:, 5], b[:, 4], b[:, 5]
+    with np.errstate(all="ignore"):
+        v, w = (np.array([p * lo + q, p * hi + q]) for p, q in ((p1, q1), (p2, q2)))
+        zero = (p1 != 0.0) & (v[0] * v[1] <= 0.0)
+        c, cm = _coefficients(D2_FORMS[f1], D2_FORMS[f2], s, t)
+        vals, mags = np.array(_moebius(c, lo, hi)), np.array(_moebius(cm, lo, hi))
+        st = np.abs([s, t])
+        tame = (((st == 0.0) | ((1e-30 <= st) & (st <= 1e30))).all(axis=0)
+                & (b[:, 3] > 0.0) & np.isfinite(b[:, 0] + b[:, 1] + b[:, 2])
+                & ((p1 == 0.0) | (v == 0.0) | (np.abs(v) >= 1e-200)).all(axis=0)
+                & ((p2 == 0.0) | (w >= 1e-200)).all(axis=0))
+        signs = np.sign(vals)
+        sure = ((np.abs(vals) > _FILTER * mags) | (mags == 0.0)).all(axis=0)
+        rising = signs.min(axis=0) >= 0
+        monotone = sure & (rising | (signs.max(axis=0) <= 0))
+    direction = np.where(zero, 0, np.where(rising, 1, -1))
+    sign = np.where((p1 != 0.0) & (v[0] <= 0.0), np.where(v[0] < 0.0, -a[:, 3], 0.0), a[:, 3])
+    scalar = ~tame | ~(zero | monotone) if 1e-30 <= lo <= hi <= 1e30 else np.full(s.shape, True)
+    for k in np.flatnonzero(scalar).tolist():
+        g = _Ratio(GeneratorSpec(f1, s[k]), GeneratorSpec(f2, t[k]), lo, hi)
+        direction[k], sign[k] = g.direction(), g.ends[0].s
+    return direction, sign
+
+
 # --------------------------------------------------------------------------
 # cataloged endpoint formulas
 
@@ -726,8 +759,14 @@ def printed_mM(
     fixtures, not the engine's source of truth.  Evaluated in Python
     floats, the text may raise an :class:`ArithmeticError`
     (``OverflowError``, ``ZeroDivisionError``) far from ratio 1."""
+    s, t, r, R = _items(s, t, r, R)
     br = active_branch(family, s, t)
     return None if br is None else _printed(family, br, s, t, r, R)
+
+
+def _items(*values):
+    # numpy scalars as the Python numbers they hold: float32 would round m, M
+    return (v.item() if isinstance(v, np.generic) else v for v in values)
 
 
 def _printed(family: InequalityFamily, br: Branch, s, t, r, R) -> tuple[float, float]:
@@ -815,8 +854,7 @@ def closed_form_mM(
     enclosure with ``region_ok=False`` unless ``strict``, which raises
     :class:`RegionViolation`.
     """
-    # numpy scalars as the Python numbers they hold: float32 would round m, M
-    s, t, r, R = (v.item() if isinstance(v, np.generic) else v for v in (s, t, r, R))
+    s, t, r, R = _items(s, t, r, R)
     num, den = family_generators(family, s, t)
     br = active_branch(family, s, t)
     if br is None and strict:

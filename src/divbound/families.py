@@ -36,23 +36,23 @@ whose masses add up to 1 only within tolerance.  The kernels never call
 the generator engine, so the two stay independent computations.
 
 Each family is the f-divergence of one generator (:mod:`generators`).  One
-private table holds each family's kernel and generator, and
-:func:`family_value`, :func:`in_convex_range` and the harness read it.  The
-Zeta generators are convex only for 0 <= s <= 4, as their curvature
-records say; outside that range the value is still defined and computable,
-but it is not a certified divergence.
+private table holds each family's kernel, its terms (:func:`_accum.summed`)
+and its generator, and :func:`family_value`, :func:`in_convex_range` and the
+harness read it.  The Zeta generators are convex only for 0 <= s <= 4, as
+their curvature records say; outside that range the value is still defined
+and computable, but it is not a certified divergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._accum import comp_sum
-from .errors import InvalidArgument
+from ._accum import summed
 from .generators import Gen, GeneratorSpec, _by_form, _lpow, _stack, log_d2
 from .simplex import Distribution, require_same_length
 
@@ -74,61 +74,64 @@ class FamilyId:
     s: float
 
     def __post_init__(self):
-        if not np.isfinite(self.s):
-            raise InvalidArgument(f"s must be finite, got {self.s}")
+        # s as its family's generator spec holds it, and refused as there
+        object.__setattr__(self, "s", GeneratorSpec(_FAMILIES[self.family].gen, self.s).s)
 
 
+@summed()
 def phi_s(s, p, q):
     """Relative information of type s; arrays of shape (..., n) reduce.
 
     ``s`` is a float or a 1-D array; an array adds a leading axis over s
     to the result, summed in one call (module docstring)."""
-    p, q = np.asarray(p, float), np.asarray(q, float)
     s = _stack(s, p)
-    return comp_sum(_by_form(
+    return _by_form(
         s,
         lambda s: (p * _lpow(s - 1.0, p / q) - (p - q)) / s,
         lambda s: (q * _lpow(s, p / q) - (p - q)) / (s - 1.0),
-    ))
+    )
 
 
-def omega_s(s, p, q, adjoint: bool = False):
+@summed()
+def omega_s(s, p, q, *, adjoint: bool = False):
     """Unified relative JS/AG divergence of type s (adjoint swaps p and q);
     ``s`` as in :func:`phi_s`."""
     if adjoint:
         p, q = q, p
-    p, q = np.asarray(p, float), np.asarray(q, float)
     m = (p + q) / 2.0
     s = _stack(s, p)
-    return comp_sum(_by_form(
+    return _by_form(
         s,
         lambda s: (m * _lpow(s - 1.0, m / p) - (m - p)) / s,
         lambda s: (p * _lpow(s, m / p) - (m - p)) / (s - 1.0),
-    ))
+    )
 
 
-def zeta_s(s, p, q, adjoint: bool = False):
+@summed()
+def zeta_s(s, p, q, *, adjoint: bool = False):
     """Relative J-divergence of type s (adjoint swaps p and q); ``s`` as in
     :func:`phi_s`."""
     if adjoint:
         p, q = q, p
-    p, q = np.asarray(p, float), np.asarray(q, float)
     s = _stack(s, p)
-    return comp_sum((p - q) * _lpow(s - 1.0, (p + q) / (2.0 * q)))
+    return (p - q) * _lpow(s - 1.0, (p + q) / (2.0 * q))
 
 
 class _Row(NamedTuple):
     kernel: Callable  # (s, p, q) -> value, s as in phi_s
     gen: Gen  # the generator whose f-divergence the family is
+    terms: Callable  # (s, p, q) -> the terms the kernel sums
 
 
 # lambdas look the kernels up when called (benchmark/tracing.py rebinds them)
 _FAMILIES = {
-    Family.PHI: _Row(lambda s, p, q: phi_s(s, p, q), Gen.PHI),
-    Family.OMEGA: _Row(lambda s, p, q: omega_s(s, p, q), Gen.PSI),
-    Family.OMEGA_ADJOINT: _Row(lambda s, p, q: omega_s(s, q, p), Gen.UPSILON),
-    Family.ZETA: _Row(lambda s, p, q: zeta_s(s, p, q), Gen.XI),
-    Family.ZETA_ADJOINT: _Row(lambda s, p, q: zeta_s(s, q, p), Gen.VARSIGMA),
+    Family.PHI: _Row(lambda s, p, q: phi_s(s, p, q), Gen.PHI, phi_s.terms),
+    Family.OMEGA: _Row(lambda s, p, q: omega_s(s, p, q), Gen.PSI, omega_s.terms),
+    Family.OMEGA_ADJOINT: _Row(lambda s, p, q: omega_s(s, q, p), Gen.UPSILON,
+                               partial(omega_s.terms, adjoint=True)),
+    Family.ZETA: _Row(lambda s, p, q: zeta_s(s, p, q), Gen.XI, zeta_s.terms),
+    Family.ZETA_ADJOINT: _Row(lambda s, p, q: zeta_s(s, q, p), Gen.VARSIGMA,
+                              partial(zeta_s.terms, adjoint=True)),
 }
 
 

@@ -90,7 +90,10 @@ class GeneratorSpec:
         if type(s) is not float and not isinstance(s, np.ndarray):
             if isinstance(s, (bool, np.bool_)) or not isinstance(s, Real):
                 raise InvalidArgument(f"s must be a real number, got {s!r}")
-            object.__setattr__(self, "s", s := float(s))
+            try:
+                object.__setattr__(self, "s", s := float(s))
+            except OverflowError:  # an int or a Fraction past the double range
+                raise InvalidArgument(f"s must be finite, got a huge {type(s).__name__}") from None
         if not (math.isfinite(s) if type(s) is float else np.isfinite(s).all()):
             raise InvalidArgument(f"s must be finite, got {s}")
 

@@ -27,7 +27,8 @@ by composing the one-sided halves, so the decomposition identities
 are genuine cross-checks between independent computations, not tautologies.
 :func:`identity_residuals` and the harness read them from one table.  The
 kernel functions accept arrays of shape (..., n) and reduce the last axis,
-so a bulk matrix of pairs evaluates in one call.
+so a bulk matrix of pairs evaluates in one call; each is written as the
+function of its terms (:func:`_accum.summed`), which the harness stacks.
 
 Note the factor in the last decomposition: term-by-term algebra gives
 F(P||Q) + G(P||Q) = (1/2) sum (q - p) ln((p+q)/(2p)) = D(Q||P)/2, i.e. the
@@ -42,77 +43,77 @@ from enum import Enum
 
 import numpy as np
 
-from ._accum import comp_sum
+from ._accum import comp_sum, summed
 from .simplex import Distribution, require_same_length
 
 REL_J_FROM_F_G_CONSTANT = 2.0
 
 
+@summed()
 def chi_square(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
     d = p - q
-    return comp_sum(d * d / q)
+    return d * d / q
 
 
+@summed()
 def kl(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
-    return comp_sum(p * np.log(p / q))
+    return p * np.log(p / q)
 
 
+@summed()
 def rel_js(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
-    return comp_sum(p * np.log(2.0 * p / (p + q)))
+    return p * np.log(2.0 * p / (p + q))
 
 
+@summed()
 def rel_ag(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
     m = (p + q) / 2.0
-    return comp_sum(m * np.log(m / p))
+    return m * np.log(m / p)
 
 
+@summed()
 def rel_j(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
-    return comp_sum((p - q) * np.log((p + q) / (2.0 * q)))
+    return (p - q) * np.log((p + q) / (2.0 * q))
 
 
+@summed()
 def sym_chi_square(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
     d = p - q
-    return comp_sum(d * d * (p + q) / (p * q))
+    return d * d * (p + q) / (p * q)
 
 
+@summed()
 def jeffreys(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
-    return comp_sum((p - q) * np.log(p / q))
+    return (p - q) * np.log(p / q)
 
 
+@summed(0.5)
 def jensen_shannon(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
     m = p + q
-    return 0.5 * comp_sum(p * np.log(2.0 * p / m) + q * np.log(2.0 * q / m))
+    return p * np.log(2.0 * p / m) + q * np.log(2.0 * q / m)
 
 
+@summed(0.5)
 def ag_mean(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
     m = (p + q) / 2.0
-    return 0.5 * comp_sum(m * (np.log(m / p) + np.log(m / q)))
+    return m * (np.log(m / p) + np.log(m / q))
 
 
+@summed()
 def triangular(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
     d = p - q
-    return comp_sum(d * d / (p + q))
+    return d * d / (p + q)
 
 
+@summed()
 def bhattacharyya(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
-    return comp_sum(np.sqrt(p * q))
+    return np.sqrt(p * q)
 
 
+@summed(0.5)
 def hellinger(p, q):
-    p, q = np.asarray(p, float), np.asarray(q, float)
     d = np.sqrt(p) - np.sqrt(q)
-    return 0.5 * comp_sum(d * d)
+    return d * d
 
 
 class MeasureKind(Enum):
@@ -197,16 +198,32 @@ def evaluate(mid: MeasureId, P: Distribution, Q: Distribution) -> float:
 
 class _Values(dict):
     """Measure values of (P, Q) keyed by CLI name (``"kl"``, or ``"kl:qp"``
-    with P and Q swapped), each computed on its first read."""
+    with P and Q swapped), each computed on its first read; those of
+    ``keys`` all at once, from one compensated sum over their stacked
+    terms, which gives each value bit for bit (:func:`summed`)."""
 
-    def __init__(self, P: np.ndarray, Q: np.ndarray):
+    def __init__(self, P: np.ndarray, Q: np.ndarray, keys: tuple[str, ...] = ()):
         super().__init__()
         self.P, self.Q = P, Q
+        if keys:
+            parts = [self.terms(key) for key in keys]
+            shapes = [(scale, t.shape[:-1], t.size // P.shape[-1]) for scale, t in parts]
+            terms = np.concatenate([t.reshape(-1, P.shape[-1]) for _, t in parts])
+            del parts  # only the stacked copy stays alive through the sum
+            sums, at = comp_sum(terms), 0
+            for key, (scale, shape, size) in zip(keys, shapes):
+                self[key], at = scale * sums[at:at + size].reshape(shape), at + size
 
-    def __missing__(self, key: str):
+    def terms(self, key: str) -> tuple[float, np.ndarray]:
+        """``(scale, terms)``: the entry ``key`` is ``scale * comp_sum(terms)``."""
         mid = MeasureId.parse(key)
         p, q = (self.Q, self.P) if mid.orientation is Orientation.QP else (self.P, self.Q)
-        value = self[key] = _KERNELS[mid.kind](p, q)
+        kernel = _KERNELS[mid.kind]
+        return kernel.scale, kernel.terms(p, q)
+
+    def __missing__(self, key: str):
+        scale, terms = self.terms(key)
+        value = self[key] = scale * comp_sum(terms)
         return value
 
 

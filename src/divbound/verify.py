@@ -12,18 +12,22 @@ Dirichlet draw on the stream keyed by ``(seed, n)`` (:func:`_sample_trials`),
 so the report depends only on the configuration, not on scheduling.
 Identical configurations produce bit-identical report JSON.
 
-Trials are grouped by simplex size into blocks, and the loop over blocks is
-the outer one.  Before it, one object (:class:`_Sandwiches`) takes all
-sandwich checks: the cubic of each distinct curvature ratio decides once,
-on the envelope of all blocks' ratios, whether the ratio is monotone; a
-ratio monotone there is monotone on every block and takes outward bounds of
-its endpoint values, read from the log-domain curvature records, and any
-other ratio takes each row's own :func:`numeric_mM` enclosure.  Per block,
-it evaluates one table of generator values along a stacked ``s`` axis, and
-the checks of one inequality family take one array step over ``(checks x
-rows)`` indexed into it.  The other checks of a block read one table of
-measure values and family ``s`` sweeps (:class:`_Values`), so a value that
-several checks read is summed once.  Each block keeps every check's
+What no sample changes is built once per subject set, on first use
+(:func:`_plan`): the checks, and one object (:class:`_Sandwiches`) that
+holds the sandwich checks as integer indices into a table of their
+generator specs.  A run groups its trials by simplex size into blocks, and
+the loop over blocks is the outer one.  Before it, the cubic of each
+distinct curvature ratio decides once, on the envelope of all blocks'
+ratios, whether the ratio is monotone: in one float filter per pair of
+generator kinds, and one scalar ratio at a time where that does not decide
+(:func:`bounds._directions`).  A ratio monotone there is monotone on every
+block and takes outward bounds of its endpoint values, read from the
+log-domain curvature records; any other ratio takes each row's own
+:func:`numeric_mM` enclosure.  Per block, one table of generator values
+along a stacked ``s`` axis feeds one array step over ``(checks x rows)``
+per pair of generator kinds.  The other checks of a block read one table of
+measure values and family ``s`` sweeps (:class:`_Values`), summed in one
+compensated sum over their stacked terms.  Each block keeps every check's
 first-index ``argmax``/``argmin`` (:class:`_Tally`), and one more over
 these, in trial order, picks the run's worst trial.
 
@@ -40,6 +44,7 @@ import threading
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from numbers import Integral
 from typing import Callable, Optional
@@ -51,7 +56,7 @@ from . import simplex
 from .bounds import (
     PARAM_GRID,
     SLACK_REL_TOL,
-    _Ratio,
+    _directions,
     _json_fields,
     InequalityFamily,
     closed_form_mM,
@@ -63,7 +68,7 @@ from .bounds import (
     region_grid,
 )
 from .errors import ConfigInvalid, DegenerateDenominator, InvalidArgument, RegionViolation
-from .families import _FAMILIES, Family, in_convex_range, phi_s
+from .families import _FAMILIES, Family, in_convex_range
 from .generators import GeneratorSpec, csiszar_bulk, gen_d2, log_d2
 
 SUBJECTS = ("identities", "families", "corollaries", "bounds-grid")
@@ -153,22 +158,27 @@ class VerificationReport:
 
 class _Values(ms._Values):
     """The measure values of one block of pairs, and its family sweeps: a
-    family's name (``"phi"`` ... ``"zeta-adj"``) holds one call of its kernel
-    over its ``s`` grid (:data:`_SWEEPS`), one row per ``s``.  No entry is
-    derived from another, so the two sides of a check stay independent."""
+    name of :data:`_SWEEPS` holds one call of a family's kernel over an
+    ``s`` grid, one row per ``s``.  No entry is derived from another, so the
+    two sides of a check stay independent."""
 
-    def __missing__(self, key: str) -> np.ndarray:
+    def terms(self, key: str) -> tuple[float, np.ndarray]:
         if key not in _SWEEPS:
-            return super().__missing__(key)
-        kernel = _FAMILIES[Family(key)].kernel
-        value = self[key] = kernel(np.array(_SWEEPS[key]), self.P, self.Q)
-        return value
+            return super().terms(key)
+        family, s, pair = _SWEEPS[key]
+        return 1.0, _FAMILIES[family].terms(np.array(s), *pair(self.P, self.Q))
 
 
-# each family's s grid: the harness grid where its generator is convex
+#: name: (family, s grid, the pair its kernel reads from (P, Q)).  A family's
+#: own name holds the harness grid where its generator is convex; two more
+#: sweeps hold the other sides of the phi swap duality and of the omega-adj
+#: midpoint substitution
 _SWEEPS = {
-    f.value: tuple(s for s in PARAM_GRID if in_convex_range(f, s)) for f in Family
+    f.value: (f, tuple(s for s in PARAM_GRID if in_convex_range(f, s)), lambda P, Q: (P, Q))
+    for f in Family
 }
+_SWEEPS["phi(1-s):qp"] = (Family.PHI, tuple(1.0 - s for s in PARAM_GRID), lambda P, Q: (Q, P))
+_SWEEPS["phi:mid"] = (Family.PHI, PARAM_GRID, lambda P, Q: ((P + Q) / 2.0, Q))
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,7 @@ class _Check:
     kind: str  # "residual" | "slack"
     fn: Callable[[_Values], np.ndarray]
     # (numerator, denominator) of a sandwich check, which :func:`run`
-    # evaluates by family through its :class:`_Sandwiches`
+    # evaluates through its plan's :class:`_Sandwiches`
     gens: Optional[tuple[GeneratorSpec, GeneratorSpec]] = None
 
 
@@ -221,76 +231,98 @@ _PARTICULAR_CASES = (
 
 
 def _particular_check(name: str, family: str, s: float, measure: str, factor: float) -> _Check:
-    row = _SWEEPS[family].index(s)
+    row = _SWEEPS[family][1].index(s)
     return _residual(f"family/particular/{name}", lambda v: v[family][row],
                      lambda v: factor * v[measure])
 
 
 def _family_checks() -> list[_Check]:
     checks = [_particular_check(*case) for case in _PARTICULAR_CASES]
-    grid = np.array(PARAM_GRID)
-
-    def duality(v):
-        return _scaled_residual(v["phi"], phi_s(1.0 - grid, v.Q, v.P)).max(axis=0)
-
-    def midpoint(v):
-        return _scaled_residual(v["omega-adj"], phi_s(grid, (v.P + v.Q) / 2.0, v.Q)).max(axis=0)
-
-    checks.append(_Check("family/phi-swap-duality", "residual", duality))
-    checks.append(_Check("family/omega-adj-midpoint-substitution", "residual", midpoint))
     checks += [
-        _Check(f"family/nonneg/{name}", "slack", lambda v, k=name: v[k].min(axis=0))
-        for name in _SWEEPS
+        _Check(f"family/{name}", "residual",
+               lambda v, a=a, b=b: _scaled_residual(v[a], v[b]).max(axis=0))
+        for name, a, b in (("phi-swap-duality", "phi", "phi(1-s):qp"),
+                           ("omega-adj-midpoint-substitution", "omega-adj", "phi:mid"))
+    ]
+    checks += [
+        _Check(f"family/nonneg/{f.value}", "slack", lambda v, k=f.value: v[k].min(axis=0))
+        for f in Family
     ]
     return checks
 
 
-#: one inequality family's sandwich checks, as arrays over the checks
+#: the sandwich checks of one pair of generator kinds ``gens``: their
+#: ``rows`` in the check list, their generators' rows ``num`` and ``den`` in
+#: the spec table, and the row ``ratio`` of each one's ratio in ``ratios``,
+#: the group's distinct ``(num, den)``
+_Group = namedtuple("_Group", "gens rows num den ratio ratios")
+#: a group's checks proven on an envelope (:meth:`_Sandwiches.prove`)
 _Family = namedtuple("_Family", "rows num den direction sign m M numeric")
 
 
-class _Sandwiches:
-    """The sandwich checks of a run, from each check's ``(num, den)`` pair
-    (None for other checks) and an envelope [lo, hi] of every block's ratios.
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
 
-    Holds the spec table ``specs`` (each generator kind's specs together),
-    its :func:`log_d2` ``records`` and, per inequality family (the generator
-    kinds of its ratios), a :data:`_Family`: the checks' ``rows`` in the
-    check list, their generators' rows ``num`` and ``den`` in the spec
-    table, each ratio's ``direction`` on [lo, hi] (0 where not monotone or
-    where g has a zero; +1 on a zero-width envelope), proven once per
-    distinct ratio, and its ``sign``.  ``m`` and ``M`` index the bounds each
-    constant divides: at r (m) and R (M) where g rises, else the reverse; a
-    lower bound of |g| (numerator's lower over denominator's upper) for m if
-    g > 0 and M if g < 0.  ``numeric`` lists the unproven ``(check, ratio)``.
+
+class _Sandwiches:
+    """The sandwich checks of a subject set, from each check's ``(num,
+    den)`` pair (None for other checks).
+
+    Holds the spec table ``specs`` (each generator kind's specs together)
+    with its parameters ``s``, :func:`log_d2` ``records`` and ``stacks`` (one
+    stacked spec per kind), and per pair of generator kinds a
+    :data:`_Group`; every array is read-only.  A group is evaluated as one
+    array step: groups of a few dozen checks keep the ``(checks x rows)``
+    temporaries small.
     """
 
-    def __init__(self, ratios: list[Optional[tuple[GeneratorSpec, GeneratorSpec]]],
-                 lo: float, hi: float):
-        self.specs = sorted(dict.fromkeys(spec for ratio in ratios if ratio for spec in ratio),
-                            key=lambda spec: spec.gen.value)
-        self.records = np.array([log_d2(spec) for spec in self.specs]).reshape(-1, 6)
-        self.stacks = [GeneratorSpec(gen, np.array([spec.s for spec in specs]))
-                       for gen, specs in groupby(self.specs, lambda spec: spec.gen)]
+    def __init__(self, ratios: list[Optional[tuple[GeneratorSpec, GeneratorSpec]]]):
+        specs = dict.fromkeys(spec for ratio in ratios if ratio for spec in ratio)
+        self.specs = tuple(sorted(specs, key=lambda spec: spec.gen.value))
+        self.s = _frozen([spec.s for spec in self.specs])
+        self.records = _frozen(np.array([log_d2(spec) for spec in self.specs]).reshape(-1, 6))
+        self.stacks = tuple(GeneratorSpec(gen, _frozen([spec.s for spec in specs]))
+                            for gen, specs in groupby(self.specs, lambda spec: spec.gen))
         index = {spec: i for i, spec in enumerate(self.specs)}
-        members, proofs = {}, {}
+        members = {}
         for k, ratio in enumerate(ratios):
             if ratio is not None:
                 members.setdefault((ratio[0].gen, ratio[1].gen), []).append(k)
-                if ratio not in proofs:
-                    g = _Ratio(*ratio, lo, hi)
-                    proofs[ratio] = g.direction() if lo < hi else 1, g.ends[0].s
-        self.families = []
-        for ks in members.values():
-            num, den = (np.array([index[ratios[k][side]] for k in ks]) for side in (0, 1))
-            direction, sign = map(np.array, zip(*(proofs[ratios[k]] for k in ks)))
+        groups = []
+        for gens, ks in members.items():
+            pairs, distinct = [(index[ratios[k][0]], index[ratios[k][1]]) for k in ks], {}
+            ratio = [distinct.setdefault(pair, len(distinct)) for pair in pairs]
+            groups.append(_Group(gens, *map(_frozen, (ks, *zip(*pairs), ratio, list(distinct)))))
+        self.groups = tuple(groups)
+
+    def prove(self, lo: float, hi: float) -> list:
+        """Per :data:`_Group`, a :data:`_Family` on the envelope [lo, hi] of
+        every block's ratios: each check's ``direction`` (0 where not
+        monotone or where g has a zero; +1 on a zero-width envelope) and
+        ``sign``, from one :func:`_directions` call over the distinct ratios.
+        ``m`` and ``M`` are the flat rows (4 spec + slot) of the bounds each
+        constant divides: at r (m) and R (M) where g rises, else the
+        reverse; a lower bound of |g| (numerator's lower over denominator's
+        upper) for m if g > 0 and M if g < 0.  ``numeric`` lists the
+        unproven ``(check, ratio)``."""
+        families = []
+        for group in self.groups:
+            i, j = group.ratios.T
+            direction, sign = _directions(*group.gens, self.s[i], self.s[j], self.records[i],
+                                          self.records[j], lo, hi)
+            direction = (direction if lo < hi else np.ones_like(direction))[group.ratio]
+            sign = sign[group.ratio]
             end, neg = (direction <= 0).astype(int), 2 * (sign < 0)
-            self.families.append(_Family(
-                np.array(ks), num, den, direction, sign[:, None],
-                ((num, neg + end), (den, 2 - neg + end)),
-                ((num, 3 - neg - end), (den, 1 + neg - end)),
-                [(c, ratios[ks[c]]) for c in np.flatnonzero(direction == 0)],
+            num, den = 4 * group.num, 4 * group.den
+            families.append(_Family(
+                group.rows, group.num, group.den, direction, sign[:, None],
+                (num + neg + end, den + 2 - neg + end), (num + 3 - neg - end, den + 1 + neg - end),
+                [(c, (self.specs[group.num[c]], self.specs[group.den[c]]))
+                 for c in np.flatnonzero(direction == 0).tolist()],
             ))
+        return families
 
     def table(self, P: np.ndarray, Q: np.ndarray) -> tuple:
         """``(r, R, bounds, div)`` of a block of pairs: each row's ratio
@@ -311,21 +343,24 @@ class _Sandwiches:
         div = [np.empty((0, P.shape[0]))] + [csiszar_bulk(stack, P, Q) for stack in self.stacks]
         return r, R, bounds, np.concatenate(div)
 
-    def slacks(self, P: np.ndarray, Q: np.ndarray):
-        """``(family, m, M, slack)`` per family, one at a time, as ``(checks x
-        rows)`` arrays over the block's rows: the sandwich constants of each
-        check on each row's [r, R], for a ratio proven monotone quotients of
-        the padded bounds at its ends, so ``m <= inf g`` and ``M >= sup g``
-        by construction, elsewhere each row's :func:`numeric_mM` enclosure;
-        and the normalized slack min(C1 - m C2, M C2 - C1) / max(1, |C1|)."""
+    def slacks(self, P: np.ndarray, Q: np.ndarray, families: list):
+        """``(family, m, M, slack)`` per :data:`_Family` of ``families``
+        (:meth:`prove`), one at a time, as ``(checks x rows)`` arrays over
+        the block's rows: the sandwich constants of each check on each row's
+        [r, R], for a ratio proven monotone quotients of the padded bounds at
+        its ends, so ``m <= inf g`` and ``M >= sup g`` by construction,
+        elsewhere each row's :func:`numeric_mM` enclosure; and the
+        normalized slack min(C1 - m C2, M C2 - C1) / max(1, |C1|)."""
         r, R, bounds, div = self.table(P, Q)
-        for family in self.families:
+        bounds = bounds.reshape(-1, r.shape[0])
+        for family in families:
             with np.errstate(divide="ignore", over="ignore"):
-                m, M = (family.sign * (bounds[a] / bounds[b]) for a, b in (family.m, family.M))
+                m, M = (family.sign * (bounds.take(a, axis=0) / bounds.take(b, axis=0))
+                        for a, b in (family.m, family.M))
             for k, ratio in family.numeric:
                 for i in range(r.shape[0]):
                     m[k, i], M[k, i] = numeric_mM(*ratio, float(r[i]), float(R[i]))
-            c1, c2 = div[family.num], div[family.den]
+            c1, c2 = div.take(family.num, axis=0), div.take(family.den, axis=0)
             yield family, m, M, np.minimum(c1 - m * c2, M * c2 - c1) / np.maximum(1.0, np.abs(c1))
 
 
@@ -339,8 +374,8 @@ def sandwich_slack_bulk(
     envelope; otherwise each row falls back to :func:`numeric_mM`.
     """
     ratios = P / Q
-    sandwiches = _Sandwiches([family_generators(family, s, t)], ratios.min(), ratios.max())
-    (*_, slack), = sandwiches.slacks(P, Q)
+    sandwiches = _Sandwiches([family_generators(family, s, t)])
+    (*_, slack), = sandwiches.slacks(P, Q, sandwiches.prove(ratios.min(), ratios.max()))
     return slack[0]
 
 
@@ -370,6 +405,19 @@ def _build_checks(subjects: tuple[str, ...]) -> list[_Check]:
     if "all" in wanted:
         wanted |= set(DEFAULT_SUBJECTS)
     return [check for subject, build in _BUILDERS.items() if subject in wanted for check in build()]
+
+
+@lru_cache
+def _plan(subjects: tuple[str, ...]) -> tuple:
+    """What no sample changes, built on first use: the check tuple, its
+    plain checks' indices, the :class:`_Values` entries these read (found
+    by running them once on one pair) and the others' :class:`_Sandwiches`."""
+    checks = tuple(_build_checks(subjects))
+    plain = _frozen(np.array([k for k, check in enumerate(checks) if check.gens is None], int))
+    probe = _Values(*np.full((2, 1, 2), 0.5))
+    for k in plain.tolist():
+        checks[k].fn(probe)
+    return checks, plain, tuple(probe), _Sandwiches([check.gens for check in checks])
 
 
 # --------------------------------------------------------------------------
@@ -459,24 +507,23 @@ def run(config: VerifyConfig) -> VerificationReport:
 
     The loop over size blocks is the outer one: the other checks of a block
     read one shared :class:`_Values`, and its sandwich checks one table of
-    the run's :class:`_Sandwiches`, proven on the envelope of all blocks.
+    the plan's :class:`_Sandwiches`, proven on the envelope of all blocks.
     Violations are recorded (with a shrunk witness), never raised.
     """
     start = time.perf_counter()
     blocks = _sample_trials(config)
-    checks = _build_checks(config.subjects)
-    plain = np.array([k for k, check in enumerate(checks) if check.gens is None], dtype=int)
+    checks, plain, keys, sandwiches = _plan(tuple(config.subjects))
     lo = min(float((P / Q).min()) for _, P, Q in blocks)
     hi = max(float((P / Q).max()) for _, P, Q in blocks)
-    sandwiches = _Sandwiches([check.gens for check in checks], lo, hi)
+    families = sandwiches.prove(lo, hi)
     tally = _Tally([check.kind for check in checks], config.rel_tol, len(blocks))
     for b, (idx, P, Q) in enumerate(blocks):
-        shared = _Values(P, Q)
+        shared = _Values(P, Q, keys)
         values = np.empty((plain.shape[0], idx.shape[0]))
-        for row, k in enumerate(plain):
+        for row, k in enumerate(plain.tolist()):
             values[row] = checks[k].fn(shared)
         tally.add(b, idx, values, plain)
-        for family, _, _, slacks in sandwiches.slacks(P, Q):
+        for family, _, _, slacks in sandwiches.slacks(P, Q, families):
             tally.add(b, idx, slacks, family.rows)
     worst, _, block, row = tally.worst()
     results: dict[str, CheckResult] = {}

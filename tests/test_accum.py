@@ -131,3 +131,59 @@ class TestNonFinite:
         with np.errstate(over="ignore"):
             assert comp_sum([1e308, 1e308, 1.0]) == np.inf
             assert comp_sum([-1e308, -1e308]) == -np.inf
+
+
+def _comp_sum_with_temporaries(terms, axis=-1):
+    """comp_sum as written before it took column chunks and reused its
+    rows and buffers: a fresh temporary per step, all columns at once.
+    Neither may move a bit."""
+    x = np.asarray(terms, dtype=np.float64)
+    s = np.moveaxis(x, axis, 0).copy()
+    if s.shape[0] == 0:
+        s = np.zeros((1,) + s.shape[1:])
+    e = np.zeros_like(s)
+    m = s.shape[0]
+    with np.errstate(invalid="ignore"):
+        while m > 1:
+            h = (m + 1) // 2
+            a, b = s[: m - h], s[h:m]
+            t = a + b
+            z = t - a
+            err = (a - (t - z)) + (b - z)
+            e[: m - h] += e[h:m]
+            e[: m - h] += err
+            s[: m - h] = t
+            m = h
+        out = s[0] + e[0]
+        out = np.where(np.isfinite(out), out, s[0])
+    return float(out) if out.ndim == 0 else out
+
+
+def _same_bits(a, b):
+    return np.asarray(a).shape == np.asarray(b).shape and (
+        np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes())
+
+
+class TestBuffers:
+    @pytest.mark.parametrize("shape,axis", [
+        ((1,), -1), ((2,), -1), ((7,), -1), ((1000,), -1), ((100_000,), -1),
+        ((110, 6), -1), ((86, 110, 6), -1), ((6, 110), 0), ((4, 11, 3), 1), ((3, 0), -1),
+        ((4097, 7), -1), ((2, 3, 0), 1), ((0, 5), -1),
+    ])
+    def test_match_fresh_temporaries(self, shape, axis):
+        rng = np.random.default_rng(sum(shape) + axis)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, shape)
+        x = np.where(rng.random(shape) < 0.3, -np.roll(x, 1), x)  # near-cancellations
+        assert _same_bits(comp_sum(x, axis=axis), _comp_sum_with_temporaries(x, axis=axis))
+
+    @pytest.mark.parametrize("terms", [
+        [0.0, -0.0], [-0.0, -0.0], [-0.0], [-0.0, -0.0, -0.0], [1.0, -1.0, -0.0],
+        [np.nan, 1.0], [1.0, 2.0, np.nan, 3.0], [np.inf, 1.0], [-np.inf, np.inf, 1.0],
+        [np.inf, np.inf], [1e308, 1e308, -1e308], [-1e308, -1e308, 1.0], [1e308, 1e308],
+        [5e-324, -5e-324, 5e-324], [1e16, 1.0, -1e16],
+    ])
+    def test_match_fresh_temporaries_on_special_values(self, terms):
+        rows = np.array([terms, terms[::-1]])
+        with np.errstate(over="ignore"):
+            for x, axis in ((np.array(terms), -1), (rows, -1), (rows.T, 0)):
+                assert _same_bits(comp_sum(x, axis=axis), _comp_sum_with_temporaries(x, axis=axis))

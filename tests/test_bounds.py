@@ -544,8 +544,9 @@ class TestClosedForm:
                 ratios.append(family_generators(family, s, t))
                 assert cert.m <= g_ratio(*ratios[-1], np.array([0.3, 5.0])).min()
         P, Q = np.array([[0.15, 0.85], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.1, 0.9]])
-        sandwiches = verify._Sandwiches(ratios, float((P / Q).min()), float((P / Q).max()))
-        for _, m, M, _ in sandwiches.slacks(P, Q):
+        sandwiches = verify._Sandwiches(ratios)
+        families = sandwiches.prove(float((P / Q).min()), float((P / Q).max()))
+        for _, m, M, _ in sandwiches.slacks(P, Q, families):
             assert np.all(m <= M)
 
     def test_unevaluable_printed_text_is_an_erratum(self):
@@ -755,6 +756,17 @@ class TestClosedForm:
 
 
 class TestPrintedText:
+    @pytest.mark.parametrize("np_type", [np.float16, np.float32, np.float64])
+    def test_numpy_scalar_arguments_keep_double_precision(self, np_type):
+        # as in closed_form_mM: computed in float32, the text would give
+        # np.float32(0.0234375) for m
+        expected = printed_mM(F.I, 3.0, 2.0, 0.5, 2.0)
+        for k in range(4):
+            args = [3.0, 2.0, 0.5, 2.0]
+            args[k] = np_type(args[k])
+            got = printed_mM(F.I, *args)
+            assert got == expected and all(type(v) is float for v in got)
+
     def test_matches_endpoint_values_except_ix(self):
         rng = np.random.default_rng(77)
         for family in F:

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import SIZES, continuity_violations, mass_lists, scaled_ok
 from divbound.bounds import PARAM_GRID
-from divbound.errors import LengthMismatch
+from divbound.errors import InvalidArgument, LengthMismatch
 from divbound.families import (
     Family,
     FamilyId,
@@ -199,6 +200,24 @@ class TestFamilyValue:
     def test_rejects_non_finite_s(self):
         with pytest.raises(ValueError):
             FamilyId(Family.PHI, float("nan"))
+
+    @pytest.mark.parametrize("s", [True, np.True_, "2", None, 1j])
+    def test_rejects_non_real_s(self, s):
+        # as GeneratorSpec does: a bool is no parameter, and a string is no
+        # bare numpy TypeError
+        with pytest.raises(InvalidArgument, match="must be a real number"):
+            FamilyId(Family.PHI, s)
+
+    @pytest.mark.parametrize("s", [10**400, -(10**400), Fraction(10**400, 3)],
+                             ids=["10**400", "-10**400", "Fraction(10**400, 3)"])
+    def test_rejects_s_beyond_the_double_range(self, s):
+        with pytest.raises(InvalidArgument, match="must be finite"):
+            FamilyId(Family.PHI, s)
+
+    @pytest.mark.parametrize("s", [2, np.int32(2), np.float32(2.5), Fraction(5, 2)])
+    def test_s_is_held_as_float(self, s):
+        fid = FamilyId(Family.OMEGA, s)
+        assert type(fid.s) is float and fid == FamilyId(Family.OMEGA, float(s))
 
     def test_convexity_flag(self):
         assert in_convex_range(Family.ZETA, 4.0)

@@ -50,8 +50,12 @@ class TestSpec:
         with pytest.raises(InvalidArgument, match="must be a real number"):
             GeneratorSpec(Gen.PHI, s)
 
-    @pytest.mark.parametrize("s", [np.inf, np.float32("nan"), np.array([2.0, np.nan])])
+    @pytest.mark.parametrize("s", [np.inf, np.float32("nan"), np.array([2.0, np.nan]),
+                                   10**400, -(10**400), Fraction(10**400, 3)],
+                             ids=["inf", "s1", "s2", "10**400", "-10**400", "Fraction(10**400, 3)"])
     def test_rejects_non_finite_parameter(self, s):
+        # an int or Fraction past the double range included: float(s) would
+        # raise a bare OverflowError
         with pytest.raises(InvalidArgument, match="must be finite"):
             GeneratorSpec(Gen.PHI, s)
 

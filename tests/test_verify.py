@@ -4,19 +4,27 @@ import numpy as np
 import pytest
 
 from conftest import mp_curvature_ratio
-from divbound import families, generators, measures, simplex, verify
+from divbound import _accum, bounds, families, generators, measures, simplex, verify
 from divbound.bounds import (
     PARAM_GRID,
     InequalityFamily,
+    _directions,
     _Ratio,
+    corollary_table,
     family_generators,
     in_region,
     numeric_mM,
     region_grid,
 )
-from divbound.errors import ConfigInvalid, RegionViolation, SamplingExhausted, TooShort
+from divbound.errors import (
+    ConfigInvalid,
+    DivboundError,
+    RegionViolation,
+    SamplingExhausted,
+    TooShort,
+)
 from divbound.families import omega_s, phi_s, zeta_s
-from divbound.generators import Gen, GeneratorSpec, csiszar_bulk
+from divbound.generators import Gen, GeneratorSpec, csiszar_bulk, log_d2
 from divbound.measures import triangular
 from divbound.simplex import normalize, sample_pair_matrix
 from divbound.verify import (
@@ -177,9 +185,15 @@ class TestSharedBlockTable:
         # one corner's ratio closes nowhere, so its rows take numeric_mM
         cfg = VerifyConfig(trials=300, seed=2026, subjects=("all", "bounds-grid"))
         never = family_generators(F.II, 2.0, 1.0)
-        proof = _Ratio.direction
-        monkeypatch.setattr(_Ratio, "direction", lambda self: (
-            0 if (self.num, self.den) == never else proof(self)))
+        prove = verify._directions
+
+        def proof(f1, f2, s, t, *rest):
+            direction, sign = prove(f1, f2, s, t, *rest)
+            direction[[(GeneratorSpec(f1, x), GeneratorSpec(f2, y)) == never
+                       for x, y in zip(s, t)]] = 0
+            return direction, sign
+
+        monkeypatch.setattr(verify, "_directions", proof)
         fallback = []
         enclose = numeric_mM
         monkeypatch.setattr("divbound.verify.numeric_mM",
@@ -190,28 +204,32 @@ class TestSharedBlockTable:
 
     def test_one_proof_per_distinct_ratio(self, monkeypatch):
         cfg = VerifyConfig(trials=1000, seed=5, subjects=("all", "bounds-grid"))
-        proved = []
-        proof = _Ratio.direction
-        monkeypatch.setattr(_Ratio, "direction",
-                            lambda self: proved.append((self.num, self.den)) or proof(self))
+        proved, scalar = [], []
+        prove, alone = verify._directions, _Ratio.direction
+        monkeypatch.setattr(verify, "_directions", lambda f1, f2, s, t, *rest: proved.extend(
+            (GeneratorSpec(f1, x), GeneratorSpec(f2, y)) for x, y in zip(s, t)
+        ) or prove(f1, f2, s, t, *rest))
+        monkeypatch.setattr(_Ratio, "direction", lambda self: scalar.append(1) or alone(self))
         report = run(cfg)
         ratios = {c.gens for c in _build_checks(cfg.subjects) if c.gens is not None}
         assert len(proved) == len(set(proved)) == len(ratios) == 616
+        # the stacked filter decides all but a few (10 here) of them
+        assert 0 < len(scalar) <= 20
         assert report.all_passed and len(report.checks) == 686
 
-    def test_one_sum_per_generator_kind_and_s_sweep(self, monkeypatch):
-        # 9 size blocks: per block, one sum per generator kind of the table,
-        # one per value of the shared table (22 measures and 5 family
-        # s-sweeps) and one per other operand of the duality and midpoint
-        # checks (one sum per s and per spec: 1737; one per operand: 711)
+    def test_one_sum_per_block_and_generator_kind(self, monkeypatch):
+        # 9 size blocks: per block, one sum over the terms of every entry of
+        # the shared table (22 measures, 5 family s-sweeps and the other
+        # sides of the duality and midpoint checks) and one per generator
+        # kind of the sandwich table (one sum per s and per spec: 1737; one
+        # per entry: 306)
         cfg = VerifyConfig(trials=1000, seed=5, subjects=("all", "bounds-grid"))
-        calls = []
-        for module in (families, generators, measures):
-            total = module.comp_sum
-            monkeypatch.setattr(module, "comp_sum",
-                                lambda *a, f=total: calls.append(1) or f(*a))
+        verify._plan(cfg.subjects)  # built on first use, before the count
+        calls, total = [], _accum.comp_sum
+        for module in (_accum, generators, measures):
+            monkeypatch.setattr(module, "comp_sum", lambda *a: calls.append(1) or total(*a))
         run(cfg)
-        assert len(calls) == 306
+        assert len(calls) == 9 * (1 + 5)
 
     def test_one_stream_per_size_block(self, monkeypatch):
         cfg = VerifyConfig(trials=1000, seed=5, n_range=(2, 40))
@@ -254,8 +272,9 @@ class TestValueTable:
             if check.kind == "residual":
                 assert table.reads, check.id
                 assert len(table.reads) == len(set(table.reads)), (check.id, table.reads)
-        # 12 measures, 10 of them in both orientations, and 5 family sweeps
-        assert len(keys) == 27
+        # 12 measures, 10 of them in both orientations, 5 family sweeps and
+        # the other sides of the duality and midpoint checks
+        assert len(keys) == 29
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_entries_match_direct_calls(self, n):
@@ -285,20 +304,28 @@ class TestValueTable:
 
 def _entries_match_direct_calls(P, Q):
     """Every entry the checks read from a block's table equals, bit for bit,
-    the public measure or family call on each row alone (each s alone)."""
+    the public measure or family call on each row alone (each s alone),
+    whether it is summed on its first read or with all the others in the
+    block's one stacked sum."""
     table = _Values(P, Q)
     for check in PLAIN_CHECKS:
         check.fn(table)
-    assert len(table) == 27
-    rows = [(simplex.validate(p), simplex.validate(q)) for p, q in zip(P, Q)]
+    assert len(table) == 29
+    _, _, keys, _ = verify._plan(("identities", "families"))
+    stacked = _Values(P, Q, keys)
+    assert sorted(stacked) == sorted(table)
     for key, value in table.items():
         if key in verify._SWEEPS:
-            fids = [families.FamilyId(families.Family(key), s) for s in verify._SWEEPS[key]]
-            direct = [[families.family_value(fid, p, q) for p, q in rows] for fid in fids]
+            family, grid, pair = verify._SWEEPS[key]
+            rows = [tuple(map(simplex.validate, pair(p, q))) for p, q in zip(P, Q)]
+            fids = [families.FamilyId(family, s) for s in grid]
+            direct = [[families.family_value(fid, *pq) for pq in rows] for fid in fids]
         else:
             mid = measures.MeasureId.parse(key)
-            direct = [measures.evaluate(mid, p, q) for p, q in rows]
+            direct = [measures.evaluate(mid, simplex.validate(p), simplex.validate(q))
+                      for p, q in zip(P, Q)]
         assert np.array_equal(value, np.array(direct)), key
+        assert np.array_equal(stacked[key], value), key
 
 
 # the harness grid, its swap-dual grid, both sides of the form choice at
@@ -327,7 +354,7 @@ def _stacked_kernels_match(s, P, Q):
 def _block_table(specs, P, Q):
     """The spec table, curvature bounds and f-divergences of one block for
     the ratios of ``specs`` over PHI(2), whose curvature is 1."""
-    sandwiches = _Sandwiches([(spec, PHI2) for spec in specs], 1.0, 1.0)
+    sandwiches = _Sandwiches([(spec, PHI2) for spec in specs])
     _, _, bounds, div = sandwiches.table(P, Q)
     return sandwiches.specs, bounds, div
 
@@ -613,6 +640,150 @@ class TestBulkSandwich:
             assert slacks[i] == pytest.approx(direct, rel=1e-9, abs=1e-15)
 
 
+def _scalar_directions(f1, f2, s, t, a, b, lo, hi):
+    """The decisions of one scalar _Ratio per row, which the stacked ones
+    must equal: its direction() and the sign of g at lo."""
+    ratios = [_Ratio(GeneratorSpec(f1, x), GeneratorSpec(f2, y), lo, hi)
+              for x, y in zip(s.tolist(), t.tolist())]
+    return (np.array([g.direction() for g in ratios], dtype=int),
+            np.array([g.ends[0].s for g in ratios], dtype=float))
+
+
+def _harness_groups():
+    """The distinct ratios of every sandwich check, per pair of generator
+    kinds: ``(f1, f2, s, t, a, b)`` as the harness proves them."""
+    sandwiches = verify._plan(("all", "bounds-grid"))[3]
+    s, records = sandwiches.s, sandwiches.records
+    for group in sandwiches.groups:
+        i, j = group.ratios.T
+        yield (*group.gens, s[i], s[j], records[i], records[j])
+
+
+def _same_decisions(f1, f2, s, t, a, b, lo, hi):
+    try:
+        expected = _scalar_directions(f1, f2, s, t, a, b, lo, hi)
+    except DivboundError as exc:
+        with pytest.raises(type(exc)):
+            _directions(f1, f2, s, t, a, b, lo, hi)
+        return
+    direction, sign = _directions(f1, f2, s, t, a, b, lo, hi)
+    assert np.array_equal(direction, expected[0]), (f1, f2, lo, hi)
+    assert np.array_equal(sign, expected[1]) and not np.signbit(sign[sign == 0.0]).any()
+
+
+class TestStackedProof:
+    """The stacked float filter makes the scalar ratio's decisions."""
+
+    def test_harness_envelopes_of_seeds_1_to_40(self):
+        ratios = 0
+        for seed in range(1, 41):
+            blocks = _sample_trials(VerifyConfig(trials=1000, seed=seed))
+            lo = min(float((P / Q).min()) for _, P, Q in blocks)
+            hi = max(float((P / Q).max()) for _, P, Q in blocks)
+            for group in _harness_groups():
+                _same_decisions(*group, lo, hi)
+                ratios += len(group[2])
+        assert ratios == 40 * 616
+
+    @pytest.mark.parametrize("x", [0.05, 1.0, 1.5, 40.0])
+    def test_zero_width_envelope(self, x):
+        for group in _harness_groups():
+            _same_decisions(*group, x, x)
+
+    def test_every_row_is_scalar_outside_the_filter_range(self, monkeypatch):
+        # the float filter runs only on [1e-30, 1e30]
+        proved = []
+        alone = _Ratio.direction
+        monkeypatch.setattr(_Ratio, "direction", lambda self: proved.append(1) or alone(self))
+        for group in _harness_groups():
+            _directions(*group, 1e-31, 1.0)
+        assert len(proved) == 616
+        for group in _harness_groups():
+            _same_decisions(*group, 1e-31, 1.0)
+
+    def test_few_rows_are_scalar_on_a_harness_envelope(self, monkeypatch):
+        proved = []
+        alone = _Ratio.direction
+        monkeypatch.setattr(_Ratio, "direction", lambda self: proved.append(1) or alone(self))
+        for group in _harness_groups():
+            _directions(*group, 0.003, 400.0)
+        assert len(proved) <= 20
+
+    def test_rows_the_filter_leaves_undecided_are_scalar(self, monkeypatch):
+        # with an error bound no float value can clear, only the rows whose
+        # g has a zero or whose cubic vanishes are decided stacked
+        monkeypatch.setattr(bounds, "_FILTER", 1.0)
+        proved = []
+        alone = _Ratio.direction
+        monkeypatch.setattr(_Ratio, "direction", lambda self: proved.append(1) or alone(self))
+        for group in _harness_groups():
+            _directions(*group, 0.003, 400.0)
+        assert len(proved) >= 600
+        for group in _harness_groups():
+            _same_decisions(*group, 0.003, 400.0)
+
+    def test_refused_rows_raise_as_alone(self):
+        # PHI(2) over XI(5): the linear factor 5x - 1 of XI(5)'' is negative
+        # below x = 1/5
+        s, t = np.array([2.0, 2.0]), np.array([2.0, 5.0])
+        a = np.array([log_d2(GeneratorSpec(Gen.PHI, x)) for x in s])
+        b = np.array([log_d2(GeneratorSpec(Gen.XI, x)) for x in t])
+        for lo, hi in ((0.1, 2.0), (0.3, 2.0), (0.0, 2.0), (2.0, 1.0), (1.0, np.inf)):
+            _same_decisions(Gen.PHI, Gen.XI, s, t, a, b, lo, hi)
+        with pytest.raises(DivboundError):
+            _directions(Gen.PHI, Gen.XI, s, t, a, b, 0.1, 2.0)
+
+    def test_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        param = st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, -1.0, 1e-31, 1e-30, 1e30, 1e31]),
+            st.floats(-40.0, 40.0),
+        )
+        end = st.one_of(st.sampled_from([1e-31, 1e-30, 1.0, 1e30, 1e31]), st.floats(1e-35, 1e35))
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(st.sampled_from(list(Gen)), st.sampled_from(list(Gen)),
+                   st.lists(st.tuples(param, param), min_size=1, max_size=6), end, end)
+        def check(f1, f2, pairs, x, y):
+            s, t = np.array(pairs, dtype=float).T
+            a = np.array([log_d2(GeneratorSpec(f1, v)) for v in s.tolist()])
+            b = np.array([log_d2(GeneratorSpec(f2, v)) for v in t.tolist()])
+            _same_decisions(f1, f2, s, t, a, b, min(x, y), max(x, y))
+
+        check()
+
+    def test_slack_bulk_matches_scalar_proofs(self, monkeypatch):
+        # stacking the proofs changes no bit of the slacks
+        P, Q = sample_pair_matrix(6, 30, seed=99, concentration=0.5)
+        cases = [(c.family, c.s, c.t) for c in corollary_table()] + [
+            (family, s, t) for family in F for s, t in region_grid(family)]
+        stacked = [sandwich_slack_bulk(*case, P, Q) for case in cases]
+        monkeypatch.setattr(verify, "_directions", _scalar_directions)
+        for case, slack in zip(cases, stacked):
+            assert np.array_equal(sandwich_slack_bulk(*case, P, Q), slack, equal_nan=True), case
+
+
+class TestPlan:
+    def test_built_once_per_subject_set(self, monkeypatch):
+        plan = verify._plan(("identities", "corollaries"))
+        assert verify._plan(("identities", "corollaries")) is plan
+        assert verify._plan(("corollaries",)) is not plan
+        monkeypatch.setattr(verify, "_build_checks", lambda subjects: pytest.fail("rebuilt"))
+        run(VerifyConfig(trials=20, subjects=("identities", "corollaries")))
+
+    def test_arrays_are_read_only(self):
+        checks, plain, keys, sandwiches = verify._plan(("all", "bounds-grid"))
+        assert isinstance(checks, tuple) and isinstance(keys, tuple) and len(keys) == 29
+        arrays = [plain, sandwiches.s, sandwiches.records] + [stack.s for stack in sandwiches.stacks]
+        arrays += [array for group in sandwiches.groups for array in group[1:]]
+        assert sum(len(group.rows) for group in sandwiches.groups) == 649
+        assert sum(len(group.ratios) for group in sandwiches.groups) == 616
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
 class TestGroupProof:
     # P / Q ratios span the pooled envelope [0.4, 2.0]
     P = np.array([[0.2, 0.8], [0.6, 0.4]])
@@ -627,12 +798,12 @@ class TestGroupProof:
     def test_proof_follows_the_ratio(self, family, s, t, expected):
         ratios = self.P / self.Q
         assert (ratios.min(), ratios.max()) == (0.4, 2.0)
-        (checks,) = _Sandwiches([family_generators(family, s, t)], 0.4, 2.0).families
+        (checks,) = _Sandwiches([family_generators(family, s, t)]).prove(0.4, 2.0)
         assert checks.direction.tolist() == [expected]
 
     def test_zero_width_envelope_counts_as_increasing(self, monkeypatch):
         monkeypatch.setattr(_Ratio, "direction", lambda self: pytest.fail("proved"))
-        (checks,) = _Sandwiches([family_generators(F.I, 0.0, 0.0)], 1.5, 1.5).families
+        (checks,) = _Sandwiches([family_generators(F.I, 0.0, 0.0)]).prove(1.5, 1.5)
         assert checks.direction.tolist() == [1]
 
     def test_unproven_block_encloses_each_row(self):
@@ -665,11 +836,12 @@ class TestBlockTableSoundness:
         for seed in (1, 2):
             P, Q = sample_pair_matrix(6, 30, seed=seed, concentration=0.3)
             r, R = (P / Q).min(axis=1), (P / Q).max(axis=1)
-            sandwiches = _Sandwiches(ratios, float(r.min()), float(R.max()))
+            sandwiches = _Sandwiches(ratios)
+            proofs = sandwiches.prove(float(r.min()), float(R.max()))
             # some f-divergences and slacks overflow here; only the
             # constants are read
             with np.errstate(over="ignore", invalid="ignore"):
-                families = list(sandwiches.slacks(P, Q))
+                families = list(sandwiches.slacks(P, Q, proofs))
             for family, m, M, _ in families:
                 for k in np.flatnonzero(family.direction):
                     proven += 1
