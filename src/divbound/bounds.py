@@ -454,6 +454,13 @@ def _decide(vals, mags) -> Optional[list[int]]:
     return [(v > 0.0) - (v < 0.0) for v in vals]
 
 
+def _exact(num: GeneratorSpec, den: GeneratorSpec) -> tuple:
+    """N's coefficients times E^3, E the product of the denominators of
+    s and t, in integers: exact, with the signs and roots of N's."""
+    (S, ds), (T, dt) = (spec.s.as_integer_ratio() for spec in (num, den))
+    return _coefficients(D2_FORMS[num.gen], D2_FORMS[den.gen], S * dt, T * ds, ds * dt)[0]
+
+
 def _moebius(c, a, b) -> tuple:
     """Coefficients of N((a + b y) / (1 + y)) (1 + y)^3, whose roots y > 0
     are the roots of N in (a, b): the first is N(a), the last N(b)."""
@@ -535,11 +542,8 @@ class _Ratio:
 
     @cached_property
     def exact(self) -> tuple:
-        """N's coefficients times E^3, E the product of the denominators of
-        s and t, in integers: exact, with the signs and roots of N's."""
-        (S, ds), (T, dt) = (spec.s.as_integer_ratio() for spec in (self.num, self.den))
-        forms = D2_FORMS[self.num.gen], D2_FORMS[self.den.gen]
-        return _coefficients(*forms, S * dt, T * ds, ds * dt)[0]
+        """:func:`_exact` of the ratio's generators."""
+        return _exact(self.num, self.den)
 
     def signs(self, a: float, b: float) -> list[int]:
         """Signs of the :func:`_moebius` coefficients of (a, b): from the
@@ -712,37 +716,21 @@ class _Ratio:
         return max(signs) or min(signs) or 1
 
 
-def _directions(f1: Gen, f2: Gen, s: np.ndarray, t: np.ndarray, a: np.ndarray,
-                b: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`_Ratio.direction` and ``ends[0].s`` (the sign of g at lo) of
-    each ``_Ratio(GeneratorSpec(f1, s[k]), GeneratorSpec(f2, t[k]), lo, hi)``
-    with :func:`log_d2` records ``a[k]``, ``b[k]``: the float filter on the
-    same floats, computed for all k at once.  A row takes the scalar ratio
-    where the filter does not decide or run, where its signs change, and
-    where :class:`_Ratio` may refuse it (a denominator not positive on
-    [lo, hi], a linear factor so near 0 that the allowance may overflow)."""
-    p1, q1, p2, q2 = a[:, 4], a[:, 5], b[:, 4], b[:, 5]
-    with np.errstate(all="ignore"):
-        v, w = (np.array([p * lo + q, p * hi + q]) for p, q in ((p1, q1), (p2, q2)))
-        zero = (p1 != 0.0) & (v[0] * v[1] <= 0.0)
-        c, cm = _coefficients(D2_FORMS[f1], D2_FORMS[f2], s, t)
-        vals, mags = np.array(_moebius(c, lo, hi)), np.array(_moebius(cm, lo, hi))
-        st = np.abs([s, t])
-        tame = (((st == 0.0) | ((1e-30 <= st) & (st <= 1e30))).all(axis=0)
-                & (b[:, 3] > 0.0) & np.isfinite(b[:, 0] + b[:, 1] + b[:, 2])
-                & ((p1 == 0.0) | (v == 0.0) | (np.abs(v) >= 1e-200)).all(axis=0)
-                & ((p2 == 0.0) | (w >= 1e-200)).all(axis=0))
-        signs = np.sign(vals)
-        sure = ((np.abs(vals) > _FILTER * mags) | (mags == 0.0)).all(axis=0)
-        rising = signs.min(axis=0) >= 0
-        monotone = sure & (rising | (signs.max(axis=0) <= 0))
-    direction = np.where(zero, 0, np.where(rising, 1, -1))
-    sign = np.where((p1 != 0.0) & (v[0] <= 0.0), np.where(v[0] < 0.0, -a[:, 3], 0.0), a[:, 3])
-    scalar = ~tame | ~(zero | monotone) if 1e-30 <= lo <= hi <= 1e30 else np.full(s.shape, True)
-    for k in np.flatnonzero(scalar).tolist():
-        g = _Ratio(GeneratorSpec(f1, s[k]), GeneratorSpec(f2, t[k]), lo, hi)
-        direction[k], sign[k] = g.direction(), g.ends[0].s
-    return direction, sign
+def _half_line(num: GeneratorSpec, den: GeneratorSpec) -> Optional[tuple[int, float]]:
+    """:meth:`_Ratio.direction` and ``ends[0].s`` (the sign of g) of every
+    ``_Ratio(num, den, lo, hi)`` within [1e-30, 1e30], or None.  It answers
+    for a denominator convex on (0, inf), a numerator linear factor with no
+    root there, s and t in the float filter's range, and N's coefficients
+    c_k all >= 0 (or all <= 0): then so is every :func:`_moebius` coefficient."""
+    a, b = log_d2(num), log_d2(den)
+    if not (b.sign > 0.0 and b.p >= 0.0 and b.q >= 0.0 and (a.p < 0.0) == (a.q < 0.0)
+            and _filterable(num.s) and _filterable(den.s)):
+        return None
+    signs = (_decide(*_coefficients(D2_FORMS[num.gen], D2_FORMS[den.gen], num.s, den.s))
+             or [(v > 0) - (v < 0) for v in _exact(num, den)])
+    if min(signs) < 0 < max(signs):
+        return None
+    return max(signs) or min(signs) or 1, -a.sign if a.q < 0.0 else a.sign
 
 
 # --------------------------------------------------------------------------

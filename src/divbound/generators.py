@@ -61,7 +61,7 @@ import numpy as np
 
 from ._accum import comp_sum
 from .errors import InvalidArgument, NonPositiveArgument
-from .simplex import Distribution, require_same_length
+from .simplex import Distribution, _require_integer, require_same_length
 
 
 class Gen(Enum):
@@ -320,8 +320,7 @@ def convexity_scan(
         raise NonPositiveArgument(f"interval must be positive, got [{r}, {R}]")
     if not r <= R:
         raise InvalidArgument(f"need r <= R, got [{r}, {R}]")
-    if grid < 2:
-        raise InvalidArgument(f"need at least 2 grid points, got {grid}")
+    _require_integer("grid", grid, 2)
     rec = log_d2(spec)
     convex = all(rec.sign * (rec.p * x + rec.q if rec.p else 1.0) >= 0.0 for x in (r, R))
     xs = np.geomspace(r, R, grid)

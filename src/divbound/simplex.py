@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -136,11 +137,29 @@ def ratio_bounds(P: Distribution, Q: Distribution) -> RatioBounds:
     return RatioBounds(float(ratios.min()), float(ratios.max()))
 
 
-def _check_concentration(concentration: float) -> None:
+def _integer(value) -> bool:
+    """An integer argument: a :class:`numbers.Integral`, but not a ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _require_integer(name: str, value, least=None, error: type = InvalidArgument) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer >= ``least`` (None: any)."""
+    if not (_integer(value) and (least is None or value >= least)):
+        need = "an integer" if least is None else f"an integer >= {least}"
+        raise error(f"{name} must be {need}, got {value!r}")
+
+
+def _alpha(n: int, seed: int, concentration: float) -> np.ndarray:
+    """The Dirichlet parameters of a sampler, after checking its arguments."""
+    _require_integer("n", n)
+    if n < 2:
+        raise TooShort(f"need n >= 2, got {n}")
+    _require_integer("seed", seed, 0)
     # a non-finite concentration makes numpy's Dirichlet draws NaN, which the
     # rejection loop would only report as exhausted
     if not (concentration > 0.0 and np.isfinite(concentration)):
         raise InvalidArgument(f"concentration must be positive and finite, got {concentration}")
+    return np.full(n, concentration)
 
 
 def _draw_rows(rng, alpha, count, eps_mass, max_rejections):
@@ -182,13 +201,10 @@ def sample_pair(
 
     Draws with any mass at or below ``eps_mass`` are rejected and redrawn;
     after ``max_rejections`` consecutive rejections :class:`SamplingExhausted`
-    is raised.
+    is raised.  ``n`` and ``seed >= 0`` must be integers (:class:`InvalidArgument`).
     """
-    if n < 2:
-        raise TooShort(f"need n >= 2, got {n}")
-    _check_concentration(concentration)
+    alpha = _alpha(n, seed, concentration)
     rng = np.random.default_rng(seed)
-    alpha = np.full(n, concentration)
     p = _draw(rng, alpha, eps_mass, max_rejections)
     q = _draw(rng, alpha, eps_mass, max_rejections)
     return Distribution(p), Distribution(q)
@@ -197,17 +213,15 @@ def sample_pair(
 def sample_pair_matrix(
     n: int, count: int, seed: int, concentration: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` pairs as two (count, n) matrices.
+    """``count >= 0`` pairs as two (count, n) matrices, checked as :func:`sample_pair`.
 
     Row ``i`` is drawn from its own stream keyed by ``(seed, i)``, so the
     matrix content does not depend on how the work is chunked.
     """
-    if n < 2:
-        raise TooShort(f"need n >= 2, got {n}")
-    _check_concentration(concentration)
+    alpha = _alpha(n, seed, concentration)
+    _require_integer("count", count, 0)
     P = np.empty((count, n))
     Q = np.empty((count, n))
-    alpha = np.full(n, concentration)
     for i in range(count):
         rng = np.random.default_rng([seed, i])
         P[i] = _draw(rng, alpha, EPS_MASS, MAX_REJECTIONS)

@@ -15,14 +15,11 @@ Identical configurations produce bit-identical report JSON.
 What no sample changes is built once per subject set, on first use
 (:func:`_plan`): the checks, and one object (:class:`_Sandwiches`) that
 holds the sandwich checks as integer indices into a table of their
-generator specs.  A run groups its trials by simplex size into blocks, and
-the loop over blocks is the outer one.  Before it, the cubic of each
-distinct curvature ratio decides once, on the envelope of all blocks'
-ratios, whether the ratio is monotone: in one float filter per pair of
-generator kinds, and one scalar ratio at a time where that does not decide
-(:func:`bounds._directions`).  A ratio monotone there is monotone on every
-block and takes outward bounds of its endpoint values, read from the
-log-domain curvature records; any other ratio takes each row's own
+generator specs, and the direction of each distinct curvature ratio that
+is monotone on all of (0, inf) (:func:`bounds._half_line`).  A run groups
+its trials by simplex size into blocks, the outer loop.  A ratio monotone
+there, or on the run's ratio envelope by the scalar cubic, takes outward
+bounds of its endpoint values; any other ratio takes each row's own
 :func:`numeric_mM` enclosure.  Per block, one table of generator values
 along a stacked ``s`` axis feeds one array step over ``(checks x rows)``
 per pair of generator kinds.  The other checks of a block read one table of
@@ -46,7 +43,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,8 +52,9 @@ from . import simplex
 from .bounds import (
     PARAM_GRID,
     SLACK_REL_TOL,
-    _directions,
+    _half_line,
     _json_fields,
+    _Ratio,
     InequalityFamily,
     closed_form_mM,
     corollary_table,
@@ -97,7 +94,7 @@ class VerifyConfig:
             ("concentration", [], 0.0 < self.concentration < np.inf, "positive and finite"),
             ("rel_tol", [], 0.0 < self.rel_tol < 1.0, "in (0, 1)"),
         ):
-            if not ok or any(isinstance(v, bool) or not isinstance(v, Integral) for v in ints):
+            if not ok or not all(map(simplex._integer, ints)):
                 raise ConfigInvalid(f"{name} must be {need}, got {getattr(self, name)!r}")
         unknown = [s for s in self.subjects if s not in SUBJECTS and s != "all"]
         if unknown:
@@ -251,11 +248,12 @@ def _family_checks() -> list[_Check]:
     return checks
 
 
-#: the sandwich checks of one pair of generator kinds ``gens``: their
-#: ``rows`` in the check list, their generators' rows ``num`` and ``den`` in
-#: the spec table, and the row ``ratio`` of each one's ratio in ``ratios``,
-#: the group's distinct ``(num, den)``
-_Group = namedtuple("_Group", "gens rows num den ratio ratios")
+#: the sandwich checks of one pair of generator kinds: their ``rows`` in the
+#: check list, their generators' rows ``num`` and ``den`` in the spec table,
+#: the row ``ratio`` of each one's ratio in ``ratios``, the group's distinct
+#: ``(num, den)``, and their :func:`bounds._half_line` verdicts ``direction``
+#: (0 where there is none) and ``sign``
+_Group = namedtuple("_Group", "rows num den ratio ratios direction sign")
 #: a group's checks proven on an envelope (:meth:`_Sandwiches.prove`)
 _Family = namedtuple("_Family", "rows num den direction sign m M numeric")
 
@@ -271,17 +269,15 @@ class _Sandwiches:
     den)`` pair (None for other checks).
 
     Holds the spec table ``specs`` (each generator kind's specs together)
-    with its parameters ``s``, :func:`log_d2` ``records`` and ``stacks`` (one
-    stacked spec per kind), and per pair of generator kinds a
-    :data:`_Group`; every array is read-only.  A group is evaluated as one
-    array step: groups of a few dozen checks keep the ``(checks x rows)``
-    temporaries small.
+    with its :func:`log_d2` ``records`` and ``stacks`` (one stacked spec per
+    kind), and per pair of generator kinds a :data:`_Group`; every array is
+    read-only.  A group is evaluated as one array step: groups of a few dozen
+    checks keep the ``(checks x rows)`` temporaries small.
     """
 
     def __init__(self, ratios: list[Optional[tuple[GeneratorSpec, GeneratorSpec]]]):
         specs = dict.fromkeys(spec for ratio in ratios if ratio for spec in ratio)
         self.specs = tuple(sorted(specs, key=lambda spec: spec.gen.value))
-        self.s = _frozen([spec.s for spec in self.specs])
         self.records = _frozen(np.array([log_d2(spec) for spec in self.specs]).reshape(-1, 6))
         self.stacks = tuple(GeneratorSpec(gen, _frozen([spec.s for spec in specs]))
                             for gen, specs in groupby(self.specs, lambda spec: spec.gen))
@@ -291,27 +287,31 @@ class _Sandwiches:
             if ratio is not None:
                 members.setdefault((ratio[0].gen, ratio[1].gen), []).append(k)
         groups = []
-        for gens, ks in members.items():
+        for ks in members.values():
             pairs, distinct = [(index[ratios[k][0]], index[ratios[k][1]]) for k in ks], {}
             ratio = [distinct.setdefault(pair, len(distinct)) for pair in pairs]
-            groups.append(_Group(gens, *map(_frozen, (ks, *zip(*pairs), ratio, list(distinct)))))
+            verdicts = [_half_line(self.specs[i], self.specs[j]) or (0, 0.0) for i, j in distinct]
+            arrays = ks, *zip(*pairs), ratio, list(distinct), *zip(*verdicts)
+            groups.append(_Group(*map(_frozen, arrays)))
         self.groups = tuple(groups)
 
     def prove(self, lo: float, hi: float) -> list:
         """Per :data:`_Group`, a :data:`_Family` on the envelope [lo, hi] of
         every block's ratios: each check's ``direction`` (0 where not
         monotone or where g has a zero; +1 on a zero-width envelope) and
-        ``sign``, from one :func:`_directions` call over the distinct ratios.
+        ``sign`` (of g at lo): a ratio's verdict, or its scalar
+        :class:`_Ratio` where it has none or [lo, hi] leaves [1e-30, 1e30].
         ``m`` and ``M`` are the flat rows (4 spec + slot) of the bounds each
         constant divides: at r (m) and R (M) where g rises, else the
         reverse; a lower bound of |g| (numerator's lower over denominator's
         upper) for m if g > 0 and M if g < 0.  ``numeric`` lists the
         unproven ``(check, ratio)``."""
-        families = []
+        families, inside = [], 1e-30 <= lo <= hi <= 1e30
         for group in self.groups:
-            i, j = group.ratios.T
-            direction, sign = _directions(*group.gens, self.s[i], self.s[j], self.records[i],
-                                          self.records[j], lo, hi)
+            direction, sign = group.direction.copy(), group.sign.copy()
+            for k in np.flatnonzero((direction == 0) | (not inside)).tolist():
+                g = _Ratio(*(self.specs[i] for i in group.ratios[k].tolist()), lo, hi)
+                direction[k], sign[k] = g.direction() if lo < hi else 1, g.ends[0].s
             direction = (direction if lo < hi else np.ones_like(direction))[group.ratio]
             sign = sign[group.ratio]
             end, neg = (direction <= 0).astype(int), 2 * (sign < 0)
@@ -373,7 +373,8 @@ def sandwich_slack_bulk(
     curvature ratio is proven monotone on the rows' pooled ratio
     envelope; otherwise each row falls back to :func:`numeric_mM`.
     """
-    ratios = P / Q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = P / Q  # a zero mass gives an end that prove refuses
     sandwiches = _Sandwiches([family_generators(family, s, t)])
     (*_, slack), = sandwiches.slacks(P, Q, sandwiches.prove(ratios.min(), ratios.max()))
     return slack[0]
@@ -627,13 +628,12 @@ def brute_force_mM(
     and algebraic path than the engine's enclosure: the ratio is scanned in
     log space (the extrema commute with the monotone exp), falling back to
     direct evaluation when the numerator curvature changes sign.  Use
-    points >= 1e5 for oracle duty.  Consecutive calls on one ``[r, R]``
-    (per thread) build its grid once.
+    ``points >= 100_000`` for oracle duty.  Consecutive calls on one
+    ``[r, R]`` (per thread) build its grid once.
     """
     if not 0.0 < r <= R < np.inf:
         raise InvalidArgument(f"need 0 < r <= R < inf, got [{r}, {R}]")
-    if points < 2:
-        raise ConfigInvalid(f"need at least 2 points, got {points}")
+    simplex._require_integer("points", points, 2, ConfigInvalid)
     idx, work, held = workspace = _grid_workspace(points)
     xs, lx, lx1, lden, out, scratch = work
     if held != (r, R):
@@ -690,10 +690,8 @@ def tightness_scan(
     collapses onto 1), so the scan probes the tight limit.  Each pair's
     constants are its :func:`closed_form_mM` certificate's.
     """
-    if trials < 1:
-        raise ConfigInvalid(f"trials must be >= 1, got {trials}")
-    if shrink_levels < 1:
-        raise ConfigInvalid(f"shrink_levels must be >= 1, got {shrink_levels}")
+    simplex._require_integer("trials", trials, 1, ConfigInvalid)
+    simplex._require_integer("shrink_levels", shrink_levels, 1, ConfigInvalid)
     if not in_region(family, s, t):
         raise RegionViolation(
             f"(s={s}, t={t}) lies outside every region of family {family.value}"

@@ -285,6 +285,11 @@ class TestConvexityScan:
         with pytest.raises(ValueError):
             convexity_scan(GeneratorSpec(Gen.PHI, 2.0), 1.0, 2.0, grid=1)
 
+    @pytest.mark.parametrize("grid", [2.5, 1025.0, True])
+    def test_grid_must_be_an_integer(self, grid):
+        with pytest.raises(InvalidArgument, match=r"^grid must be an integer >= 2"):
+            convexity_scan(GeneratorSpec(Gen.PHI, 2.0), 1.0, 2.0, grid=grid)
+
     @pytest.mark.parametrize("r,R", [(1.0, np.inf), (np.inf, np.inf), (np.nan, 2.0),
                                      (0.5, np.nan), (-np.inf, 1.0)])
     def test_rejects_non_finite_interval(self, r, R):

@@ -6,6 +6,7 @@ import pytest
 
 from divbound import simplex
 from divbound.errors import (
+    InvalidArgument,
     LengthMismatch,
     NonPositiveMass,
     NotNormalized,
@@ -152,6 +153,29 @@ class TestSamplePair:
     def test_bad_concentration(self):
         with pytest.raises(ValueError):
             sample_pair(2, seed=0, concentration=0.0)
+
+    @pytest.mark.parametrize("name,args", [
+        ("seed", (3, -1)), ("n", (3.5, 1)), ("seed", (3, 1.5)), ("n", (True, 1)),
+        ("seed", (3, False)), ("n", ("3", 1)), ("seed", (3, None)),
+    ])
+    def test_non_integer_arguments(self, name, args):
+        with pytest.raises(InvalidArgument, match=f"^{name} must be an integer"):
+            sample_pair(*args)
+
+    @pytest.mark.parametrize("name,args", [
+        ("n", (3.5, 2, 1)), ("count", (3, 2.5, 1)), ("count", (3, -1, 1)),
+        ("seed", (3, 2, -1)), ("seed", (3, 2, 1.0)), ("count", (3, True, 1)),
+    ])
+    def test_matrix_non_integer_arguments(self, name, args):
+        with pytest.raises(InvalidArgument, match=f"^{name} must be an integer"):
+            sample_pair_matrix(*args)
+
+    def test_numpy_integers_are_integers(self):
+        a = sample_pair(np.int64(3), seed=np.uint8(7))
+        b = sample_pair(3, seed=7)
+        np.testing.assert_array_equal(a[0].masses, b[0].masses)
+        P, _ = sample_pair_matrix(np.int32(3), np.int64(2), np.int16(7))
+        np.testing.assert_array_equal(P, sample_pair_matrix(3, 2, 7)[0])
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_concentration(self, value):

@@ -1,4 +1,9 @@
+import os
 import re
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +13,9 @@ from divbound import _accum, bounds, families, generators, measures, simplex, ve
 from divbound.bounds import (
     PARAM_GRID,
     InequalityFamily,
-    _directions,
+    _half_line,
     _Ratio,
+    active_branch,
     corollary_table,
     family_generators,
     in_region,
@@ -19,6 +25,7 @@ from divbound.bounds import (
 from divbound.errors import (
     ConfigInvalid,
     DivboundError,
+    InvalidArgument,
     RegionViolation,
     SamplingExhausted,
     TooShort,
@@ -185,15 +192,15 @@ class TestSharedBlockTable:
         # one corner's ratio closes nowhere, so its rows take numeric_mM
         cfg = VerifyConfig(trials=300, seed=2026, subjects=("all", "bounds-grid"))
         never = family_generators(F.II, 2.0, 1.0)
-        prove = verify._directions
 
-        def proof(f1, f2, s, t, *rest):
-            direction, sign = prove(f1, f2, s, t, *rest)
-            direction[[(GeneratorSpec(f1, x), GeneratorSpec(f2, y)) == never
-                       for x, y in zip(s, t)]] = 0
-            return direction, sign
+        class Never(_Ratio):
+            def direction(self):
+                return 0 if (self.num, self.den) == never else super().direction()
 
-        monkeypatch.setattr(verify, "_directions", proof)
+        _fresh_plans(monkeypatch)
+        monkeypatch.setattr(verify, "_half_line",
+                            lambda num, den: None if (num, den) == never else _half_line(num, den))
+        monkeypatch.setattr(verify, "_Ratio", Never)
         fallback = []
         enclose = numeric_mM
         monkeypatch.setattr("divbound.verify.numeric_mM",
@@ -202,20 +209,22 @@ class TestSharedBlockTable:
         assert len(fallback) == 2 * cfg.trials  # a bounds-grid check and a corollary
         assert report == _unshared_report(cfg)
 
-    def test_one_proof_per_distinct_ratio(self, monkeypatch):
+    def test_one_verdict_per_distinct_ratio(self, monkeypatch):
         cfg = VerifyConfig(trials=1000, seed=5, subjects=("all", "bounds-grid"))
-        proved, scalar = [], []
-        prove, alone = verify._directions, _Ratio.direction
-        monkeypatch.setattr(verify, "_directions", lambda f1, f2, s, t, *rest: proved.extend(
-            (GeneratorSpec(f1, x), GeneratorSpec(f2, y)) for x, y in zip(s, t)
-        ) or prove(f1, f2, s, t, *rest))
-        monkeypatch.setattr(_Ratio, "direction", lambda self: scalar.append(1) or alone(self))
-        report = run(cfg)
+        decided = []
+        _fresh_plans(monkeypatch)
+        monkeypatch.setattr(verify, "_half_line",
+                            lambda num, den: decided.append((num, den)) or _half_line(num, den))
+        verify._plan(cfg.subjects)
         ratios = {c.gens for c in _build_checks(cfg.subjects) if c.gens is not None}
-        assert len(proved) == len(set(proved)) == len(ratios) == 616
-        # the stacked filter decides all but a few (10 here) of them
-        assert 0 < len(scalar) <= 20
-        assert report.all_passed and len(report.checks) == 686
+        assert len(decided) == len(set(decided)) == len(ratios) == 616
+        # every ratio has a verdict, so the runs of seeds 1-40 build no
+        # scalar ratio
+        monkeypatch.setattr(_Ratio, "__init__", lambda *a: pytest.fail("scalar ratio"))
+        for seed in range(1, 41):
+            report = run(VerifyConfig(trials=1000, seed=seed, subjects=cfg.subjects))
+            assert report.all_passed and len(report.checks) == 686
+        assert len(decided) == 616
 
     def test_one_sum_per_block_and_generator_kind(self, monkeypatch):
         # 9 size blocks: per block, one sum over the terms of every entry of
@@ -571,6 +580,11 @@ class TestBruteForce:
         m, M = brute_force_mM(GeneratorSpec(Gen.XI, 5.0), PHI2, 0.1, 10.0, 100_000)
         assert m < 0.0 < M
 
+    @pytest.mark.parametrize("points", [1e5, 2.5, True, "1000"])
+    def test_points_must_be_an_integer(self, points):
+        with pytest.raises(ConfigInvalid, match=r"^points must be an integer >= 2"):
+            brute_force_mM(PSI2, PHI2, 0.5, 2.0, points)
+
     def test_needs_two_points(self):
         with pytest.raises(ConfigInvalid):
             brute_force_mM(PSI2, PHI2, 0.5, 2.0, 1)
@@ -626,6 +640,17 @@ class TestBruteForce:
 
 
 class TestBulkSandwich:
+    @pytest.mark.parametrize("zero", ["P", "Q", "both"])
+    def test_zero_mass_raises_without_a_warning(self, zero):
+        # the pytest settings make numpy's divide-by-zero warning an error
+        P, Q = np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])
+        if zero in ("P", "both"):
+            P = np.array([[0.0, 1.0]])
+        if zero in ("Q", "both"):
+            Q = np.array([[0.0, 1.0]])
+        with pytest.raises(DivboundError):
+            sandwich_slack_bulk(F.II, 2.0, 1.0, Q, P)
+
     def test_matches_per_pair_check(self):
         from divbound.bounds import sandwich_check
         from divbound.simplex import sample_pair
@@ -640,98 +665,115 @@ class TestBulkSandwich:
             assert slacks[i] == pytest.approx(direct, rel=1e-9, abs=1e-15)
 
 
-def _scalar_directions(f1, f2, s, t, a, b, lo, hi):
-    """The decisions of one scalar _Ratio per row, which the stacked ones
-    must equal: its direction() and the sign of g at lo."""
-    ratios = [_Ratio(GeneratorSpec(f1, x), GeneratorSpec(f2, y), lo, hi)
-              for x, y in zip(s.tolist(), t.tolist())]
-    return (np.array([g.direction() for g in ratios], dtype=int),
-            np.array([g.ends[0].s for g in ratios], dtype=float))
+def _fresh_plans(monkeypatch):
+    """Build plans afresh, in a cache of their own, until the test ends."""
+    monkeypatch.setattr(verify, "_plan", lru_cache(verify._plan.__wrapped__))
 
 
-def _harness_groups():
-    """The distinct ratios of every sandwich check, per pair of generator
-    kinds: ``(f1, f2, s, t, a, b)`` as the harness proves them."""
+def _harness_ratios():
+    """The distinct ratios of every sandwich check, as the harness decides
+    them: ``(num, den, direction, sign)``, direction 0 where the plan holds
+    no verdict."""
     sandwiches = verify._plan(("all", "bounds-grid"))[3]
-    s, records = sandwiches.s, sandwiches.records
     for group in sandwiches.groups:
-        i, j = group.ratios.T
-        yield (*group.gens, s[i], s[j], records[i], records[j])
+        for (i, j), direction, sign in zip(group.ratios.tolist(), group.direction.tolist(),
+                                           group.sign.tolist()):
+            yield sandwiches.specs[i], sandwiches.specs[j], direction, sign
 
 
-def _same_decisions(f1, f2, s, t, a, b, lo, hi):
+def _same_decisions(ratios, lo, hi):
+    """``_Sandwiches(ratios).prove(lo, hi)`` makes the decisions of one
+    scalar _Ratio per ratio, its direction() (+1 on a zero-width envelope)
+    and the sign of g at lo, or raises the scalar ratio's error."""
     try:
-        expected = _scalar_directions(f1, f2, s, t, a, b, lo, hi)
+        scalar = [_Ratio(num, den, lo, hi) for num, den in ratios]
     except DivboundError as exc:
         with pytest.raises(type(exc)):
-            _directions(f1, f2, s, t, a, b, lo, hi)
+            _Sandwiches(ratios).prove(lo, hi)
         return
-    direction, sign = _directions(f1, f2, s, t, a, b, lo, hi)
-    assert np.array_equal(direction, expected[0]), (f1, f2, lo, hi)
-    assert np.array_equal(sign, expected[1]) and not np.signbit(sign[sign == 0.0]).any()
+    expected = [(g.direction() if lo < hi else 1, g.ends[0].s) for g in scalar]
+    got = [None] * len(ratios)
+    for family in _Sandwiches(ratios).prove(lo, hi):
+        for row, direction, sign in zip(family.rows.tolist(), family.direction.tolist(),
+                                        family.sign[:, 0].tolist()):
+            got[row] = direction, sign
+    assert got == expected, (lo, hi)
+    assert not any(sign == 0.0 and np.signbit(sign) for _, sign in got)
 
 
-class TestStackedProof:
-    """The stacked float filter makes the scalar ratio's decisions."""
+def _verdicts_hold(lo, hi) -> int:
+    """Each harness verdict equals the scalar ratio's decisions on [lo, hi];
+    returns the number of verdicts."""
+    count = 0
+    for num, den, direction, sign in _harness_ratios():
+        if direction:
+            g = _Ratio(num, den, lo, hi)
+            assert (direction, sign) == (g.direction(), g.ends[0].s), (num, den, lo, hi)
+            count += 1
+    return count
+
+
+class TestHalfLineVerdicts:
+    """The plan's verdicts on (0, inf) make the scalar ratio's decisions."""
 
     def test_harness_envelopes_of_seeds_1_to_40(self):
-        ratios = 0
+        ratios = [(num, den) for num, den, _, _ in _harness_ratios()]
+        verdicts = 0
         for seed in range(1, 41):
             blocks = _sample_trials(VerifyConfig(trials=1000, seed=seed))
             lo = min(float((P / Q).min()) for _, P, Q in blocks)
             hi = max(float((P / Q).max()) for _, P, Q in blocks)
-            for group in _harness_groups():
-                _same_decisions(*group, lo, hi)
-                ratios += len(group[2])
-        assert ratios == 40 * 616
+            verdicts += _verdicts_hold(lo, hi)
+            _same_decisions(ratios, lo, hi)
+        assert verdicts == 40 * 616
 
     @pytest.mark.parametrize("x", [0.05, 1.0, 1.5, 40.0])
     def test_zero_width_envelope(self, x):
-        for group in _harness_groups():
-            _same_decisions(*group, x, x)
+        assert _verdicts_hold(x, x) == 616
+        _same_decisions([(num, den) for num, den, _, _ in _harness_ratios()], x, x)
 
-    def test_every_row_is_scalar_outside_the_filter_range(self, monkeypatch):
-        # the float filter runs only on [1e-30, 1e30]
-        proved = []
-        alone = _Ratio.direction
-        monkeypatch.setattr(_Ratio, "direction", lambda self: proved.append(1) or alone(self))
-        for group in _harness_groups():
-            _directions(*group, 1e-31, 1.0)
-        assert len(proved) == 616
-        for group in _harness_groups():
-            _same_decisions(*group, 1e-31, 1.0)
+    def test_every_ratio_is_scalar_outside_the_filter_range(self, monkeypatch):
+        # the verdicts are read only on envelopes within [1e-30, 1e30]
+        sandwiches = verify._plan(("all", "bounds-grid"))[3]
+        for lo, hi in ((1e-31, 1.0), (1.0, 1e31)):
+            proved = []
+            alone = _Ratio.direction
+            monkeypatch.setattr(_Ratio, "direction", lambda self: proved.append(1) or alone(self))
+            sandwiches.prove(lo, hi)
+            assert len(proved) == 616
+            monkeypatch.undo()
+            _same_decisions([(num, den) for num, den, _, _ in _harness_ratios()], lo, hi)
 
-    def test_few_rows_are_scalar_on_a_harness_envelope(self, monkeypatch):
-        proved = []
-        alone = _Ratio.direction
-        monkeypatch.setattr(_Ratio, "direction", lambda self: proved.append(1) or alone(self))
-        for group in _harness_groups():
-            _directions(*group, 0.003, 400.0)
-        assert len(proved) <= 20
+    def test_no_ratio_is_scalar_on_a_harness_envelope(self, monkeypatch):
+        sandwiches = verify._plan(("all", "bounds-grid"))[3]
+        monkeypatch.setattr(_Ratio, "__init__", lambda *a: pytest.fail("scalar ratio"))
+        sandwiches.prove(0.003, 400.0)
+        sandwiches.prove(1e-30, 1e30)
 
-    def test_rows_the_filter_leaves_undecided_are_scalar(self, monkeypatch):
-        # with an error bound no float value can clear, only the rows whose
-        # g has a zero or whose cubic vanishes are decided stacked
+    def test_exact_coefficients_give_the_same_verdicts(self, monkeypatch):
+        # with an error bound no float value can clear, every verdict comes
+        # from the exact integers, but II(2, 2)'s: UPSILON(2)''/PHI(2)'' =
+        # 1/4 has no terms in x at all, so its magnitude forms are 0
+        ratios = list(_harness_ratios())
         monkeypatch.setattr(bounds, "_FILTER", 1.0)
-        proved = []
-        alone = _Ratio.direction
-        monkeypatch.setattr(_Ratio, "direction", lambda self: proved.append(1) or alone(self))
-        for group in _harness_groups():
-            _directions(*group, 0.003, 400.0)
-        assert len(proved) >= 600
-        for group in _harness_groups():
-            _same_decisions(*group, 0.003, 400.0)
+        exact, alone = [], bounds._exact
+        monkeypatch.setattr(bounds, "_exact", lambda *a: exact.append(a) or alone(*a))
+        for num, den, direction, sign in ratios:
+            assert _half_line(num, den) == (direction, sign), (num, den)
+        assert len(exact) == 615
+        assert family_generators(F.II, 2.0, 2.0) not in exact
+        _same_decisions([ratio[:2] for ratio in ratios], 0.003, 400.0)
 
-    def test_refused_rows_raise_as_alone(self):
+    def test_refused_ratios_raise_as_alone(self):
         # PHI(2) over XI(5): the linear factor 5x - 1 of XI(5)'' is negative
-        # below x = 1/5
-        s, t = np.array([2.0, 2.0]), np.array([2.0, 5.0])
-        a = np.array([log_d2(GeneratorSpec(Gen.PHI, x)) for x in s])
-        b = np.array([log_d2(GeneratorSpec(Gen.XI, x)) for x in t])
+        # below x = 1/5, so the ratio has no verdict
+        refused = (PHI2, GeneratorSpec(Gen.XI, 5.0))
+        assert _half_line(*refused) is None
+        ratios = [(PHI2, GeneratorSpec(Gen.XI, 2.0)), refused]
         for lo, hi in ((0.1, 2.0), (0.3, 2.0), (0.0, 2.0), (2.0, 1.0), (1.0, np.inf)):
-            _same_decisions(Gen.PHI, Gen.XI, s, t, a, b, lo, hi)
+            _same_decisions(ratios, lo, hi)
         with pytest.raises(DivboundError):
-            _directions(Gen.PHI, Gen.XI, s, t, a, b, 0.1, 2.0)
+            _Sandwiches(ratios).prove(0.1, 2.0)
 
     def test_property(self):
         hyp = pytest.importorskip("hypothesis")
@@ -746,25 +788,60 @@ class TestStackedProof:
         @hyp.given(st.sampled_from(list(Gen)), st.sampled_from(list(Gen)),
                    st.lists(st.tuples(param, param), min_size=1, max_size=6), end, end)
         def check(f1, f2, pairs, x, y):
-            s, t = np.array(pairs, dtype=float).T
-            a = np.array([log_d2(GeneratorSpec(f1, v)) for v in s.tolist()])
-            b = np.array([log_d2(GeneratorSpec(f2, v)) for v in t.tolist()])
-            _same_decisions(f1, f2, s, t, a, b, min(x, y), max(x, y))
+            lo, hi = min(x, y), max(x, y)
+            ratios = [(GeneratorSpec(f1, s), GeneratorSpec(f2, t)) for s, t in pairs]
+            _same_decisions(ratios, lo, hi)
+            if 1e-30 <= lo and hi <= 1e30:
+                for ratio in ratios:
+                    verdict = _half_line(*ratio)
+                    if verdict is not None:
+                        g = _Ratio(*ratio, lo, hi)
+                        assert verdict == (g.direction(), g.ends[0].s), ratio
 
         check()
 
     def test_slack_bulk_matches_scalar_proofs(self, monkeypatch):
-        # stacking the proofs changes no bit of the slacks
+        # reading the verdicts changes no bit of the slacks
         P, Q = sample_pair_matrix(6, 30, seed=99, concentration=0.5)
         cases = [(c.family, c.s, c.t) for c in corollary_table()] + [
             (family, s, t) for family in F for s, t in region_grid(family)]
-        stacked = [sandwich_slack_bulk(*case, P, Q) for case in cases]
-        monkeypatch.setattr(verify, "_directions", _scalar_directions)
-        for case, slack in zip(cases, stacked):
+        read = [sandwich_slack_bulk(*case, P, Q) for case in cases]
+        monkeypatch.setattr(verify, "_half_line", lambda num, den: None)
+        for case, slack in zip(cases, read):
             assert np.array_equal(sandwich_slack_bulk(*case, P, Q), slack, equal_nan=True), case
+
+    def test_printed_directions_on_the_validation_grid(self):
+        # every grid point has a verdict, in its branch's printed direction
+        # but at III(4, 3), where g rises against (37), and at the flat
+        # ratios (N = 0), which count as increasing
+        against = []
+        for family in F:
+            for s, t in region_grid(family):
+                verdict = _half_line(*family_generators(family, s, t))
+                assert verdict is not None, (family, s, t)
+                if (verdict[0] > 0) != active_branch(family, s, t).increasing:
+                    against.append((family, s, t))
+        assert sum(len(region_grid(family)) for family in F) == 616
+        assert against == [(F.III, 2.0, 2.0), (F.III, 4.0, 3.0), (F.VII, 0.0, -1.0),
+                           (F.IX, 0.0, -1.0)]
+        flat = [(F.III, 2.0, 2.0), (F.VII, 0.0, -1.0), (F.IX, 0.0, -1.0)]
+        for family, s, t in flat:
+            assert bounds._exact(*family_generators(family, s, t)) == (0, 0, 0, 0)
+        assert bounds._exact(*family_generators(F.III, 4.0, 3.0)) != (0, 0, 0, 0)
 
 
 class TestPlan:
+    def test_not_built_at_import(self):
+        # the plan is built by the first run that asks for it, never by an
+        # import: it holds the verdicts of every distinct ratio
+        code = ("import divbound, divbound.cli, divbound.verify as v; "
+                "print(v._plan.cache_info().currsize)")
+        src, path = str(Path(verify.__file__).parents[1]), os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout == "0\n"
+
     def test_built_once_per_subject_set(self, monkeypatch):
         plan = verify._plan(("identities", "corollaries"))
         assert verify._plan(("identities", "corollaries")) is plan
@@ -775,8 +852,8 @@ class TestPlan:
     def test_arrays_are_read_only(self):
         checks, plain, keys, sandwiches = verify._plan(("all", "bounds-grid"))
         assert isinstance(checks, tuple) and isinstance(keys, tuple) and len(keys) == 29
-        arrays = [plain, sandwiches.s, sandwiches.records] + [stack.s for stack in sandwiches.stacks]
-        arrays += [array for group in sandwiches.groups for array in group[1:]]
+        arrays = [plain, sandwiches.records] + [stack.s for stack in sandwiches.stacks]
+        arrays += [array for group in sandwiches.groups for array in group]
         assert sum(len(group.rows) for group in sandwiches.groups) == 649
         assert sum(len(group.ratios) for group in sandwiches.groups) == 616
         for array in arrays:
@@ -917,6 +994,21 @@ class TestTightness:
     def test_rejects_short_simplex(self, n):
         with pytest.raises(TooShort):
             tightness_scan(F.II, 2.0, 1.0, trials=2, seed=1, n=n)
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("trials", {"trials": 2.5}), ("trials", {"trials": True}),
+        ("shrink_levels", {"shrink_levels": 2.0}), ("shrink_levels", {"shrink_levels": False}),
+    ])
+    def test_rejects_non_integer_counts(self, name, kwargs):
+        args = {"trials": 2, "seed": 1, **kwargs}
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be an integer >= 1"):
+            tightness_scan(F.II, 2.0, 1.0, **args)
+
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5}, {"n": 3.0}])
+    def test_rejects_non_integer_sampler_arguments(self, kwargs):
+        args = {"trials": 2, "seed": 1, **kwargs}
+        with pytest.raises(InvalidArgument, match=f"^{next(iter(kwargs))} must be an integer"):
+            tightness_scan(F.II, 2.0, 1.0, **args)
 
     @pytest.mark.parametrize("levels", [0, -1])
     def test_rejects_no_shrink_levels(self, levels):
