@@ -70,7 +70,7 @@ from .errors import (
     RegionViolation,
 )
 from .generators import D2_FORMS, Gen, GeneratorSpec, csiszar, log_d2
-from .simplex import Distribution, ratio_bounds
+from .simplex import Distribution, _require_interval, ratio_bounds
 
 import numpy as np
 
@@ -417,10 +417,6 @@ _LOG_TINY = math.log(sys.float_info.min)
 _FILTER = 16.0 * sys.float_info.epsilon
 
 
-def _filterable(v) -> bool:
-    return v == 0.0 or 1e-30 <= abs(v) <= 1e30
-
-
 def _at(forms, v, one) -> tuple:
     """alpha, alpha + beta, p and q of a :data:`D2_FORMS` row at v, with
     ``one`` the unit of the constant terms."""
@@ -452,13 +448,6 @@ def _decide(vals, mags) -> Optional[list[int]]:
         if abs(v) <= _FILTER * m and m:
             return None
     return [(v > 0.0) - (v < 0.0) for v in vals]
-
-
-def _exact(num: GeneratorSpec, den: GeneratorSpec) -> tuple:
-    """N's coefficients times E^3, E the product of the denominators of
-    s and t, in integers: exact, with the signs and roots of N's."""
-    (S, ds), (T, dt) = (spec.s.as_integer_ratio() for spec in (num, den))
-    return _coefficients(D2_FORMS[num.gen], D2_FORMS[den.gen], S * dt, T * ds, ds * dt)[0]
 
 
 def _moebius(c, a, b) -> tuple:
@@ -510,12 +499,7 @@ class _Ratio:
     """
 
     def __init__(self, num: GeneratorSpec, den: GeneratorSpec, lo: float, hi: float):
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidArgument(f"interval ends must be finite, got [{lo}, {hi}]")
-        if not (lo > 0.0 and hi > 0.0):
-            raise NonPositiveArgument(f"interval must be positive, got [{lo}, {hi}]")
-        if not lo <= hi:
-            raise InvalidArgument(f"need r <= R, got [{lo}, {hi}]")
+        _require_interval(lo, hi)
         a, b = log_d2(num), log_d2(den)
         if not (b.sign > 0.0 and math.isfinite(b.alpha + b.beta + b.c)) or (
             b.p and not (b.p * lo + b.q > 0.0 and b.p * hi + b.q > 0.0)
@@ -535,15 +519,18 @@ class _Ratio:
         self.sc = abs(a.c) + abs(b.c)
         s, t = num.s, den.s
         c, cm = _coefficients(D2_FORMS[num.gen], D2_FORMS[den.gen], s, t)
-        self.c, self.cm = c, cm if _filterable(s) and _filterable(t) and (
-            1e-30 <= self.lo and self.hi <= 1e30) else None
+        self.c, self.cm = c, cm if all(v == 0.0 or 1e-30 <= abs(v) <= 1e30
+                                       for v in (s, t, self.lo, self.hi)) else None
         # ln|g| at lo and hi, where every use of the ratio starts
         self.ends = (self.point(self.lo), self.point(self.hi))
 
     @cached_property
     def exact(self) -> tuple:
-        """:func:`_exact` of the ratio's generators."""
-        return _exact(self.num, self.den)
+        """N's coefficients times E^3, E the product of the denominators of
+        s and t, in integers: exact, with the signs and roots of N's."""
+        (S, ds), (T, dt) = (spec.s.as_integer_ratio() for spec in (self.num, self.den))
+        return _coefficients(D2_FORMS[self.num.gen], D2_FORMS[self.den.gen],
+                             S * dt, T * ds, ds * dt)[0]
 
     def signs(self, a: float, b: float) -> list[int]:
         """Signs of the :func:`_moebius` coefficients of (a, b): from the
@@ -714,23 +701,6 @@ class _Ratio:
             # the sign just above lo on either side of it
             return 0 if self.roots(signs) else next(v for v in signs if v)
         return max(signs) or min(signs) or 1
-
-
-def _half_line(num: GeneratorSpec, den: GeneratorSpec) -> Optional[tuple[int, float]]:
-    """:meth:`_Ratio.direction` and ``ends[0].s`` (the sign of g) of every
-    ``_Ratio(num, den, lo, hi)`` within [1e-30, 1e30], or None.  It answers
-    for a denominator convex on (0, inf), a numerator linear factor with no
-    root there, s and t in the float filter's range, and N's coefficients
-    c_k all >= 0 (or all <= 0): then so is every :func:`_moebius` coefficient."""
-    a, b = log_d2(num), log_d2(den)
-    if not (b.sign > 0.0 and b.p >= 0.0 and b.q >= 0.0 and (a.p < 0.0) == (a.q < 0.0)
-            and _filterable(num.s) and _filterable(den.s)):
-        return None
-    signs = (_decide(*_coefficients(D2_FORMS[num.gen], D2_FORMS[den.gen], num.s, den.s))
-             or [(v > 0) - (v < 0) for v in _exact(num, den)])
-    if min(signs) < 0 < max(signs):
-        return None
-    return max(signs) or min(signs) or 1, -a.sign if a.q < 0.0 else a.sign
 
 
 # --------------------------------------------------------------------------

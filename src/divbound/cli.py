@@ -133,8 +133,7 @@ def _cmd_bounds(args) -> int:
     family = InequalityFamily(args.family)
     if args.p or args.q:
         if not (args.p and args.q):
-            print("error: provide both --p and --q, or --r and --R", file=sys.stderr)
-            return EXIT_INPUT
+            raise InvalidArgument("provide both --p and --q, or --r and --R")
         P, Q = _load_pair(args)
         rb = ratio_bounds(P, Q)
         r, R = rb.r, rb.R
@@ -142,8 +141,7 @@ def _cmd_bounds(args) -> int:
         r, R = args.r, args.R
         P = Q = None
     else:
-        print("error: provide either --r/--R or --p/--q", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidArgument("provide either --r/--R or --p/--q")
     # an overflowing constant is reported as an error, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         cert = closed_form_mM(family, args.s, args.t, r, R, strict=args.strict_closed_form)

@@ -61,7 +61,7 @@ import numpy as np
 
 from ._accum import comp_sum
 from .errors import InvalidArgument, NonPositiveArgument
-from .simplex import Distribution, _require_integer, require_same_length
+from .simplex import Distribution, _require_integer, _require_interval, require_same_length
 
 
 class Gen(Enum):
@@ -314,12 +314,7 @@ def convexity_scan(
     record at r and R (f'' changes sign at most once, at the zero of
     p x + q).  ``min_d2`` and ``argmin_x`` are a sampled diagnostic: the
     least f'' on a log-spaced grid of ``grid`` points, and where it lies."""
-    if not (math.isfinite(r) and math.isfinite(R)):
-        raise InvalidArgument(f"interval ends must be finite, got [{r}, {R}]")
-    if not (r > 0.0 and R > 0.0):
-        raise NonPositiveArgument(f"interval must be positive, got [{r}, {R}]")
-    if not r <= R:
-        raise InvalidArgument(f"need r <= R, got [{r}, {R}]")
+    _require_interval(r, R)
     _require_integer("grid", grid, 2)
     rec = log_d2(spec)
     convex = all(rec.sign * (rec.p * x + rec.q if rec.p else 1.0) >= 0.0 for x in (r, R))

@@ -17,6 +17,7 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from numbers import Integral
@@ -28,6 +29,7 @@ from .errors import (
     DivboundError,
     InvalidArgument,
     LengthMismatch,
+    NonPositiveArgument,
     NonPositiveMass,
     NotNormalized,
     SamplingExhausted,
@@ -131,7 +133,9 @@ def require_same_length(P: Distribution, Q: Distribution) -> None:
 
 
 def ratio_bounds(P: Distribution, Q: Distribution) -> RatioBounds:
-    """Exact min and max of p_i/q_i over the common support."""
+    """Min and max of the rounded quotients fl(p_i/q_i) over the common
+    support, not of the exact ratios: these can lie up to half an ulp
+    outside [r, R] (ROADMAP item 12)."""
     require_same_length(P, Q)
     ratios = P.masses / Q.masses
     return RatioBounds(float(ratios.min()), float(ratios.max()))
@@ -147,6 +151,16 @@ def _require_integer(name: str, value, least=None, error: type = InvalidArgument
     if not (_integer(value) and (least is None or value >= least)):
         need = "an integer" if least is None else f"an integer >= {least}"
         raise error(f"{name} must be {need}, got {value!r}")
+
+
+def _require_interval(r: float, R: float) -> None:
+    """Raise unless [r, R] is a finite, positive interval with r <= R."""
+    if not (math.isfinite(r) and math.isfinite(R)):
+        raise InvalidArgument(f"interval ends must be finite, got [{r}, {R}]")
+    if not (r > 0.0 and R > 0.0):
+        raise NonPositiveArgument(f"interval must be positive, got [{r}, {R}]")
+    if not r <= R:
+        raise InvalidArgument(f"need r <= R, got [{r}, {R}]")
 
 
 def _alpha(n: int, seed: int, concentration: float) -> np.ndarray:

@@ -15,11 +15,12 @@ Identical configurations produce bit-identical report JSON.
 What no sample changes is built once per subject set, on first use
 (:func:`_plan`): the checks, and one object (:class:`_Sandwiches`) that
 holds the sandwich checks as integer indices into a table of their
-generator specs, and the direction of each distinct curvature ratio that
-is monotone on all of (0, inf) (:func:`bounds._half_line`).  A run groups
-its trials by simplex size into blocks, the outer loop.  A ratio monotone
-there, or on the run's ratio envelope by the scalar cubic, takes outward
-bounds of its endpoint values; any other ratio takes each row's own
+generator specs, and the verdict of each distinct curvature ratio: its
+direction where the library's own decision (:meth:`bounds._Ratio.direction`)
+finds it monotone on [1e-30, 1e30] (:func:`_verdict`).  A run groups its
+trials by simplex size into blocks, the outer loop.  A ratio monotone there,
+or on the run's ratio envelope by the same decision, takes outward bounds of
+its endpoint values; any other ratio takes each row's own
 :func:`numeric_mM` enclosure.  Per block, one table of generator values
 along a stacked ``s`` axis feeds one array step over ``(checks x rows)``
 per pair of generator kinds.  The other checks of a block read one table of
@@ -43,6 +44,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,7 +54,6 @@ from . import simplex
 from .bounds import (
     PARAM_GRID,
     SLACK_REL_TOL,
-    _half_line,
     _json_fields,
     _Ratio,
     InequalityFamily,
@@ -64,7 +65,8 @@ from .bounds import (
     numeric_mM,
     region_grid,
 )
-from .errors import ConfigInvalid, DegenerateDenominator, InvalidArgument, RegionViolation
+from .errors import (ConfigInvalid, DegenerateDenominator, DivboundError, InvalidArgument,
+                     RegionViolation)
 from .families import _FAMILIES, Family, in_convex_range
 from .generators import GeneratorSpec, csiszar_bulk, gen_d2, log_d2
 
@@ -84,23 +86,25 @@ class VerifyConfig:
     subjects: tuple[str, ...] = DEFAULT_SUBJECTS
 
     def __post_init__(self):
-        lo, hi = self.n_range
-        # (field, its values that must be integers, whether it is in range, the range)
-        for name, ints, ok, need in (
-            ("trials", [self.trials], 1 <= self.trials <= MAX_TRIALS,
+        integer, n_range = simplex._integer, self.n_range
+        pair = isinstance(n_range, tuple) and len(n_range) == 2 and all(map(integer, n_range))
+        # (field, whether its type and then its range hold, what it must be)
+        for name, ok, need in (
+            ("trials", integer(self.trials) and 1 <= self.trials <= MAX_TRIALS,
              f"an integer in [1, {MAX_TRIALS}]"),
-            ("n_range", self.n_range, 2 <= lo <= hi, "integers with 2 <= lo <= hi"),
-            ("seed", [self.seed], self.seed >= 0, "a non-negative integer"),
-            ("concentration", [], 0.0 < self.concentration < np.inf, "positive and finite"),
-            ("rel_tol", [], 0.0 < self.rel_tol < 1.0, "in (0, 1)"),
+            ("n_range", pair and 2 <= n_range[0] <= n_range[1], "two integers with 2 <= lo <= hi"),
+            ("seed", integer(self.seed) and self.seed >= 0, "a non-negative integer"),
+            ("concentration", isinstance(self.concentration, Real)
+             and 0.0 < self.concentration < np.inf, "positive and finite"),
+            ("rel_tol", isinstance(self.rel_tol, Real) and 0.0 < self.rel_tol < 1.0, "in (0, 1)"),
+            ("subjects", isinstance(self.subjects, tuple) and len(self.subjects) > 0,
+             "a non-empty tuple of subject names"),
         ):
-            if not ok or not all(map(simplex._integer, ints)):
+            if not ok:
                 raise ConfigInvalid(f"{name} must be {need}, got {getattr(self, name)!r}")
         unknown = [s for s in self.subjects if s not in SUBJECTS and s != "all"]
         if unknown:
             raise ConfigInvalid(f"unknown subjects {unknown}; valid: {list(SUBJECTS)}")
-        if not self.subjects:
-            raise ConfigInvalid("subjects must not be empty")
 
     def to_dict(self) -> dict:
         return _json_fields(self)
@@ -251,11 +255,28 @@ def _family_checks() -> list[_Check]:
 #: the sandwich checks of one pair of generator kinds: their ``rows`` in the
 #: check list, their generators' rows ``num`` and ``den`` in the spec table,
 #: the row ``ratio`` of each one's ratio in ``ratios``, the group's distinct
-#: ``(num, den)``, and their :func:`bounds._half_line` verdicts ``direction``
-#: (0 where there is none) and ``sign``
+#: ``(num, den)``, and their :func:`_verdict` ``direction`` (0 where there is
+#: none) and ``sign``
 _Group = namedtuple("_Group", "rows num den ratio ratios direction sign")
 #: a group's checks proven on an envelope (:meth:`_Sandwiches.prove`)
 _Family = namedtuple("_Family", "rows num den direction sign m M numeric")
+
+
+#: the widest envelope on which :meth:`_Sandwiches.prove` reads the verdicts
+_SPAN = (1e-30, 1e30)
+
+
+def _verdict(num: GeneratorSpec, den: GeneratorSpec) -> tuple[int, float]:
+    """The scalar :class:`_Ratio`'s ``direction()`` and sign of g on
+    :data:`_SPAN`, or (0, 0.0) where it refuses the ratio or finds it not
+    monotone: a ratio monotone there, with no zero of g, is so the same way
+    on every envelope within it."""
+    try:
+        g = _Ratio(num, den, *_SPAN)
+        direction = g.direction()
+    except DivboundError:
+        return 0, 0.0
+    return (direction, g.ends[0].s) if direction else (0, 0.0)
 
 
 def _frozen(a) -> np.ndarray:
@@ -290,7 +311,7 @@ class _Sandwiches:
         for ks in members.values():
             pairs, distinct = [(index[ratios[k][0]], index[ratios[k][1]]) for k in ks], {}
             ratio = [distinct.setdefault(pair, len(distinct)) for pair in pairs]
-            verdicts = [_half_line(self.specs[i], self.specs[j]) or (0, 0.0) for i, j in distinct]
+            verdicts = [_verdict(self.specs[i], self.specs[j]) for i, j in distinct]
             arrays = ks, *zip(*pairs), ratio, list(distinct), *zip(*verdicts)
             groups.append(_Group(*map(_frozen, arrays)))
         self.groups = tuple(groups)
@@ -300,13 +321,13 @@ class _Sandwiches:
         every block's ratios: each check's ``direction`` (0 where not
         monotone or where g has a zero; +1 on a zero-width envelope) and
         ``sign`` (of g at lo): a ratio's verdict, or its scalar
-        :class:`_Ratio` where it has none or [lo, hi] leaves [1e-30, 1e30].
+        :class:`_Ratio` where it has none or [lo, hi] leaves :data:`_SPAN`.
         ``m`` and ``M`` are the flat rows (4 spec + slot) of the bounds each
         constant divides: at r (m) and R (M) where g rises, else the
         reverse; a lower bound of |g| (numerator's lower over denominator's
         upper) for m if g > 0 and M if g < 0.  ``numeric`` lists the
         unproven ``(check, ratio)``."""
-        families, inside = [], 1e-30 <= lo <= hi <= 1e30
+        families, inside = [], _SPAN[0] <= lo <= hi <= _SPAN[1]
         for group in self.groups:
             direction, sign = group.direction.copy(), group.sign.copy()
             for k in np.flatnonzero((direction == 0) | (not inside)).tolist():

@@ -335,6 +335,16 @@ class TestBounds:
         code, _, err = invoke(capsys, "bounds", "--family", "I", "--s", "2", "--t", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("given,message", [
+        (("--p", "p.json"), "provide both --p and --q, or --r and --R"),
+        (("--q", "q.json", "--r", "0.5", "--R", "2"), "provide both --p and --q, or --r and --R"),
+        ((), "provide either --r/--R or --p/--q"),
+        (("--r", "0.5"), "provide either --r/--R or --p/--q"),
+    ])
+    def test_incomplete_interval_is_an_input_error(self, capsys, given, message):
+        code, out, err = invoke(capsys, "bounds", "--family", "I", "--s", "2", "--t", "2", *given)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_text_format(self, capsys, pair_files):
         p, q = pair_files
         code, out, _ = invoke(capsys, "bounds", "--family", "II", "--s", "2",

@@ -13,7 +13,7 @@ from divbound import _accum, bounds, families, generators, measures, simplex, ve
 from divbound.bounds import (
     PARAM_GRID,
     InequalityFamily,
-    _half_line,
+    _coefficients,
     _Ratio,
     active_branch,
     corollary_table,
@@ -31,7 +31,7 @@ from divbound.errors import (
     TooShort,
 )
 from divbound.families import omega_s, phi_s, zeta_s
-from divbound.generators import Gen, GeneratorSpec, csiszar_bulk, log_d2
+from divbound.generators import D2_FORMS, Gen, GeneratorSpec, csiszar_bulk, log_d2
 from divbound.measures import triangular
 from divbound.simplex import normalize, sample_pair_matrix
 from divbound.verify import (
@@ -46,6 +46,7 @@ from divbound.verify import (
     _shrink_witness,
     _Tally,
     _Values,
+    _verdict,
     brute_force_mM,
     run,
     sandwich_slack_bulk,
@@ -79,6 +80,19 @@ class TestConfig:
     def test_rejects_unknown_subject(self):
         with pytest.raises(ConfigInvalid):
             VerifyConfig(trials=10, subjects=("wat",))
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", "5"), ("seed", "1"), ("n_range", ("2", 4)), ("n_range", (2,)),
+        ("concentration", "1"), ("rel_tol", "1e-3"), ("subjects", None),
+        ("subjects", "identities"), ("subjects", ()),
+    ])
+    def test_wrong_types_are_checked_before_ranges(self, field, value):
+        # a value of the wrong type is refused naming its field, not by a
+        # TypeError or ValueError of the range check; a string of subjects
+        # is not split into letters
+        got = re.escape(repr(value))
+        with pytest.raises(ConfigInvalid, match=f"^{field} must be .*, got {got}$"):
+            VerifyConfig(**{"trials": 10, field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("trials", 5.5), ("trials", True), ("seed", 1.5), ("seed", -1),
@@ -197,9 +211,8 @@ class TestSharedBlockTable:
             def direction(self):
                 return 0 if (self.num, self.den) == never else super().direction()
 
+        # the plan's verdicts come from verify._Ratio too, so it has none here
         _fresh_plans(monkeypatch)
-        monkeypatch.setattr(verify, "_half_line",
-                            lambda num, den: None if (num, den) == never else _half_line(num, den))
         monkeypatch.setattr(verify, "_Ratio", Never)
         fallback = []
         enclose = numeric_mM
@@ -212,12 +225,19 @@ class TestSharedBlockTable:
     def test_one_verdict_per_distinct_ratio(self, monkeypatch):
         cfg = VerifyConfig(trials=1000, seed=5, subjects=("all", "bounds-grid"))
         decided = []
+
+        class Recorded(_Ratio):
+            def __init__(self, num, den, lo, hi):
+                decided.append((num, den, lo, hi))
+                super().__init__(num, den, lo, hi)
+
         _fresh_plans(monkeypatch)
-        monkeypatch.setattr(verify, "_half_line",
-                            lambda num, den: decided.append((num, den)) or _half_line(num, den))
+        monkeypatch.setattr(verify, "_Ratio", Recorded)
         verify._plan(cfg.subjects)
         ratios = {c.gens for c in _build_checks(cfg.subjects) if c.gens is not None}
         assert len(decided) == len(set(decided)) == len(ratios) == 616
+        # each on the widest envelope the verdicts are read on
+        assert {(lo, hi) for *_, lo, hi in decided} == {(1e-30, 1e30)}
         # every ratio has a verdict, so the runs of seeds 1-40 build no
         # scalar ratio
         monkeypatch.setattr(_Ratio, "__init__", lambda *a: pytest.fail("scalar ratio"))
@@ -713,8 +733,9 @@ def _verdicts_hold(lo, hi) -> int:
     return count
 
 
-class TestHalfLineVerdicts:
-    """The plan's verdicts on (0, inf) make the scalar ratio's decisions."""
+class TestPlanVerdicts:
+    """The plan's verdicts, the scalar ratio's decisions on [1e-30, 1e30],
+    are its decisions on every envelope within it."""
 
     def test_harness_envelopes_of_seeds_1_to_40(self):
         ratios = [(num, den) for num, den, _, _ in _harness_ratios()]
@@ -756,11 +777,12 @@ class TestHalfLineVerdicts:
         # 1/4 has no terms in x at all, so its magnitude forms are 0
         ratios = list(_harness_ratios())
         monkeypatch.setattr(bounds, "_FILTER", 1.0)
-        exact, alone = [], bounds._exact
-        monkeypatch.setattr(bounds, "_exact", lambda *a: exact.append(a) or alone(*a))
+        exact, alone = [], _Ratio.exact.func
+        monkeypatch.setattr(_Ratio, "exact",
+                            property(lambda g: exact.append((g.num, g.den)) or alone(g)))
         for num, den, direction, sign in ratios:
-            assert _half_line(num, den) == (direction, sign), (num, den)
-        assert len(exact) == 615
+            assert _verdict(num, den) == (direction, sign), (num, den)
+        assert len(set(exact)) == 615
         assert family_generators(F.II, 2.0, 2.0) not in exact
         _same_decisions([ratio[:2] for ratio in ratios], 0.003, 400.0)
 
@@ -768,7 +790,7 @@ class TestHalfLineVerdicts:
         # PHI(2) over XI(5): the linear factor 5x - 1 of XI(5)'' is negative
         # below x = 1/5, so the ratio has no verdict
         refused = (PHI2, GeneratorSpec(Gen.XI, 5.0))
-        assert _half_line(*refused) is None
+        assert _verdict(*refused) == (0, 0.0)
         ratios = [(PHI2, GeneratorSpec(Gen.XI, 2.0)), refused]
         for lo, hi in ((0.1, 2.0), (0.3, 2.0), (0.0, 2.0), (2.0, 1.0), (1.0, np.inf)):
             _same_decisions(ratios, lo, hi)
@@ -793,8 +815,8 @@ class TestHalfLineVerdicts:
             _same_decisions(ratios, lo, hi)
             if 1e-30 <= lo and hi <= 1e30:
                 for ratio in ratios:
-                    verdict = _half_line(*ratio)
-                    if verdict is not None:
+                    verdict = _verdict(*ratio)
+                    if verdict[0]:
                         g = _Ratio(*ratio, lo, hi)
                         assert verdict == (g.direction(), g.ends[0].s), ratio
 
@@ -806,7 +828,7 @@ class TestHalfLineVerdicts:
         cases = [(c.family, c.s, c.t) for c in corollary_table()] + [
             (family, s, t) for family in F for s, t in region_grid(family)]
         read = [sandwich_slack_bulk(*case, P, Q) for case in cases]
-        monkeypatch.setattr(verify, "_half_line", lambda num, den: None)
+        monkeypatch.setattr(verify, "_verdict", lambda num, den: (0, 0.0))
         for case, slack in zip(cases, read):
             assert np.array_equal(sandwich_slack_bulk(*case, P, Q), slack, equal_nan=True), case
 
@@ -817,8 +839,8 @@ class TestHalfLineVerdicts:
         against = []
         for family in F:
             for s, t in region_grid(family):
-                verdict = _half_line(*family_generators(family, s, t))
-                assert verdict is not None, (family, s, t)
+                verdict = _verdict(*family_generators(family, s, t))
+                assert verdict[0], (family, s, t)
                 if (verdict[0] > 0) != active_branch(family, s, t).increasing:
                     against.append((family, s, t))
         assert sum(len(region_grid(family)) for family in F) == 616
@@ -826,8 +848,24 @@ class TestHalfLineVerdicts:
                            (F.IX, 0.0, -1.0)]
         flat = [(F.III, 2.0, 2.0), (F.VII, 0.0, -1.0), (F.IX, 0.0, -1.0)]
         for family, s, t in flat:
-            assert bounds._exact(*family_generators(family, s, t)) == (0, 0, 0, 0)
-        assert bounds._exact(*family_generators(F.III, 4.0, 3.0)) != (0, 0, 0, 0)
+            assert _Ratio(*family_generators(family, s, t), 1.0, 1.0).exact == (0, 0, 0, 0)
+        assert _Ratio(*family_generators(F.III, 4.0, 3.0), 1.0, 1.0).exact != (0, 0, 0, 0)
+
+    def test_decides_a_ratio_whose_coefficients_change_sign(self):
+        # PHI(0.9)''/VARSIGMA(0.5)'': N's coefficients c_k change sign, so no
+        # rule on their signs alone decides it, but N has no positive root:
+        # g rises, and is positive, on every envelope
+        num, den = GeneratorSpec(Gen.PHI, 0.9), GeneratorSpec(Gen.VARSIGMA, 0.5)
+        c, _ = _coefficients(D2_FORMS[num.gen], D2_FORMS[den.gen], num.s, den.s)
+        assert min(c) < 0.0 < max(c)
+        assert _verdict(num, den) == (1, 1.0)
+        ends = np.sort(np.exp(np.random.default_rng(26).uniform(np.log(1e-30), np.log(1e30),
+                                                                 (200, 2))), axis=1)
+        for lo, hi in [(0.003, 400.0), (1e-30, 1e-29), (1e29, 1e30)] + ends.tolist():
+            g = _Ratio(num, den, lo, hi)
+            assert (g.direction(), g.ends[0].s) == (1, 1.0), (lo, hi)
+        (family,) = _Sandwiches([(num, den)]).prove(0.003, 400.0)
+        assert (family.direction.tolist(), family.sign.tolist()) == ([1], [[1.0]])
 
 
 class TestPlan:
@@ -879,8 +917,11 @@ class TestGroupProof:
         assert checks.direction.tolist() == [expected]
 
     def test_zero_width_envelope_counts_as_increasing(self, monkeypatch):
+        # the plan decides the ratio once (I(0, 0) has no verdict); prove
+        # then asks no direction
+        sandwiches = _Sandwiches([family_generators(F.I, 0.0, 0.0)])
         monkeypatch.setattr(_Ratio, "direction", lambda self: pytest.fail("proved"))
-        (checks,) = _Sandwiches([family_generators(F.I, 0.0, 0.0)]).prove(1.5, 1.5)
+        (checks,) = sandwiches.prove(1.5, 1.5)
         assert checks.direction.tolist() == [1]
 
     def test_unproven_block_encloses_each_row(self):
