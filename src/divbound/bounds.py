@@ -28,7 +28,9 @@ in two ways:
   :class:`_Ratio`'s values at r and R, padded outward by their rounding
   allowance; elsewhere that ratio's numeric enclosure is shipped with an
   ``erratum``.  The printed catalog text only adds an erratum where it
-  disagrees (its misprinted corners).
+  disagrees (its misprinted corners).  What a certificate reads of (family,
+  s, t) alone, its :class:`_Pair`, is memoized in one bounded, thread-safe
+  ``lru_cache``; certificates are the same bits from a cold or a warm memo.
 
 The ten families, numbered by their catalog tags:
 
@@ -59,11 +61,12 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import (
     DegenerateDenominator,
+    DivboundError,
     InvalidArgument,
     NonFiniteValue,
     NonPositiveArgument,
@@ -461,6 +464,13 @@ def _moebius(c, a, b) -> tuple:
             c0 + c1 * b + c2 * bb + c3 * (bb * b))
 
 
+def _first(c, a, b) -> tuple:
+    """The first :func:`_moebius` coefficient of (a, b) alone: N(a)."""
+    c0, c1, c2, c3 = c
+    aa = a * a
+    return (c0 + c1 * a + c2 * aa + c3 * (aa * a),)
+
+
 def _discriminant(c) -> int:
     """Of the cubic sum c_k x^k (c2^2 times that of the quadratic when
     c3 = 0): positive for three distinct real roots, 0 for a multiple one."""
@@ -481,6 +491,70 @@ def _turns(signs) -> int:
 _Pt = namedtuple("_Pt", "x y l1 L e s lv lw")
 
 
+#: the interval a :meth:`_Pair.verdict` is decided on, and holds within
+_SPAN = (1e-30, 1e30)
+
+
+class _Pair:
+    """What the :class:`_Ratio` of (num, den) is apart from its interval: the
+    active ``branch``, whether f2 is ``convex`` (but for p2 x + q2), A, B,
+    C, sign, p1, q1, p2, q2, the magnitudes sa, sb, sc behind A, B and C, and
+    on first use :attr:`cubic`, :attr:`exact` and :meth:`verdict`."""
+
+    __slots__ = ("num", "den", "branch", "convex", "A", "B", "C", "sign", "p1", "q1",
+                 "p2", "q2", "sa", "sb", "sc", "seen", "_cubic", "_exact", "_verdict")
+
+    def __init__(self, num: GeneratorSpec, den: GeneratorSpec, branch: Optional[Branch] = None):
+        a, b = log_d2(num), log_d2(den)
+        self.num, self.den, self.branch = num, den, branch
+        self.convex = b.sign > 0.0 and math.isfinite(b.alpha + b.beta + b.c)
+        self.A, self.B, self.C = a.alpha - b.alpha, a.beta - b.beta, a.c - b.c
+        self.sign, self.p1, self.q1, self.p2, self.q2 = a.sign, a.p, a.q, b.p, b.q
+        self.sa, self.sb = abs(a.alpha) + abs(b.alpha), abs(a.beta) + abs(b.beta)
+        self.sc = abs(a.c) + abs(b.c)
+        self.seen = self._cubic = self._exact = self._verdict = None
+
+    @property
+    def cubic(self) -> tuple:
+        """N's coefficients and magnitude forms (None unless s and t are 0 or
+        within [1e-30, 1e30] in magnitude, where the float filter runs)."""
+        if self._cubic is None:
+            s, t = self.num.s, self.den.s
+            c, cm = _coefficients(D2_FORMS[self.num.gen], D2_FORMS[self.den.gen], s, t)
+            filtered = all(v == 0.0 or 1e-30 <= abs(v) <= 1e30 for v in (s, t))
+            self._cubic = c, cm if filtered else None
+        return self._cubic
+
+    @property
+    def exact(self) -> tuple:
+        """N's coefficients times E^3 in integers, E the product of the
+        denominators of s and t: exact, with the signs and roots of N's."""
+        if self._exact is None:
+            (S, ds), (T, dt) = (spec.s.as_integer_ratio() for spec in (self.num, self.den))
+            self._exact = _coefficients(D2_FORMS[self.num.gen], D2_FORMS[self.den.gen],
+                                        S * dt, T * ds, ds * dt)[0]
+        return self._exact
+
+    def verdict(self) -> tuple[int, float]:
+        """:class:`_Ratio`'s ``direction()`` and sign of g on :data:`_SPAN`, or
+        (0, 0.0) where it refuses the ratio or finds it not monotone: a ratio
+        monotone there, with no zero of g, is so alike on every interval in it."""
+        if self._verdict is None:
+            try:
+                g = _Ratio(self.num, self.den, *_SPAN)
+                direction = g.direction()
+            except DivboundError:
+                direction = 0
+            self._verdict = (direction, g.ends[0].s) if direction else (0, 0.0)
+        return self._verdict
+
+
+#: a family's :class:`_Pair` at (s, t), memoized (``__wrapped__`` alone), with
+#: room for every (family, s, t) of the validation grid, twice over
+_record = lru_cache(maxsize=2 * len(InequalityFamily) * len(PARAM_GRID) ** 2)(
+    lambda family, s, t: _Pair(*family_generators(family, s, t), active_branch(family, s, t)))
+
+
 class _Ratio:
     """g = f1''/f2'' on [lo, hi].  Its values come from the :func:`log_d2`
     records, ln|g| = A ln x + B ln(1+x) + ln|p1 x + q1| - ln(p2 x + q2) + C,
@@ -495,87 +569,70 @@ class _Ratio:
     magnitude, including the conditioning of p x + q).  The zero of g is
     taken at the rounded -q1/p1, so within a few ulps of it the sign of g,
     and values of order eps (|p1 x| + |q1|) relative to the rest of g, are
-    as rounded.
+    as rounded.  All but the interval is read from the :class:`_Pair` ``pair``.
     """
 
-    def __init__(self, num: GeneratorSpec, den: GeneratorSpec, lo: float, hi: float):
+    def __init__(self, num: GeneratorSpec, den: GeneratorSpec, lo: float, hi: float,
+                 pair: Optional[_Pair] = None):
         _require_interval(lo, hi)
-        a, b = log_d2(num), log_d2(den)
-        if not (b.sign > 0.0 and math.isfinite(b.alpha + b.beta + b.c)) or (
-            b.p and not (b.p * lo + b.q > 0.0 and b.p * hi + b.q > 0.0)
-        ):
+        g = self.pair = pair or _Pair(num, den)
+        if not g.convex or (g.p2 and not (g.p2 * lo + g.q2 > 0.0 and g.p2 * hi + g.q2 > 0.0)):
             raise DegenerateDenominator(
                 f"{den.gen.value}(s={den.s}) has non-positive curvature on [{lo}, {hi}]"
             )
         self.num, self.den, self.lo, self.hi = num, den, float(lo), float(hi)
-        self.A = a.alpha - b.alpha
-        self.B = a.beta - b.beta
-        self.C = a.c - b.c
-        self.sign = a.sign
-        self.p1, self.q1, self.p2, self.q2 = a.p, a.q, b.p, b.q
-        # magnitudes behind the rounding of A, B and C
-        self.sa = abs(a.alpha) + abs(b.alpha)
-        self.sb = abs(a.beta) + abs(b.beta)
-        self.sc = abs(a.c) + abs(b.c)
-        s, t = num.s, den.s
-        c, cm = _coefficients(D2_FORMS[num.gen], D2_FORMS[den.gen], s, t)
-        self.c, self.cm = c, cm if all(v == 0.0 or 1e-30 <= abs(v) <= 1e30
-                                       for v in (s, t, self.lo, self.hi)) else None
+        self.c, cm = g.cubic
+        self.cm = cm if 1e-30 <= self.lo and self.hi <= 1e30 else None
         # ln|g| at lo and hi, where every use of the ratio starts
         self.ends = (self.point(self.lo), self.point(self.hi))
 
-    @cached_property
-    def exact(self) -> tuple:
-        """N's coefficients times E^3, E the product of the denominators of
-        s and t, in integers: exact, with the signs and roots of N's."""
-        (S, ds), (T, dt) = (spec.s.as_integer_ratio() for spec in (self.num, self.den))
-        return _coefficients(D2_FORMS[self.num.gen], D2_FORMS[self.den.gen],
-                             S * dt, T * ds, ds * dt)[0]
-
-    def signs(self, a: float, b: float) -> list[int]:
-        """Signs of the :func:`_moebius` coefficients of (a, b): from the
-        float filter, else exactly, with a and b as integers over their
-        common denominator d and N's coefficients scaled to match."""
-        signs = self.cm and _decide(_moebius(self.c, a, b), _moebius(self.cm, a, b))
+    def signs(self, a: float, b: float, moebius=_moebius) -> list[int]:
+        """Signs of the :func:`_moebius` coefficients of (a, b), or of the
+        first alone (:func:`_first`): from the float filter, else exactly,
+        with a and b as integers over their common denominator d and N's
+        coefficients scaled to match."""
+        signs = self.cm and _decide(moebius(self.c, a, b), moebius(self.cm, a, b))
         if signs:
             return signs
         (A, da), (B, db) = a.as_integer_ratio(), b.as_integer_ratio()
         d = max(da, db)
-        c = [v * d ** (3 - k) for k, v in enumerate(self.exact)]
-        return [(v > 0) - (v < 0) for v in _moebius(c, A * (d // da), B * (d // db))]
+        c = [v * d ** (3 - k) for k, v in enumerate(self.pair.exact)]
+        return [(v > 0) - (v < 0) for v in moebius(c, A * (d // da), B * (d // db))]
 
     def point(self, x: float, zero: bool = False) -> _Pt:
         """ln|g| at x; ``zero`` marks x as the zero of p1 x + q1."""
+        g = self.pair
         y, l1 = math.log(x), math.log1p(x)
-        L = self.A * y + self.B * l1 + self.C
-        e = self.sa * abs(y) + self.sb * l1 + self.sc + 1.0
-        s, lv, lw = self.sign, 0.0, 0.0
-        if self.p1:
-            v = 0.0 if zero else self.p1 * x + self.q1
+        L = g.A * y + g.B * l1 + g.C
+        e = g.sa * abs(y) + g.sb * l1 + g.sc + 1.0
+        s, lv, lw = g.sign, 0.0, 0.0
+        if g.p1:
+            v = 0.0 if zero else g.p1 * x + g.q1
             if v:
                 lv = math.log(abs(v))
                 L += lv
-                e += abs(lv) + (abs(self.p1 * x) + abs(self.q1)) / abs(v)
+                e += abs(lv) + (abs(g.p1 * x) + abs(g.q1)) / abs(v)
                 if v < 0.0:
                     s = -s
             else:
                 lv = L = -math.inf
                 s = 0.0
-        if self.p2:
-            w = self.p2 * x + self.q2
+        if g.p2:
+            w = g.p2 * x + g.q2
             lw = math.log(w)
             L -= lw
-            e += abs(lw) + (abs(self.p2 * x) + abs(self.q2)) / w
+            e += abs(lw) + (abs(g.p2 * x) + abs(g.q2)) / w
         e = _ERR * (e + abs(L)) if s else _ERR * e
         if not math.isfinite(e):  # nor is L, unless g = 0 here
             raise _non_finite(self.num, self.den, self.lo, self.hi,
                               f"has log-curvature {L!r} +- {e!r} at x = {x!r}")
         return _Pt(x, y, l1, L, e, s, lv, lw)
 
-    def roots(self, signs: Optional[list[int]] = None) -> list[tuple[float, float]]:
+    def roots(self, signs: Optional[list[int]] = None) -> list[tuple[float, float, int]]:
         """Intervals [u, w] of [lo, hi], in order, that hold the roots of N
         in (lo, hi) where N changes sign: one each, but for an interval
-        between adjacent doubles, which may hold none.
+        between adjacent doubles, which may hold none; each with the sign
+        ``up`` of N just above u (0 for [x, x]).
 
         Descartes' rule on the Moebius image of an interval (``signs``, its
         :func:`_moebius` signs) bounds its roots (Collins & Akritas 1976):
@@ -592,25 +649,24 @@ class _Ratio:
                 # an even count between adjacent doubles is two simple roots
                 # only if N has three distinct real ones; else it is none,
                 # or one of even multiplicity
-                if turns % 2 or turns and _discriminant(self.exact) > 0:
-                    out.append((u, w))
+                if turns % 2 or turns and _discriminant(self.pair.exact) > 0:
+                    out.append((u, w, next(v for v in signs if v)))
                 continue
             left, right = self.signs(u, x), self.signs(x, w)
             if not left[3] and [v for v in left if v][-1] != [v for v in right if v][0]:
-                out.append((x, x))
+                out.append((x, x, 0))
             todo += [(u, x, left), (x, w, right)]
         return sorted(out)
 
-    def bracket(self, u: float, w: float) -> tuple[float, float]:
-        """[a, b] within one of :meth:`roots`' intervals [u, w], around its
-        root: Newton's iterate x, kept inside by bisection, then x -+ h, h
-        starting a few ulps out, at four times the width where the float
-        filter stops deciding, and doubled until the signs of N at the ends
-        show the root between them."""
+    def bracket(self, u: float, w: float, up: int) -> tuple[float, float]:
+        """[a, b] within one of :meth:`roots`' intervals [u, w], ``up`` the
+        sign of N just above u, around its root: Newton's iterate x, kept
+        inside by bisection, then x -+ h, h starting a few ulps out, at four
+        times the width where the float filter stops deciding, and doubled
+        until the signs of N at the ends show the root between them."""
         if not math.nextafter(u, w) < w:
             return u, w
         c0, c1, c2, c3 = self.c
-        up = next(v for v in self.signs(u, w) if v)  # N just above u
         a, b, x = u, w, math.sqrt(u) * math.sqrt(w)
         for _ in range(100):
             v, dv = ((c3 * x + c2) * x + c1) * x + c0, (3.0 * c3 * x + 2.0 * c2) * x + c1
@@ -625,7 +681,8 @@ class _Ratio:
             h += 4.0 * _FILTER * (((m3 * x + m2) * x + m1) * x + m0) / abs(dv)
         while True:
             a, b = max(u, x - h), min(w, x + h)
-            if (a == u or self.signs(a, a)[0] == up) and (b == w or self.signs(b, b)[0] == -up):
+            if ((a == u or self.signs(a, a, _first)[0] == up)
+                    and (b == w or self.signs(b, b, _first)[0] == -up)):
                 return a, b
             h *= 2.0
 
@@ -639,11 +696,11 @@ class _Ratio:
         quasi-convex, so the terms' end values bound it.  A candidate holds
         g in s [exp(lo), exp(hi)]; the extreme ones are picked in the log
         domain, so only they must fit in doubles."""
-        r, R = self.lo, self.hi
+        r, R, g = self.lo, self.hi, self.pair
         a, b = self.ends
         pts = [a, b]
-        if self.p1:
-            x0 = -self.q1 / self.p1
+        if g.p1:
+            x0 = -g.q1 / g.p1
             if r < x0 < R:
                 pts.insert(1, self.point(x0, zero=True))
             elif a.s * b.s < 0.0:
@@ -652,9 +709,9 @@ class _Ratio:
                 pts[k] = self.point(pts[k].x, zero=True)
         cands = [(p.s, p.L + p.e, p.L - p.e) if p.s else (0.0, 0.0, 0.0) for p in pts]
         width = max(p.e for p in pts)
-        A, B, C = self.A, self.B, self.C
-        for u, w in self.roots():
-            p, q = map(self.point, self.bracket(u, w))
+        A, B, C = g.A, g.B, g.C
+        for u, w, up in self.roots():
+            p, q = map(self.point, self.bracket(u, w, up))
             e = max(p.e, q.e)
             top = (C + max(A * p.y, A * q.y) + max(B * p.l1, B * q.l1)
                    + max(p.lv, q.lv) - min(p.lw, q.lw) + e)
@@ -693,7 +750,8 @@ class _Ratio:
     def direction(self) -> int:
         """+1 / -1 when g is monotone on [lo, hi] (+1 when flat, N = 0), 0
         when N changes sign in (lo, hi) or g has a zero on [lo, hi]."""
-        if self.p1 and (self.p1 * self.lo + self.q1) * (self.p1 * self.hi + self.q1) <= 0.0:
+        g = self.pair
+        if g.p1 and (g.p1 * self.lo + g.q1) * (g.p1 * self.hi + g.q1) <= 0.0:
             return 0
         signs = self.signs(self.lo, self.hi)
         if min(signs) < 0 < max(signs):
@@ -810,20 +868,25 @@ def closed_form_mM(
     erratum note.  The printed catalog text is compared last, on endpoint
     values only, and can only add an erratum.  Out-of-region: numeric
     enclosure with ``region_ok=False`` unless ``strict``, which raises
-    :class:`RegionViolation`.
+    :class:`RegionViolation`.  For float s and t, what (family, s, t) alone
+    decides comes from a bounded memo (:class:`_Pair`, :data:`_record`).
     """
-    s, t, r, R = _items(s, t, r, R)
-    num, den = family_generators(family, s, t)
-    br = active_branch(family, s, t)
+    if not type(s) is type(t) is type(r) is type(R) is float:
+        s, t, r, R = _items(s, t, r, R)
+    # floats only as keys: True == 1.0 hashes alike; other types are validated anew
+    pair = (_record if type(s) is type(t) is float else _record.__wrapped__)(family, s, t)
+    br = pair.branch
     if br is None and strict:
         raise RegionViolation(
             f"(s={s}, t={t}) lies outside every region of family {family.value}"
         )
-    ratio = _Ratio(num, den, r, R)
+    ratio = _Ratio(pair.num, pair.den, r, R, pair)
     erratum = None
     if br is not None:
         a, b = ratio.ends
-        up = ratio.direction() if r < R else 1
+        # from a record's second request on, its verdict decides within the span
+        known = pair.seen and _SPAN[0] <= r < R <= _SPAN[1] and pair.verdict()[0]
+        up, pair.seen = known or (ratio.direction() if r < R else 1), True
         # the ends are taken in the proven order, so the padded values hold
         # g whichever way the branch runs; a branch against the proof is a
         # misprint unless the end values are equal within their allowance

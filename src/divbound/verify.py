@@ -52,10 +52,14 @@ import numpy as np
 from . import measures as ms
 from . import simplex
 from .bounds import (
+    FAMILY_DEFS,
     PARAM_GRID,
     SLACK_REL_TOL,
+    _SPAN,
     _json_fields,
+    _Pair,
     _Ratio,
+    _record,
     InequalityFamily,
     closed_form_mM,
     corollary_table,
@@ -65,7 +69,7 @@ from .bounds import (
     numeric_mM,
     region_grid,
 )
-from .errors import (ConfigInvalid, DegenerateDenominator, DivboundError, InvalidArgument,
+from .errors import (ConfigInvalid, DegenerateDenominator, InvalidArgument,
                      RegionViolation)
 from .families import _FAMILIES, Family, in_convex_range
 from .generators import GeneratorSpec, csiszar_bulk, gen_d2, log_d2
@@ -262,21 +266,13 @@ _Group = namedtuple("_Group", "rows num den ratio ratios direction sign")
 _Family = namedtuple("_Family", "rows num den direction sign m M numeric")
 
 
-#: the widest envelope on which :meth:`_Sandwiches.prove` reads the verdicts
-_SPAN = (1e-30, 1e30)
-
-
 def _verdict(num: GeneratorSpec, den: GeneratorSpec) -> tuple[int, float]:
-    """The scalar :class:`_Ratio`'s ``direction()`` and sign of g on
-    :data:`_SPAN`, or (0, 0.0) where it refuses the ratio or finds it not
-    monotone: a ratio monotone there, with no zero of g, is so the same way
-    on every envelope within it."""
-    try:
-        g = _Ratio(num, den, *_SPAN)
-        direction = g.direction()
-    except DivboundError:
-        return 0, 0.0
-    return (direction, g.ends[0].s) if direction else (0, 0.0)
+    """The ratio's :meth:`bounds._Pair.verdict` on :data:`_SPAN`, the widest
+    envelope :meth:`_Sandwiches.prove` reads it on: for a family's pair of
+    generator kinds, the memoized record's that closed_form_mM reads too."""
+    family = next((f for f, fd in FAMILY_DEFS.items() if (fd.num_gen, fd.den_gen)
+                   == (num.gen, den.gen)), None)
+    return (_Pair(num, den) if family is None else _record(family, num.s, den.s)).verdict()
 
 
 def _frozen(a) -> np.ndarray:
@@ -402,8 +398,9 @@ def sandwich_slack_bulk(
 
 
 def _sandwich_check(id: str, family: InequalityFamily, s: float, t: float) -> _Check:
+    pair = _record(family, s, t)  # its specs, which the record holds too
     return _Check(id, "slack", lambda v: sandwich_slack_bulk(family, s, t, v.P, v.Q),
-                  gens=family_generators(family, s, t))
+                  gens=(pair.num, pair.den))
 
 
 def _corollary_checks() -> list[_Check]:

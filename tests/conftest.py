@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from divbound import bounds
 from divbound.bounds import InequalityFamily, family_generators, region_grid
 from divbound.simplex import sample_pair_matrix, validate
 from divbound.verify import brute_force_mM
@@ -117,6 +118,16 @@ def mass_lists(st):
 def fixed_pair():
     """The worked example pair used throughout: P = (1/2, 1/2), Q = (1/4, 3/4)."""
     return validate([0.5, 0.5]), validate([0.25, 0.75])
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty :func:`bounds._record` memo, emptied again after the test: for
+    a test that patches what a record computes or counts what builds it, so
+    it neither reads nor leaves a record made elsewhere."""
+    bounds._record.cache_clear()
+    yield
+    bounds._record.cache_clear()
 
 
 @pytest.fixture(scope="session")

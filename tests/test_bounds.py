@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -306,7 +309,7 @@ class TestEnclosure:
             return family, s, t, r, r * 10.0 ** draw(st.floats(0.0, 13.0))
 
         def exact_sign(ratio, x):
-            c0, c1, c2, c3 = ratio.exact
+            c0, c1, c2, c3 = ratio.pair.exact
             x = Fraction(x)
             v = ((c3 * x + c2) * x + c1) * x + c0
             return (v > 0) - (v < 0)
@@ -324,11 +327,11 @@ class TestEnclosure:
                     steps = [(b - a) * direction for a, b in zip(g, g[1:])]
                     assert all(d >= -mpmath.mpf(10) ** -40 * abs(a) for d, a in zip(steps, g)), request
                 return
-            roots = ratio.roots()
-            assert roots or ratio.p1 and (ratio.p1 * r + ratio.q1) * (ratio.p1 * R + ratio.q1) <= 0.0
-            for u, w in roots:
+            roots, g = ratio.roots(), ratio.pair
+            assert roots or g.p1 and (g.p1 * r + g.q1) * (g.p1 * R + g.q1) <= 0.0
+            for u, w, up in roots:
                 assert r <= u <= w <= R, request
-                a, b = ratio.bracket(u, w)
+                a, b = ratio.bracket(u, w, up)
                 assert u <= a <= b <= w, request
                 if a == b:
                     assert exact_sign(ratio, a) == 0, request
@@ -456,7 +459,7 @@ class TestCubic:
     def test_only_roots_of_odd_multiplicity_turn_g(self, c, direction):
         ratio = bounds._Ratio(*family_generators(F.I, 2.0, 2.0), 0.1, 1.0)
         ratio.c, ratio.cm = tuple(map(float, c)), tuple(float(abs(v)) for v in c)
-        ratio.exact = c
+        ratio.pair._exact = c
         assert ratio.direction() == direction
         assert len(ratio.roots()) == (direction == 0)
 
@@ -501,7 +504,7 @@ class TestClosedForm:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
             closed_form_mM(F.I, 400.0, 0.0, 1e-6, 1e-6)
 
-    def test_unproven_ratio_ships_the_enclosure(self, monkeypatch):
+    def test_unproven_ratio_ships_the_enclosure(self, monkeypatch, cold_memo):
         monkeypatch.setattr(bounds._Ratio, "direction", lambda self: 0)
         cert = closed_form_mM(F.II, 2.0, 1.0, 2.0 / 3.0, 2.0)
         assert cert.source is CertificateSource.NUMERIC and cert.region_ok
@@ -753,6 +756,142 @@ class TestClosedForm:
         # certify and serialize as "s": true
         with pytest.raises(InvalidArgument, match="must be a real number"):
             closed_form_mM(F.II, s, t, 0.5, 2.0)
+
+
+def _battery() -> list[tuple]:
+    """1500 seeded certify requests: the validation grid with ratios within
+    1e-3 and 1e3, one in ten far off it (|s|, |t| up to 40, ratios up to
+    1e12, X's t within [0, 4]), and one in fifty with r = R."""
+    rng = np.random.default_rng([2027, 10])
+    requests = []
+    for i in range(1500):
+        family = list(F)[i % len(F)]
+        ts = [v for v in PARAM_GRID if 0.0 <= v <= 4.0] if family is F.X else PARAM_GRID
+        if i % 10 == 9:
+            s, t = rng.uniform(-40.0, 40.0, 2)
+            t = rng.uniform(0.0, 4.0) if family is F.X else t
+            r, R = 10.0 ** rng.uniform(-12.0, 0.0), 10.0 ** rng.uniform(0.0, 12.0)
+        else:
+            s, t = PARAM_GRID[rng.integers(len(PARAM_GRID))], ts[rng.integers(len(ts))]
+            r, R = 10.0 ** rng.uniform(-3.0, 0.0), 10.0 ** rng.uniform(0.0, 3.0)
+        requests.append((family, float(s), float(t), float(r), float(r if i % 50 == 7 else R)))
+    return requests
+
+
+def _outcome(*request) -> str:
+    """The certificate's JSON, or the name of the error it raises."""
+    try:
+        return closed_form_mM(*request).to_json()
+    except (DivboundError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+def _digest(outcomes) -> str:
+    return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+
+
+#: :func:`_battery`'s certificates, recorded before the per-pair memo
+BATTERY_DIGEST = "5a5da381cfcc4e93ea4ca3d70137cb3b542bd5bc1d6ebf2ec10a8e40b9aa0bc9"
+
+
+class TestMemo:
+    """closed_form_mM reads the per-pair record of (family, s, t) from a
+    bounded memo (``bounds._record``): the same certificates, cold or warm."""
+
+    def test_battery_digest_cold_and_warm(self, cold_memo):
+        # a change to any certificate bit fails here
+        cold = [_outcome(*request) for request in _battery()]
+        assert _digest(cold) == BATTERY_DIGEST
+        assert bounds._record.cache_info().currsize > 0
+        assert [_outcome(*request) for request in _battery()] == cold
+
+    def test_two_threads_from_a_cold_memo(self, cold_memo):
+        # both build and complete the same records, switching every few
+        # microseconds: a record read half made would change a certificate
+        battery, start, out = _battery(), threading.Barrier(2), {}
+
+        def certify(k):
+            start.wait()
+            out[k] = [_outcome(*request) for request in battery]
+
+        threads = [threading.Thread(target=certify, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert out[0] == out[1] and _digest(out[0]) == BATTERY_DIGEST
+
+    def test_memo_is_bounded(self, cold_memo):
+        # room for the catalog: every grid (family, s, t) and the harness's
+        # 616 distinct ratios, which are grid ones too
+        size = bounds._record.cache_info().maxsize
+        harness = {c.gens for c in verify._build_checks(("all", "bounds-grid")) if c.gens}
+        assert len(harness) == 616
+        assert len(F) * len(PARAM_GRID) ** 2 + len(harness) <= size < 10_000
+        for k in range(size + 50):
+            closed_form_mM(F.V, 0.5 + 1e-6 * k, 1.5, 0.5, 2.0)
+        assert bounds._record.cache_info().currsize == size
+
+    @pytest.mark.parametrize("s,t", [(True, 1), (2.0, np.False_), ("2", 1.0), (1.0, 1j),
+                                     ([1.0], 1.0), (1.0, math.nan)])
+    def test_rejects_invalid_parameters_with_a_warm_memo(self, s, t, cold_memo):
+        # True == 1.0 and hashes alike: a key is made of floats only
+        for _ in range(2):
+            closed_form_mM(F.II, 1.0, 1.0, 0.5, 2.0)
+            closed_form_mM(F.II, 2.0, 0.0, 0.5, 2.0)
+        with pytest.raises(InvalidArgument):
+            closed_form_mM(F.II, s, t, 0.5, 2.0)
+
+    @pytest.mark.parametrize("family", list(F))
+    def test_signed_zeros_share_a_record(self, family, cold_memo):
+        # -0.0 == 0.0: whichever comes first makes the record, and both
+        # certify as they do from a cold memo, alike but for the zeros' signs
+        for st in [(0.0, 2.0), (2.0, 0.0), (0.0, 0.0)]:
+            negated = tuple(-v if v == 0.0 else v for v in st)
+            for first, second in [(st, negated), (negated, st)]:
+                bounds._record.cache_clear()
+                alone = _outcome(family, *second, 0.5, 3.0)
+                bounds._record.cache_clear()
+                for _ in range(2):
+                    _outcome(family, *first, 0.2, 4.0)
+                assert _outcome(family, *second, 0.5, 3.0) == alone
+            a, b = (_outcome(family, *params, 0.5, 3.0) for params in (st, negated))
+            if a.startswith("{"):
+                a, b = ({**json.loads(c), "s": 0, "t": 0} for c in (a, b))
+            assert a == b
+
+    def test_cold_and_warm_certificates_property(self, cold_memo):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        real = st.one_of(st.floats(-40.0, 40.0), st.sampled_from(PARAM_GRID + (0.0, -0.0)),
+                         st.integers(-40, 40))
+        param = st.one_of(real, real.map(np.float64), st.integers(-4, 4).map(np.int64))
+        end = st.one_of(st.floats(1e-35, 1e35), st.sampled_from([1e-31, 1e-30, 1.0, 1e30, 1e31]))
+
+        def twin(v):
+            # an equal float key: its float, or the other zero
+            return -float(v) if v == 0 else float(v)
+
+        @hyp.settings(max_examples=300, deadline=None)
+        @hyp.given(st.sampled_from(list(F)), param, param, end, end)
+        def check(family, s, t, x, y):
+            r, R = min(x, y), max(x, y)
+            bounds._record.cache_clear()
+            cold = _outcome(family, s, t, r, R)
+            # warm the record through equal keys, twice so its verdict is
+            # computed, then read it back on either side of [1e-30, 1e30]
+            for ends in [(0.5, 2.0), (0.5, 2.0), (r, R)]:
+                _outcome(family, twin(s), twin(t), *ends)
+            assert _outcome(family, s, t, r, R) == cold
+            assert _outcome(family, s, t, r, R) == cold
+
+        check()
 
 
 class TestPrintedText:

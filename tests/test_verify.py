@@ -202,7 +202,7 @@ class TestSharedBlockTable:
         cfg = VerifyConfig(trials=300, seed=2026, subjects=("all", "bounds-grid"))
         assert run(cfg).to_json() == _unshared_report(cfg)
 
-    def test_row_fallback_matches_unshared_path(self, monkeypatch):
+    def test_row_fallback_matches_unshared_path(self, monkeypatch, cold_memo):
         # one corner's ratio closes nowhere, so its rows take numeric_mM
         cfg = VerifyConfig(trials=300, seed=2026, subjects=("all", "bounds-grid"))
         never = family_generators(F.II, 2.0, 1.0)
@@ -211,9 +211,11 @@ class TestSharedBlockTable:
             def direction(self):
                 return 0 if (self.num, self.den) == never else super().direction()
 
-        # the plan's verdicts come from verify._Ratio too, so it has none here
+        # the plan's verdicts come from the records' bounds._Ratio, so it has
+        # none here
         _fresh_plans(monkeypatch)
         monkeypatch.setattr(verify, "_Ratio", Never)
+        monkeypatch.setattr(bounds, "_Ratio", Never)
         fallback = []
         enclose = numeric_mM
         monkeypatch.setattr("divbound.verify.numeric_mM",
@@ -222,17 +224,18 @@ class TestSharedBlockTable:
         assert len(fallback) == 2 * cfg.trials  # a bounds-grid check and a corollary
         assert report == _unshared_report(cfg)
 
-    def test_one_verdict_per_distinct_ratio(self, monkeypatch):
+    def test_one_verdict_per_distinct_ratio(self, monkeypatch, cold_memo):
         cfg = VerifyConfig(trials=1000, seed=5, subjects=("all", "bounds-grid"))
         decided = []
 
         class Recorded(_Ratio):
-            def __init__(self, num, den, lo, hi):
+            def __init__(self, num, den, lo, hi, *pair):
                 decided.append((num, den, lo, hi))
-                super().__init__(num, den, lo, hi)
+                super().__init__(num, den, lo, hi, *pair)
 
+        # the verdicts are the records' (bounds._Ratio on the span)
         _fresh_plans(monkeypatch)
-        monkeypatch.setattr(verify, "_Ratio", Recorded)
+        monkeypatch.setattr(bounds, "_Ratio", Recorded)
         verify._plan(cfg.subjects)
         ratios = {c.gens for c in _build_checks(cfg.subjects) if c.gens is not None}
         assert len(decided) == len(set(decided)) == len(ratios) == 616
@@ -771,14 +774,14 @@ class TestPlanVerdicts:
         sandwiches.prove(0.003, 400.0)
         sandwiches.prove(1e-30, 1e30)
 
-    def test_exact_coefficients_give_the_same_verdicts(self, monkeypatch):
+    def test_exact_coefficients_give_the_same_verdicts(self, monkeypatch, cold_memo):
         # with an error bound no float value can clear, every verdict comes
         # from the exact integers, but II(2, 2)'s: UPSILON(2)''/PHI(2)'' =
         # 1/4 has no terms in x at all, so its magnitude forms are 0
         ratios = list(_harness_ratios())
         monkeypatch.setattr(bounds, "_FILTER", 1.0)
-        exact, alone = [], _Ratio.exact.func
-        monkeypatch.setattr(_Ratio, "exact",
+        exact, alone = [], bounds._Pair.exact.fget
+        monkeypatch.setattr(bounds._Pair, "exact",
                             property(lambda g: exact.append((g.num, g.den)) or alone(g)))
         for num, den, direction, sign in ratios:
             assert _verdict(num, den) == (direction, sign), (num, den)
@@ -848,8 +851,8 @@ class TestPlanVerdicts:
                            (F.IX, 0.0, -1.0)]
         flat = [(F.III, 2.0, 2.0), (F.VII, 0.0, -1.0), (F.IX, 0.0, -1.0)]
         for family, s, t in flat:
-            assert _Ratio(*family_generators(family, s, t), 1.0, 1.0).exact == (0, 0, 0, 0)
-        assert _Ratio(*family_generators(F.III, 4.0, 3.0), 1.0, 1.0).exact != (0, 0, 0, 0)
+            assert _Ratio(*family_generators(family, s, t), 1.0, 1.0).pair.exact == (0, 0, 0, 0)
+        assert _Ratio(*family_generators(F.III, 4.0, 3.0), 1.0, 1.0).pair.exact != (0, 0, 0, 0)
 
     def test_decides_a_ratio_whose_coefficients_change_sign(self):
         # PHI(0.9)''/VARSIGMA(0.5)'': N's coefficients c_k change sign, so no

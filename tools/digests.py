@@ -14,7 +14,9 @@ in order, made in this process:
 A change that keeps these digests keeps every verify report and every
 certificate of those runs byte for byte.  Usage, from the repository root:
 
-    python tools/digests.py
+    python tools/digests.py            # print the six digests
+    python tools/digests.py --check    # also exit 1 naming each one that
+                                       # differs from RECORDED
 """
 
 from __future__ import annotations
@@ -34,6 +36,21 @@ from divbound.bounds import InequalityFamily, closed_form_mM  # noqa: E402
 from workloads import certify_requests  # noqa: E402  (read only: the request streams)
 
 SUBJECTS = {"default": [], "all,bounds-grid": ["--subjects", "all,bounds-grid"]}
+#: the digests of the outputs as they stand, which a change must keep
+RECORDED = {
+    "verify seeds 1-40, default":
+        "cdec2ce80365e80c748e3e7d70e264f500a55aa979ed1856900c7e774882a585",
+    "verify seeds 1-40, all,bounds-grid":
+        "c9b86d8e8b55dea10913e8ffa12824f9617178c01c81e5d8901b0e0c002f55f7",
+    "witness seeds 1-5, default":
+        "be7714bfdc3281c94a0e09749920d6033134757b8bcc644634afc5507c3a7523",
+    "witness seeds 1-5, all,bounds-grid":
+        "0a49ce075533281b8ff6053d9a677358998db1c394ea115ba224c04daf28e922",
+    "certify-intervals seed 1":
+        "b9875416c13688b939f98af44a3302b58f7ec6eb75c9582d266dd06727061450",
+    "certify-intervals seed 3":
+        "d9dc943083b34eb05ba32b45d27738e5b48d9a940204c3001fef75edb580ca96",
+}
 
 
 def _stdout(argv: list[str]) -> str:
@@ -55,18 +72,34 @@ def _certificates(seed: int):
         yield closed_form_mM(family, req["s"], req["t"], req["r"], req["R"]).to_json() + "\n"
 
 
-def main() -> None:
+def digests():
+    """``(name, digest)`` of each series, in order."""
     for name, extra in SUBJECTS.items():
         runs = (_stdout(["verify", "--trials", "1000", "--seed", str(seed), *extra])
                 for seed in range(1, 41))
-        print(f"verify seeds 1-40, {name}: {_digest(runs)}")
+        yield f"verify seeds 1-40, {name}", _digest(runs)
     for name, extra in SUBJECTS.items():
         runs = (_stdout(["verify", "--rel-tol", "1e-300", "--trials", "200", "--n-range", "2:6",
                          "--seed", str(seed), *extra]) for seed in range(1, 6))
-        print(f"witness seeds 1-5, {name}: {_digest(runs)}")
+        yield f"witness seeds 1-5, {name}", _digest(runs)
     for seed in (1, 3):
-        print(f"certify-intervals seed {seed}: {_digest(_certificates(seed))}")
+        yield f"certify-intervals seed {seed}", _digest(_certificates(seed))
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        print("usage: python tools/digests.py [--check]", file=sys.stderr)
+        return 2
+    differ = []
+    for name, digest in digests():
+        print(f"{name}: {digest}")
+        if digest != RECORDED[name]:
+            differ.append(name)
+    if argv and differ:
+        print(f"differ from the recorded digests: {'; '.join(differ)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
