@@ -377,13 +377,6 @@ def log_curvatures(records: np.ndarray, x: np.ndarray):
 _OVERFLOW = "overflows double precision"
 
 
-def _non_finite(num: GeneratorSpec, den: GeneratorSpec, r: float, R: float, what: str):
-    return NonFiniteValue(
-        f"curvature ratio {num.gen.value}(s={num.s}) / {den.gen.value}(s={den.s}) "
-        f"on [{r}, {R}] {what}"
-    )
-
-
 def numeric_mM(
     num: GeneratorSpec, den: GeneratorSpec, r: float, R: float
 ) -> tuple[float, float]:
@@ -400,7 +393,7 @@ def numeric_mM(
     :class:`NonFiniteValue` when an extremum overflows double precision or
     a non-zero one underflows it.
     """
-    return _Ratio(num, den, r, R).extrema()[:2]
+    return _Ratio(_Pair(num, den), r, R).extrema()[:2]
 
 
 # --------------------------------------------------------------------------
@@ -541,7 +534,8 @@ class _Pair:
         monotone there, with no zero of g, is so alike on every interval in it."""
         if self._verdict is None:
             try:
-                g = _Ratio(self.num, self.den, *_SPAN)
+                # on a fresh pair, so that no memoized record keeps the cubic
+                g = _Ratio(_Pair(self.num, self.den), *_SPAN)
                 direction = g.direction()
             except DivboundError:
                 direction = 0
@@ -553,6 +547,14 @@ class _Pair:
 #: room for every (family, s, t) of the validation grid, twice over
 _record = lru_cache(maxsize=2 * len(InequalityFamily) * len(PARAM_GRID) ** 2)(
     lambda family, s, t: _Pair(*family_generators(family, s, t), active_branch(family, s, t)))
+
+
+def _pair(family: InequalityFamily, s, t) -> _Pair:
+    """The family's :class:`_Pair` at (s, t): from the :data:`_record` memo for
+    float s and t, else built anew (True == 1.0 hashes alike)."""
+    if not isinstance(family, InequalityFamily):
+        raise InvalidArgument(f"family must be an InequalityFamily, got {family!r}")
+    return (_record if type(s) is type(t) is float else _record.__wrapped__)(family, s, t)
 
 
 class _Ratio:
@@ -569,18 +571,17 @@ class _Ratio:
     magnitude, including the conditioning of p x + q).  The zero of g is
     taken at the rounded -q1/p1, so within a few ulps of it the sign of g,
     and values of order eps (|p1 x| + |q1|) relative to the rest of g, are
-    as rounded.  All but the interval is read from the :class:`_Pair` ``pair``.
+    as rounded.  All but the interval [lo, hi] is read from the record ``pair``.
     """
 
-    def __init__(self, num: GeneratorSpec, den: GeneratorSpec, lo: float, hi: float,
-                 pair: Optional[_Pair] = None):
+    def __init__(self, pair: _Pair, lo: float, hi: float):
         _require_interval(lo, hi)
-        g = self.pair = pair or _Pair(num, den)
+        g = self.pair = pair
         if not g.convex or (g.p2 and not (g.p2 * lo + g.q2 > 0.0 and g.p2 * hi + g.q2 > 0.0)):
             raise DegenerateDenominator(
-                f"{den.gen.value}(s={den.s}) has non-positive curvature on [{lo}, {hi}]"
+                f"{g.den.gen.value}(s={g.den.s}) has non-positive curvature on [{lo}, {hi}]"
             )
-        self.num, self.den, self.lo, self.hi = num, den, float(lo), float(hi)
+        self.num, self.den, self.lo, self.hi = g.num, g.den, float(lo), float(hi)
         self.c, cm = g.cubic
         self.cm = cm if 1e-30 <= self.lo and self.hi <= 1e30 else None
         # ln|g| at lo and hi, where every use of the ratio starts
@@ -624,8 +625,7 @@ class _Ratio:
             e += abs(lw) + (abs(g.p2 * x) + abs(g.q2)) / w
         e = _ERR * (e + abs(L)) if s else _ERR * e
         if not math.isfinite(e):  # nor is L, unless g = 0 here
-            raise _non_finite(self.num, self.den, self.lo, self.hi,
-                              f"has log-curvature {L!r} +- {e!r} at x = {x!r}")
+            raise self._non_finite(f"has log-curvature {L!r} +- {e!r} at x = {x!r}")
         return _Pt(x, y, l1, L, e, s, lv, lw)
 
     def roots(self, signs: Optional[list[int]] = None) -> list[tuple[float, float, int]]:
@@ -740,12 +740,16 @@ class _Ratio:
         (``grow``) cannot keep its outward padding below the normal range
         of doubles; no bound fits above it."""
         if grow and L < _LOG_TINY:
-            raise _non_finite(self.num, self.den, self.lo, self.hi,
-                              f"underflows double precision (ln|g| about {L:.6g})")
+            raise self._non_finite(f"underflows double precision (ln|g| about {L:.6g})")
         try:
             return math.exp(L)
         except OverflowError as exc:
-            raise _non_finite(self.num, self.den, self.lo, self.hi, _OVERFLOW) from exc
+            raise self._non_finite(_OVERFLOW) from exc
+
+    def _non_finite(self, what: str) -> NonFiniteValue:
+        num, den = self.num, self.den
+        return NonFiniteValue(f"curvature ratio {num.gen.value}(s={num.s}) / {den.gen.value}"
+                              f"(s={den.s}) on [{self.lo}, {self.hi}] {what}")
 
     def direction(self) -> int:
         """+1 / -1 when g is monotone on [lo, hi] (+1 when flat, N = 0), 0
@@ -868,19 +872,18 @@ def closed_form_mM(
     erratum note.  The printed catalog text is compared last, on endpoint
     values only, and can only add an erratum.  Out-of-region: numeric
     enclosure with ``region_ok=False`` unless ``strict``, which raises
-    :class:`RegionViolation`.  For float s and t, what (family, s, t) alone
-    decides comes from a bounded memo (:class:`_Pair`, :data:`_record`).
+    :class:`RegionViolation`.  What (family, s, t) alone decides is its
+    record (:func:`_pair`), for float s and t from a bounded memo.
     """
     if not type(s) is type(t) is type(r) is type(R) is float:
         s, t, r, R = _items(s, t, r, R)
-    # floats only as keys: True == 1.0 hashes alike; other types are validated anew
-    pair = (_record if type(s) is type(t) is float else _record.__wrapped__)(family, s, t)
+    pair = _pair(family, s, t)
     br = pair.branch
     if br is None and strict:
         raise RegionViolation(
             f"(s={s}, t={t}) lies outside every region of family {family.value}"
         )
-    ratio = _Ratio(pair.num, pair.den, r, R, pair)
+    ratio = _Ratio(pair, r, R)
     erratum = None
     if br is not None:
         a, b = ratio.ends

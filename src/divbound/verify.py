@@ -15,19 +15,20 @@ Identical configurations produce bit-identical report JSON.
 What no sample changes is built once per subject set, on first use
 (:func:`_plan`): the checks, and one object (:class:`_Sandwiches`) that
 holds the sandwich checks as integer indices into a table of their
-generator specs, and the verdict of each distinct curvature ratio: its
-direction where the library's own decision (:meth:`bounds._Ratio.direction`)
-finds it monotone on [1e-30, 1e30] (:func:`_verdict`).  A run groups its
-trials by simplex size into blocks, the outer loop.  A ratio monotone there,
-or on the run's ratio envelope by the same decision, takes outward bounds of
-its endpoint values; any other ratio takes each row's own
-:func:`numeric_mM` enclosure.  Per block, one table of generator values
-along a stacked ``s`` axis feeds one array step over ``(checks x rows)``
-per pair of generator kinds.  The other checks of a block read one table of
-measure values and family ``s`` sweeps (:class:`_Values`), summed in one
-compensated sum over their stacked terms.  Each block keeps every check's
-first-index ``argmax``/``argmin`` (:class:`_Tally`), and one more over
-these, in trial order, picks the run's worst trial.
+generator specs, and each distinct curvature ratio's record (the
+:class:`bounds._Pair` that :func:`closed_form_mM` reads) with its verdict:
+its direction where the library's own decision (:meth:`bounds._Ratio.direction`)
+finds it monotone on [1e-30, 1e30].  A run groups its trials by simplex size
+into blocks, the outer loop.  A ratio monotone there, or on the run's ratio
+envelope by the same decision, takes outward bounds of its endpoint values;
+any other ratio takes each row's own enclosure, as :func:`numeric_mM` gives
+it.  Per block, one table of generator values along a stacked ``s`` axis
+feeds one array step over ``(checks x rows)`` per pair of generator kinds.
+The other checks of a block read one table of measure values and family
+``s`` sweeps (:class:`_Values`), summed in one compensated sum over their
+stacked terms.  Each block keeps every check's first-index
+``argmax``/``argmin`` (:class:`_Tally`), and one more over these, in trial
+order, picks the run's worst trial.
 
 :func:`brute_force_mM` is the deliberately plain oracle for the bound
 engine - a dense linear grid with no refinement, on a different
@@ -52,21 +53,19 @@ import numpy as np
 from . import measures as ms
 from . import simplex
 from .bounds import (
-    FAMILY_DEFS,
     PARAM_GRID,
     SLACK_REL_TOL,
     _SPAN,
     _json_fields,
+    _pair,
     _Pair,
     _Ratio,
-    _record,
     InequalityFamily,
     closed_form_mM,
     corollary_table,
     family_generators,
     in_region,
     log_curvatures,
-    numeric_mM,
     region_grid,
 )
 from .errors import (ConfigInvalid, DegenerateDenominator, InvalidArgument,
@@ -191,9 +190,9 @@ class _Check:
     id: str
     kind: str  # "residual" | "slack"
     fn: Callable[[_Values], np.ndarray]
-    # (numerator, denominator) of a sandwich check, which :func:`run`
+    # the curvature-ratio record of a sandwich check, which :func:`run`
     # evaluates through its plan's :class:`_Sandwiches`
-    gens: Optional[tuple[GeneratorSpec, GeneratorSpec]] = None
+    pair: Optional[_Pair] = None
 
 
 def _scaled_residual(lhs, rhs):
@@ -258,21 +257,12 @@ def _family_checks() -> list[_Check]:
 
 #: the sandwich checks of one pair of generator kinds: their ``rows`` in the
 #: check list, their generators' rows ``num`` and ``den`` in the spec table,
-#: the row ``ratio`` of each one's ratio in ``ratios``, the group's distinct
-#: ``(num, den)``, and their :func:`_verdict` ``direction`` (0 where there is
-#: none) and ``sign``
+#: the index ``ratio`` of each one's record in ``ratios``, the group's distinct
+#: records (a tuple), and their :meth:`bounds._Pair.verdict` ``direction`` (0
+#: where there is none) and ``sign``
 _Group = namedtuple("_Group", "rows num den ratio ratios direction sign")
 #: a group's checks proven on an envelope (:meth:`_Sandwiches.prove`)
 _Family = namedtuple("_Family", "rows num den direction sign m M numeric")
-
-
-def _verdict(num: GeneratorSpec, den: GeneratorSpec) -> tuple[int, float]:
-    """The ratio's :meth:`bounds._Pair.verdict` on :data:`_SPAN`, the widest
-    envelope :meth:`_Sandwiches.prove` reads it on: for a family's pair of
-    generator kinds, the memoized record's that closed_form_mM reads too."""
-    family = next((f for f, fd in FAMILY_DEFS.items() if (fd.num_gen, fd.den_gen)
-                   == (num.gen, den.gen)), None)
-    return (_Pair(num, den) if family is None else _record(family, num.s, den.s)).verdict()
 
 
 def _frozen(a) -> np.ndarray:
@@ -282,8 +272,8 @@ def _frozen(a) -> np.ndarray:
 
 
 class _Sandwiches:
-    """The sandwich checks of a subject set, from each check's ``(num,
-    den)`` pair (None for other checks).
+    """The sandwich checks of a subject set, from each check's curvature-ratio
+    record (None for other checks).
 
     Holds the spec table ``specs`` (each generator kind's specs together)
     with its :func:`log_d2` ``records`` and ``stacks`` (one stacked spec per
@@ -292,42 +282,43 @@ class _Sandwiches:
     checks keep the ``(checks x rows)`` temporaries small.
     """
 
-    def __init__(self, ratios: list[Optional[tuple[GeneratorSpec, GeneratorSpec]]]):
-        specs = dict.fromkeys(spec for ratio in ratios if ratio for spec in ratio)
+    def __init__(self, pairs: list[Optional[_Pair]]):
+        specs = dict.fromkeys(spec for pair in pairs if pair for spec in (pair.num, pair.den))
         self.specs = tuple(sorted(specs, key=lambda spec: spec.gen.value))
         self.records = _frozen(np.array([log_d2(spec) for spec in self.specs]).reshape(-1, 6))
         self.stacks = tuple(GeneratorSpec(gen, _frozen([spec.s for spec in specs]))
                             for gen, specs in groupby(self.specs, lambda spec: spec.gen))
         index = {spec: i for i, spec in enumerate(self.specs)}
         members = {}
-        for k, ratio in enumerate(ratios):
-            if ratio is not None:
-                members.setdefault((ratio[0].gen, ratio[1].gen), []).append(k)
+        for k, pair in enumerate(pairs):
+            if pair is not None:
+                members.setdefault((pair.num.gen, pair.den.gen), []).append(k)
         groups = []
         for ks in members.values():
-            pairs, distinct = [(index[ratios[k][0]], index[ratios[k][1]]) for k in ks], {}
-            ratio = [distinct.setdefault(pair, len(distinct)) for pair in pairs]
-            verdicts = [_verdict(self.specs[i], self.specs[j]) for i, j in distinct]
-            arrays = ks, *zip(*pairs), ratio, list(distinct), *zip(*verdicts)
-            groups.append(_Group(*map(_frozen, arrays)))
+            distinct = {}
+            ratio = [distinct.setdefault(pairs[k], len(distinct)) for k in ks]
+            rows = [(index[pairs[k].num], index[pairs[k].den]) for k in ks]
+            verdicts = zip(*(pair.verdict() for pair in distinct))
+            groups.append(_Group(*map(_frozen, (ks, *zip(*rows), ratio)), tuple(distinct),
+                                 *map(_frozen, verdicts)))
         self.groups = tuple(groups)
 
     def prove(self, lo: float, hi: float) -> list:
         """Per :data:`_Group`, a :data:`_Family` on the envelope [lo, hi] of
         every block's ratios: each check's ``direction`` (0 where not
         monotone or where g has a zero; +1 on a zero-width envelope) and
-        ``sign`` (of g at lo): a ratio's verdict, or its scalar
+        ``sign`` (of g at lo): its record's verdict, or the record's scalar
         :class:`_Ratio` where it has none or [lo, hi] leaves :data:`_SPAN`.
         ``m`` and ``M`` are the flat rows (4 spec + slot) of the bounds each
         constant divides: at r (m) and R (M) where g rises, else the
         reverse; a lower bound of |g| (numerator's lower over denominator's
         upper) for m if g > 0 and M if g < 0.  ``numeric`` lists the
-        unproven ``(check, ratio)``."""
+        unproven ``(check, record)``."""
         families, inside = [], _SPAN[0] <= lo <= hi <= _SPAN[1]
         for group in self.groups:
             direction, sign = group.direction.copy(), group.sign.copy()
             for k in np.flatnonzero((direction == 0) | (not inside)).tolist():
-                g = _Ratio(*(self.specs[i] for i in group.ratios[k].tolist()), lo, hi)
+                g = _Ratio(group.ratios[k], lo, hi)
                 direction[k], sign[k] = g.direction() if lo < hi else 1, g.ends[0].s
             direction = (direction if lo < hi else np.ones_like(direction))[group.ratio]
             sign = sign[group.ratio]
@@ -336,7 +327,7 @@ class _Sandwiches:
             families.append(_Family(
                 group.rows, group.num, group.den, direction, sign[:, None],
                 (num + neg + end, den + 2 - neg + end), (num + 3 - neg - end, den + 1 + neg - end),
-                [(c, (self.specs[group.num[c]], self.specs[group.den[c]]))
+                [(c, group.ratios[group.ratio[c]])
                  for c in np.flatnonzero(direction == 0).tolist()],
             ))
         return families
@@ -366,7 +357,7 @@ class _Sandwiches:
         the block's rows: the sandwich constants of each check on each row's
         [r, R], for a ratio proven monotone quotients of the padded bounds at
         its ends, so ``m <= inf g`` and ``M >= sup g`` by construction,
-        elsewhere each row's :func:`numeric_mM` enclosure; and the
+        elsewhere each row's enclosure by the record's :class:`_Ratio`; and the
         normalized slack min(C1 - m C2, M C2 - C1) / max(1, |C1|)."""
         r, R, bounds, div = self.table(P, Q)
         bounds = bounds.reshape(-1, r.shape[0])
@@ -374,9 +365,9 @@ class _Sandwiches:
             with np.errstate(divide="ignore", over="ignore"):
                 m, M = (family.sign * (bounds.take(a, axis=0) / bounds.take(b, axis=0))
                         for a, b in (family.m, family.M))
-            for k, ratio in family.numeric:
+            for k, pair in family.numeric:
                 for i in range(r.shape[0]):
-                    m[k, i], M[k, i] = numeric_mM(*ratio, float(r[i]), float(R[i]))
+                    m[k, i], M[k, i], _ = _Ratio(pair, float(r[i]), float(R[i])).extrema()
             c1, c2 = div.take(family.num, axis=0), div.take(family.den, axis=0)
             yield family, m, M, np.minimum(c1 - m * c2, M * c2 - c1) / np.maximum(1.0, np.abs(c1))
 
@@ -386,21 +377,25 @@ def sandwich_slack_bulk(
 ) -> np.ndarray:
     """Per-row normalized sandwich slack min(C1 - m C2, M C2 - C1) / max(1, |C1|).
 
-    The rows form one block: endpoint constants are used only after the
-    curvature ratio is proven monotone on the rows' pooled ratio
-    envelope; otherwise each row falls back to :func:`numeric_mM`.
+    The rows form one block, ``P`` and ``Q`` non-empty 2-D arrays of one
+    shape: endpoint constants are used only after the curvature ratio is
+    proven monotone on the rows' pooled ratio envelope; otherwise each row
+    takes its own enclosure, as :func:`numeric_mM` gives it.
     """
+    P, Q = np.asarray(P), np.asarray(Q)
+    if P.ndim != 2 or P.shape != Q.shape or not P.size:
+        raise InvalidArgument(f"P and Q must be non-empty 2-D arrays of one shape, "
+                              f"got shapes {P.shape} and {Q.shape}")
+    sandwiches = _Sandwiches([_pair(family, s, t)])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = P / Q  # a zero mass gives an end that prove refuses
-    sandwiches = _Sandwiches([family_generators(family, s, t)])
     (*_, slack), = sandwiches.slacks(P, Q, sandwiches.prove(ratios.min(), ratios.max()))
     return slack[0]
 
 
 def _sandwich_check(id: str, family: InequalityFamily, s: float, t: float) -> _Check:
-    pair = _record(family, s, t)  # its specs, which the record holds too
     return _Check(id, "slack", lambda v: sandwich_slack_bulk(family, s, t, v.P, v.Q),
-                  gens=(pair.num, pair.den))
+                  _pair(family, s, t))
 
 
 def _corollary_checks() -> list[_Check]:
@@ -432,11 +427,11 @@ def _plan(subjects: tuple[str, ...]) -> tuple:
     plain checks' indices, the :class:`_Values` entries these read (found
     by running them once on one pair) and the others' :class:`_Sandwiches`."""
     checks = tuple(_build_checks(subjects))
-    plain = _frozen(np.array([k for k, check in enumerate(checks) if check.gens is None], int))
+    plain = _frozen(np.array([k for k, check in enumerate(checks) if check.pair is None], int))
     probe = _Values(*np.full((2, 1, 2), 0.5))
     for k in plain.tolist():
         checks[k].fn(probe)
-    return checks, plain, tuple(probe), _Sandwiches([check.gens for check in checks])
+    return checks, plain, tuple(probe), _Sandwiches([check.pair for check in checks])
 
 
 # --------------------------------------------------------------------------
@@ -517,7 +512,7 @@ def _shrink_witness(check: _Check, p: np.ndarray, q: np.ndarray, rel_tol: float)
         if not fails(p2, q2):
             break
         p, q = p2, q2
-    s, t = (None, None) if check.gens is None else (spec.s for spec in check.gens)
+    s, t = (None, None) if check.pair is None else (check.pair.num.s, check.pair.den.s)
     return Witness(tuple(p.tolist()), tuple(q.tolist()), s, t)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -256,7 +257,7 @@ class TestEnclosure:
             for s, t in region_grid(family):
                 num, den = family_generators(family, s, t)
                 for r, R in intervals:
-                    m, M, width = bounds._Ratio(num, den, r, R).extrema()
+                    m, M, width = bounds._Ratio(bounds._Pair(num, den), r, R).extrema()
                     bm, bM = battery_oracle(num, den, r, R)
                     assert m <= bm and M >= bM, (family, s, t, r, R)
                     assert width <= 1e-9, (family, s, t, r, R)
@@ -318,7 +319,7 @@ class TestEnclosure:
         @hyp.given(requests())
         def check(request):
             family, s, t, r, R = request
-            ratio = bounds._Ratio(*family_generators(family, s, t), r, R)
+            ratio = bounds._Ratio(bounds._Pair(*family_generators(family, s, t)), r, R)
             direction = ratio.direction()
             if direction:
                 xs = np.exp(np.linspace(np.log(r), np.log(R), 257))
@@ -345,7 +346,7 @@ class TestEnclosure:
         # vanishes for every (s, t) and is built as exactly 0, where the
         # rounded record fields put a spurious root near x = 2.8e16
         family, s, t, r, R = F.VII, 3.5, -2.978951757508582, 1.0, 1e17
-        ratio = bounds._Ratio(*family_generators(family, s, t), r, R)
+        ratio = bounds._Ratio(bounds._Pair(*family_generators(family, s, t)), r, R)
         assert ratio.c[2] == 0.0 and ratio.c[3] == 0.0
         assert ratio.direction() == -1 and ratio.roots() == []
         cert = closed_form_mM(family, s, t, r, R)
@@ -457,7 +458,7 @@ class TestCubic:
         ((0, 0, 0, 0), 1),  # flat
     ])
     def test_only_roots_of_odd_multiplicity_turn_g(self, c, direction):
-        ratio = bounds._Ratio(*family_generators(F.I, 2.0, 2.0), 0.1, 1.0)
+        ratio = bounds._Ratio(bounds._Pair(*family_generators(F.I, 2.0, 2.0)), 0.1, 1.0)
         ratio.c, ratio.cm = tuple(map(float, c)), tuple(float(abs(v)) for v in c)
         ratio.pair._exact = c
         assert ratio.direction() == direction
@@ -544,8 +545,9 @@ class TestClosedForm:
             for s, t in region_grid(family):
                 cert = closed_form_mM(family, s, t, 0.3, 5.0)
                 assert cert.region_ok and cert.m <= cert.M, (family, s, t)
-                ratios.append(family_generators(family, s, t))
-                assert cert.m <= g_ratio(*ratios[-1], np.array([0.3, 5.0])).min()
+                ratios.append(bounds._Pair(*family_generators(family, s, t)))
+                assert cert.m <= g_ratio(*family_generators(family, s, t),
+                                         np.array([0.3, 5.0])).min()
         P, Q = np.array([[0.15, 0.85], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.1, 0.9]])
         sandwiches = verify._Sandwiches(ratios)
         families = sandwiches.prove(float((P / Q).min()), float((P / Q).max()))
@@ -757,6 +759,19 @@ class TestClosedForm:
         with pytest.raises(InvalidArgument, match="must be a real number"):
             closed_form_mM(F.II, s, t, 0.5, 2.0)
 
+    @pytest.mark.parametrize("family", ["I", [1], None, F])
+    @pytest.mark.parametrize("s,t", [(2.0, 1.0), (2, 1)])
+    def test_rejects_a_family_that_is_not_one(self, family, s, t, fixed_pair):
+        # before the memo, which would hash it, or the catalog, which would
+        # look it up: the error names it
+        P, Q = fixed_pair
+        block = np.array([P.masses, Q.masses])
+        for certify in (lambda: closed_form_mM(family, s, t, 0.5, 2.0),
+                        lambda: sandwich_check(family, s, t, P, Q),
+                        lambda: verify.sandwich_slack_bulk(family, s, t, block, block[::-1])):
+            with pytest.raises(InvalidArgument, match=re.escape(repr(family))):
+                certify()
+
 
 def _battery() -> list[tuple]:
     """1500 seeded certify requests: the validation grid with ratios within
@@ -831,7 +846,8 @@ class TestMemo:
         # room for the catalog: every grid (family, s, t) and the harness's
         # 616 distinct ratios, which are grid ones too
         size = bounds._record.cache_info().maxsize
-        harness = {c.gens for c in verify._build_checks(("all", "bounds-grid")) if c.gens}
+        harness = {(c.pair.num, c.pair.den)
+                   for c in verify._build_checks(("all", "bounds-grid")) if c.pair}
         assert len(harness) == 616
         assert len(F) * len(PARAM_GRID) ** 2 + len(harness) <= size < 10_000
         for k in range(size + 50):

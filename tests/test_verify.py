@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -14,8 +15,10 @@ from divbound.bounds import (
     PARAM_GRID,
     InequalityFamily,
     _coefficients,
+    _Pair,
     _Ratio,
     active_branch,
+    closed_form_mM,
     corollary_table,
     family_generators,
     in_region,
@@ -46,7 +49,6 @@ from divbound.verify import (
     _shrink_witness,
     _Tally,
     _Values,
-    _verdict,
     brute_force_mM,
     run,
     sandwich_slack_bulk,
@@ -203,23 +205,25 @@ class TestSharedBlockTable:
         assert run(cfg).to_json() == _unshared_report(cfg)
 
     def test_row_fallback_matches_unshared_path(self, monkeypatch, cold_memo):
-        # one corner's ratio closes nowhere, so its rows take numeric_mM
+        # one corner's ratio closes nowhere, so its rows take their own
+        # enclosures, each one scalar ratio's extrema
         cfg = VerifyConfig(trials=300, seed=2026, subjects=("all", "bounds-grid"))
         never = family_generators(F.II, 2.0, 1.0)
+        fallback = []
 
         class Never(_Ratio):
             def direction(self):
                 return 0 if (self.num, self.den) == never else super().direction()
+
+            def extrema(self):
+                fallback.append((self.num, self.den))
+                return super().extrema()
 
         # the plan's verdicts come from the records' bounds._Ratio, so it has
         # none here
         _fresh_plans(monkeypatch)
         monkeypatch.setattr(verify, "_Ratio", Never)
         monkeypatch.setattr(bounds, "_Ratio", Never)
-        fallback = []
-        enclose = numeric_mM
-        monkeypatch.setattr("divbound.verify.numeric_mM",
-                            lambda *a: fallback.append(a) or enclose(*a))
         report = run(cfg).to_json()
         assert len(fallback) == 2 * cfg.trials  # a bounds-grid check and a corollary
         assert report == _unshared_report(cfg)
@@ -229,15 +233,15 @@ class TestSharedBlockTable:
         decided = []
 
         class Recorded(_Ratio):
-            def __init__(self, num, den, lo, hi, *pair):
-                decided.append((num, den, lo, hi))
-                super().__init__(num, den, lo, hi, *pair)
+            def __init__(self, pair, lo, hi):
+                decided.append((pair.num, pair.den, lo, hi))
+                super().__init__(pair, lo, hi)
 
         # the verdicts are the records' (bounds._Ratio on the span)
         _fresh_plans(monkeypatch)
         monkeypatch.setattr(bounds, "_Ratio", Recorded)
         verify._plan(cfg.subjects)
-        ratios = {c.gens for c in _build_checks(cfg.subjects) if c.gens is not None}
+        ratios = {(c.pair.num, c.pair.den) for c in _build_checks(cfg.subjects) if c.pair}
         assert len(decided) == len(set(decided)) == len(ratios) == 616
         # each on the widest envelope the verdicts are read on
         assert {(lo, hi) for *_, lo, hi in decided} == {(1e-30, 1e30)}
@@ -286,7 +290,7 @@ class _Recording(_Values):
         return super().__getitem__(key)
 
 
-PLAIN_CHECKS = [c for c in _build_checks(("identities", "families")) if c.gens is None]
+PLAIN_CHECKS = [c for c in _build_checks(("identities", "families")) if c.pair is None]
 
 
 class TestValueTable:
@@ -386,7 +390,7 @@ def _stacked_kernels_match(s, P, Q):
 def _block_table(specs, P, Q):
     """The spec table, curvature bounds and f-divergences of one block for
     the ratios of ``specs`` over PHI(2), whose curvature is 1."""
-    sandwiches = _Sandwiches([(spec, PHI2) for spec in specs])
+    sandwiches = _Sandwiches([_Pair(spec, PHI2) for spec in specs])
     _, _, bounds, div = sandwiches.table(P, Q)
     return sandwiches.specs, bounds, div
 
@@ -566,7 +570,7 @@ class TestWitnessShrinking:
         # a check that always fails on non-uniform pairs: slack = -Delta(P,Q)
         check = _Check(
             "synthetic", "slack", lambda v: -np.atleast_1d(triangular(v.P, v.Q)),
-            gens=(GeneratorSpec(Gen.PHI, 1.0), GeneratorSpec(Gen.PHI, 2.0)),
+            pair=_Pair(GeneratorSpec(Gen.PHI, 1.0), GeneratorSpec(Gen.PHI, 2.0)),
         )
         p = np.array([0.8, 0.1, 0.1])
         q = np.array([0.1, 0.1, 0.8])
@@ -695,21 +699,19 @@ def _fresh_plans(monkeypatch):
 
 def _harness_ratios():
     """The distinct ratios of every sandwich check, as the harness decides
-    them: ``(num, den, direction, sign)``, direction 0 where the plan holds
+    them: ``(record, direction, sign)``, direction 0 where the plan holds
     no verdict."""
-    sandwiches = verify._plan(("all", "bounds-grid"))[3]
-    for group in sandwiches.groups:
-        for (i, j), direction, sign in zip(group.ratios.tolist(), group.direction.tolist(),
-                                           group.sign.tolist()):
-            yield sandwiches.specs[i], sandwiches.specs[j], direction, sign
+    for group in verify._plan(("all", "bounds-grid"))[3].groups:
+        yield from zip(group.ratios, group.direction.tolist(), group.sign.tolist())
 
 
 def _same_decisions(ratios, lo, hi):
-    """``_Sandwiches(ratios).prove(lo, hi)`` makes the decisions of one
-    scalar _Ratio per ratio, its direction() (+1 on a zero-width envelope)
-    and the sign of g at lo, or raises the scalar ratio's error."""
+    """``_Sandwiches(ratios).prove(lo, hi)`` on the records ``ratios`` makes
+    the decisions of one scalar _Ratio per ratio, on a record of its own:
+    its direction() (+1 on a zero-width envelope) and the sign of g at lo,
+    or raises the scalar ratio's error."""
     try:
-        scalar = [_Ratio(num, den, lo, hi) for num, den in ratios]
+        scalar = [_Ratio(_Pair(pair.num, pair.den), lo, hi) for pair in ratios]
     except DivboundError as exc:
         with pytest.raises(type(exc)):
             _Sandwiches(ratios).prove(lo, hi)
@@ -728,10 +730,10 @@ def _verdicts_hold(lo, hi) -> int:
     """Each harness verdict equals the scalar ratio's decisions on [lo, hi];
     returns the number of verdicts."""
     count = 0
-    for num, den, direction, sign in _harness_ratios():
+    for pair, direction, sign in _harness_ratios():
         if direction:
-            g = _Ratio(num, den, lo, hi)
-            assert (direction, sign) == (g.direction(), g.ends[0].s), (num, den, lo, hi)
+            g = _Ratio(_Pair(pair.num, pair.den), lo, hi)
+            assert (direction, sign) == (g.direction(), g.ends[0].s), (g.num, g.den, lo, hi)
             count += 1
     return count
 
@@ -741,7 +743,7 @@ class TestPlanVerdicts:
     are its decisions on every envelope within it."""
 
     def test_harness_envelopes_of_seeds_1_to_40(self):
-        ratios = [(num, den) for num, den, _, _ in _harness_ratios()]
+        ratios = [pair for pair, _, _ in _harness_ratios()]
         verdicts = 0
         for seed in range(1, 41):
             blocks = _sample_trials(VerifyConfig(trials=1000, seed=seed))
@@ -754,7 +756,7 @@ class TestPlanVerdicts:
     @pytest.mark.parametrize("x", [0.05, 1.0, 1.5, 40.0])
     def test_zero_width_envelope(self, x):
         assert _verdicts_hold(x, x) == 616
-        _same_decisions([(num, den) for num, den, _, _ in _harness_ratios()], x, x)
+        _same_decisions([pair for pair, _, _ in _harness_ratios()], x, x)
 
     def test_every_ratio_is_scalar_outside_the_filter_range(self, monkeypatch):
         # the verdicts are read only on envelopes within [1e-30, 1e30]
@@ -766,7 +768,7 @@ class TestPlanVerdicts:
             sandwiches.prove(lo, hi)
             assert len(proved) == 616
             monkeypatch.undo()
-            _same_decisions([(num, den) for num, den, _, _ in _harness_ratios()], lo, hi)
+            _same_decisions([pair for pair, _, _ in _harness_ratios()], lo, hi)
 
     def test_no_ratio_is_scalar_on_a_harness_envelope(self, monkeypatch):
         sandwiches = verify._plan(("all", "bounds-grid"))[3]
@@ -783,18 +785,18 @@ class TestPlanVerdicts:
         exact, alone = [], bounds._Pair.exact.fget
         monkeypatch.setattr(bounds._Pair, "exact",
                             property(lambda g: exact.append((g.num, g.den)) or alone(g)))
-        for num, den, direction, sign in ratios:
-            assert _verdict(num, den) == (direction, sign), (num, den)
+        for pair, direction, sign in ratios:
+            assert _Pair(pair.num, pair.den).verdict() == (direction, sign), (pair.num, pair.den)
         assert len(set(exact)) == 615
         assert family_generators(F.II, 2.0, 2.0) not in exact
-        _same_decisions([ratio[:2] for ratio in ratios], 0.003, 400.0)
+        _same_decisions([_Pair(pair.num, pair.den) for pair, _, _ in ratios], 0.003, 400.0)
 
     def test_refused_ratios_raise_as_alone(self):
         # PHI(2) over XI(5): the linear factor 5x - 1 of XI(5)'' is negative
         # below x = 1/5, so the ratio has no verdict
-        refused = (PHI2, GeneratorSpec(Gen.XI, 5.0))
-        assert _verdict(*refused) == (0, 0.0)
-        ratios = [(PHI2, GeneratorSpec(Gen.XI, 2.0)), refused]
+        refused = _Pair(PHI2, GeneratorSpec(Gen.XI, 5.0))
+        assert refused.verdict() == (0, 0.0)
+        ratios = [_Pair(PHI2, GeneratorSpec(Gen.XI, 2.0)), refused]
         for lo, hi in ((0.1, 2.0), (0.3, 2.0), (0.0, 2.0), (2.0, 1.0), (1.0, np.inf)):
             _same_decisions(ratios, lo, hi)
         with pytest.raises(DivboundError):
@@ -814,14 +816,14 @@ class TestPlanVerdicts:
                    st.lists(st.tuples(param, param), min_size=1, max_size=6), end, end)
         def check(f1, f2, pairs, x, y):
             lo, hi = min(x, y), max(x, y)
-            ratios = [(GeneratorSpec(f1, s), GeneratorSpec(f2, t)) for s, t in pairs]
+            ratios = [_Pair(GeneratorSpec(f1, s), GeneratorSpec(f2, t)) for s, t in pairs]
             _same_decisions(ratios, lo, hi)
             if 1e-30 <= lo and hi <= 1e30:
                 for ratio in ratios:
-                    verdict = _verdict(*ratio)
+                    verdict = ratio.verdict()
                     if verdict[0]:
-                        g = _Ratio(*ratio, lo, hi)
-                        assert verdict == (g.direction(), g.ends[0].s), ratio
+                        g = _Ratio(_Pair(ratio.num, ratio.den), lo, hi)
+                        assert verdict == (g.direction(), g.ends[0].s), (g.num, g.den)
 
         check()
 
@@ -831,7 +833,7 @@ class TestPlanVerdicts:
         cases = [(c.family, c.s, c.t) for c in corollary_table()] + [
             (family, s, t) for family in F for s, t in region_grid(family)]
         read = [sandwich_slack_bulk(*case, P, Q) for case in cases]
-        monkeypatch.setattr(verify, "_verdict", lambda num, den: (0, 0.0))
+        monkeypatch.setattr(_Pair, "verdict", lambda pair: (0, 0.0))
         for case, slack in zip(cases, read):
             assert np.array_equal(sandwich_slack_bulk(*case, P, Q), slack, equal_nan=True), case
 
@@ -842,7 +844,7 @@ class TestPlanVerdicts:
         against = []
         for family in F:
             for s, t in region_grid(family):
-                verdict = _verdict(*family_generators(family, s, t))
+                verdict = _Pair(*family_generators(family, s, t)).verdict()
                 assert verdict[0], (family, s, t)
                 if (verdict[0] > 0) != active_branch(family, s, t).increasing:
                     against.append((family, s, t))
@@ -851,8 +853,8 @@ class TestPlanVerdicts:
                            (F.IX, 0.0, -1.0)]
         flat = [(F.III, 2.0, 2.0), (F.VII, 0.0, -1.0), (F.IX, 0.0, -1.0)]
         for family, s, t in flat:
-            assert _Ratio(*family_generators(family, s, t), 1.0, 1.0).pair.exact == (0, 0, 0, 0)
-        assert _Ratio(*family_generators(F.III, 4.0, 3.0), 1.0, 1.0).pair.exact != (0, 0, 0, 0)
+            assert _Pair(*family_generators(family, s, t)).exact == (0, 0, 0, 0)
+        assert _Pair(*family_generators(F.III, 4.0, 3.0)).exact != (0, 0, 0, 0)
 
     def test_decides_a_ratio_whose_coefficients_change_sign(self):
         # PHI(0.9)''/VARSIGMA(0.5)'': N's coefficients c_k change sign, so no
@@ -861,13 +863,13 @@ class TestPlanVerdicts:
         num, den = GeneratorSpec(Gen.PHI, 0.9), GeneratorSpec(Gen.VARSIGMA, 0.5)
         c, _ = _coefficients(D2_FORMS[num.gen], D2_FORMS[den.gen], num.s, den.s)
         assert min(c) < 0.0 < max(c)
-        assert _verdict(num, den) == (1, 1.0)
+        assert _Pair(num, den).verdict() == (1, 1.0)
         ends = np.sort(np.exp(np.random.default_rng(26).uniform(np.log(1e-30), np.log(1e30),
                                                                  (200, 2))), axis=1)
         for lo, hi in [(0.003, 400.0), (1e-30, 1e-29), (1e29, 1e30)] + ends.tolist():
-            g = _Ratio(num, den, lo, hi)
+            g = _Ratio(_Pair(num, den), lo, hi)
             assert (g.direction(), g.ends[0].s) == (1, 1.0), (lo, hi)
-        (family,) = _Sandwiches([(num, den)]).prove(0.003, 400.0)
+        (family,) = _Sandwiches([_Pair(num, den)]).prove(0.003, 400.0)
         assert (family.direction.tolist(), family.sign.tolist()) == ([1], [[1.0]])
 
 
@@ -894,7 +896,10 @@ class TestPlan:
         checks, plain, keys, sandwiches = verify._plan(("all", "bounds-grid"))
         assert isinstance(checks, tuple) and isinstance(keys, tuple) and len(keys) == 29
         arrays = [plain, sandwiches.records] + [stack.s for stack in sandwiches.stacks]
-        arrays += [array for group in sandwiches.groups for array in group]
+        # each group's records are a tuple, immutable too
+        assert all(type(group.ratios) is tuple for group in sandwiches.groups)
+        arrays += [array for group in sandwiches.groups for array in group
+                   if array is not group.ratios]
         assert sum(len(group.rows) for group in sandwiches.groups) == 649
         assert sum(len(group.ratios) for group in sandwiches.groups) == 616
         for array in arrays:
@@ -916,13 +921,13 @@ class TestGroupProof:
     def test_proof_follows_the_ratio(self, family, s, t, expected):
         ratios = self.P / self.Q
         assert (ratios.min(), ratios.max()) == (0.4, 2.0)
-        (checks,) = _Sandwiches([family_generators(family, s, t)]).prove(0.4, 2.0)
+        (checks,) = _Sandwiches([_Pair(*family_generators(family, s, t))]).prove(0.4, 2.0)
         assert checks.direction.tolist() == [expected]
 
     def test_zero_width_envelope_counts_as_increasing(self, monkeypatch):
         # the plan decides the ratio once (I(0, 0) has no verdict); prove
         # then asks no direction
-        sandwiches = _Sandwiches([family_generators(F.I, 0.0, 0.0)])
+        sandwiches = _Sandwiches([_Pair(*family_generators(F.I, 0.0, 0.0))])
         monkeypatch.setattr(_Ratio, "direction", lambda self: pytest.fail("proved"))
         (checks,) = sandwiches.prove(1.5, 1.5)
         assert checks.direction.tolist() == [1]
@@ -952,7 +957,7 @@ class TestBlockTableSoundness:
             s, t = (rng.uniform(*((-40.0, 40.0), (0.0, 4.0), (2.0, 4.0))[rng.integers(3)])
                     for _ in range(2))
             if in_region(family, s, t):
-                ratios.append(family_generators(family, float(s), float(t)))
+                ratios.append(_Pair(*family_generators(family, float(s), float(t))))
         proven = 0
         for seed in (1, 2):
             P, Q = sample_pair_matrix(6, 30, seed=seed, concentration=0.3)
@@ -970,8 +975,8 @@ class TestBlockTableSoundness:
                     for i in range(30):
                         lo, hi = mpmath.mpf(m[k, i]), mpmath.mpf(M[k, i])
                         for x in (r[i], R[i]):
-                            g = mp_curvature_ratio(*ratio, float(x))
-                            assert lo <= g <= hi, (ratio, float(x))
+                            g = mp_curvature_ratio(ratio.num, ratio.den, float(x))
+                            assert lo <= g <= hi, (ratio.num, ratio.den, float(x))
         assert proven >= 500
 
 
@@ -1058,3 +1063,91 @@ class TestTightness:
     def test_rejects_no_shrink_levels(self, levels):
         with pytest.raises(ConfigInvalid, match="shrink_levels"):
             tightness_scan(F.II, 2.0, 1.0, trials=2, seed=1, shrink_levels=levels)
+
+
+class TestSlackBulkBlock:
+    """sandwich_slack_bulk takes one block: two non-empty 2-D arrays of one
+    shape, and nothing numpy would broadcast or reduce otherwise."""
+
+    P = np.array([[0.2, 0.8], [0.5, 0.5]])
+    Q = np.array([[0.3, 0.7], [0.6, 0.4]])
+
+    def test_slacks_of_a_block(self):
+        slacks = sandwich_slack_bulk(F.I, 2.0, 1.0, self.P, self.Q)
+        assert slacks == pytest.approx([0.0029, 0.0017], abs=5e-5)
+
+    @pytest.mark.parametrize("P,Q", [
+        (P, Q[:, :1]),  # broadcast across columns: a false violation
+        (P, Q[:1]),  # broadcast across rows
+        (P[:, :1], Q),
+        (P[0], Q[0]),  # 1-D
+        (P[None], Q[None]),  # 3-D
+        (P[:0], Q[:0]),  # no rows
+    ])
+    def test_rejects_any_other_shape(self, P, Q):
+        with pytest.raises(InvalidArgument, match=re.escape(f"{P.shape} and {Q.shape}")):
+            sandwich_slack_bulk(F.I, 2.0, 1.0, P, Q)
+
+
+class TestOneRecordPerRatio:
+    """One curvature-ratio record per (family, s, t), from the catalog to the
+    harness: the plan's checks hold the records closed_form_mM reads."""
+
+    def test_plan_holds_the_certificates_records(self, monkeypatch, cold_memo):
+        _fresh_plans(monkeypatch)
+        checks, _, _, sandwiches = verify._plan(("all", "bounds-grid"))
+        sandwich = [check for check in checks if check.pair is not None]
+        cases = [(c.family, c.s, c.t) for c in corollary_table()]
+        cases += [(family, s, t) for family in F for s, t in region_grid(family)]
+        assert len(sandwich) == len(cases) == 649
+        read = []
+
+        class Reading(_Ratio):
+            def __init__(self, pair, lo, hi):
+                read.append(pair)
+                super().__init__(pair, lo, hi)
+
+        monkeypatch.setattr(bounds, "_Ratio", Reading)
+        for check, (family, s, t) in zip(sandwich, cases):
+            read.clear()
+            closed_form_mM(family, s, t, 0.5, 2.0)
+            assert read[0] is check.pair is bounds._record(family, s, t), check.id
+        records = [pair for group in sandwiches.groups for pair in group.ratios]
+        assert len({id(pair) for pair in records}) == len(records) == 616
+        assert {id(check.pair) for check in sandwich} == {id(pair) for pair in records}
+
+    def test_no_record_per_row_on_a_non_monotone_ratio(self, monkeypatch, cold_memo):
+        # III(2.539, 2.156) has no verdict and is not monotone on either
+        # envelope, so every row takes its own enclosure of the one record
+        P, Q = sample_pair_matrix(4, 200, seed=28)
+        (family,) = _Sandwiches([_Pair(*family_generators(F.III, 2.539, 2.156))]).prove(
+            float((P[:2] / Q[:2]).min()), float((P[:2] / Q[:2]).max()))
+        assert family.numeric
+        built, init = [], _Pair.__init__
+        monkeypatch.setattr(_Pair, "__init__", lambda pair, *a: built.append(a) or init(pair, *a))
+        counts = []
+        for rows in (2, 200):
+            bounds._record.cache_clear()
+            built.clear()
+            sandwich_slack_bulk(F.III, 2.539, 2.156, P[:rows], Q[:rows])
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+
+#: sha256 of two harness reports over every subject, recorded before sandwich
+#: checks carried their records: seed 1 at 200 trials, and a witness run
+#: (rel_tol 1e-300, 50 trials on 2 to 6 masses) in which 25 checks fail
+REPORT_DIGESTS = {
+    VerifyConfig(trials=200, seed=1, subjects=("all", "bounds-grid")):
+        "bcd54c91bc99e1819e5922be77ae2a957610d0eab4904549de745ef3341f7657",
+    VerifyConfig(trials=50, seed=1, rel_tol=1e-300, n_range=(2, 6),
+                 subjects=("all", "bounds-grid")):
+        "6680b461c26a1c60f1028e6b897317e2df67d217759f64cd8c08295f6317b4c7",
+}
+
+
+@pytest.mark.parametrize("config", list(REPORT_DIGESTS))
+def test_report_digest(config):
+    # a change to any bit of either report, witnesses included, fails here
+    digest = hashlib.sha256(run(config).to_json().encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[config]
