@@ -298,16 +298,23 @@ FAMILY_DEFS: dict[InequalityFamily, FamilyDef] = {
 }
 
 
+def _definition(family: InequalityFamily) -> FamilyDef:
+    """The family's :data:`FAMILY_DEFS` entry, refusing any other type."""
+    if not isinstance(family, InequalityFamily):
+        raise InvalidArgument(f"family must be an InequalityFamily, got {family!r}")
+    return FAMILY_DEFS[family]
+
+
 def family_generators(
     family: InequalityFamily, s: float, t: float
 ) -> tuple[GeneratorSpec, GeneratorSpec]:
-    fd = FAMILY_DEFS[family]
+    fd = _definition(family)
     return GeneratorSpec(fd.num_gen, s), GeneratorSpec(fd.den_gen, t)
 
 
 def active_branch(family: InequalityFamily, s: float, t: float) -> Optional[Branch]:
     """First branch whose region contains (s, t), or None."""
-    for br in FAMILY_DEFS[family].branches:
+    for br in _definition(family).branches:
         if br.predicate(s, t):
             return br
     return None
@@ -552,8 +559,7 @@ _record = lru_cache(maxsize=2 * len(InequalityFamily) * len(PARAM_GRID) ** 2)(
 def _pair(family: InequalityFamily, s, t) -> _Pair:
     """The family's :class:`_Pair` at (s, t): from the :data:`_record` memo for
     float s and t, else built anew (True == 1.0 hashes alike)."""
-    if not isinstance(family, InequalityFamily):
-        raise InvalidArgument(f"family must be an InequalityFamily, got {family!r}")
+    _definition(family)
     return (_record if type(s) is type(t) is float else _record.__wrapped__)(family, s, t)
 
 

@@ -155,7 +155,11 @@ def _require_integer(name: str, value, least=None, error: type = InvalidArgument
 
 def _require_interval(r: float, R: float) -> None:
     """Raise unless [r, R] is a finite, positive interval with r <= R."""
-    if not (math.isfinite(r) and math.isfinite(R)):
+    try:
+        finite = math.isfinite(r) and math.isfinite(R)
+    except TypeError:
+        raise InvalidArgument(f"interval ends must be real numbers, got [{r!r}, {R!r}]") from None
+    if not finite:
         raise InvalidArgument(f"interval ends must be finite, got [{r}, {R}]")
     if not (r > 0.0 and R > 0.0):
         raise NonPositiveArgument(f"interval must be positive, got [{r}, {R}]")

@@ -15,20 +15,20 @@ Identical configurations produce bit-identical report JSON.
 What no sample changes is built once per subject set, on first use
 (:func:`_plan`): the checks, and one object (:class:`_Sandwiches`) that
 holds the sandwich checks as integer indices into a table of their
-generator specs, and each distinct curvature ratio's record (the
-:class:`bounds._Pair` that :func:`closed_form_mM` reads) with its verdict:
-its direction where the library's own decision (:meth:`bounds._Ratio.direction`)
-finds it monotone on [1e-30, 1e30].  A run groups its trials by simplex size
-into blocks, the outer loop.  A ratio monotone there, or on the run's ratio
-envelope by the same decision, takes outward bounds of its endpoint values;
-any other ratio takes each row's own enclosure, as :func:`numeric_mM` gives
-it.  Per block, one table of generator values along a stacked ``s`` axis
-feeds one array step over ``(checks x rows)`` per pair of generator kinds.
-The other checks of a block read one table of measure values and family
-``s`` sweeps (:class:`_Values`), summed in one compensated sum over their
-stacked terms.  Each block keeps every check's first-index
-``argmax``/``argmin`` (:class:`_Tally`), and one more over these, in trial
-order, picks the run's worst trial.
+generator specs, each decided once by its curvature-ratio record (the
+:class:`bounds._Pair` that :func:`closed_form_mM` reads): its verdict, the
+library's own decision (:meth:`bounds._Ratio.direction`) on [1e-30, 1e30].
+A run groups its trials by simplex size into blocks, the outer loop.  A row
+whose ratio envelope [r, R] lies in [1e-30, 1e30] takes, for a check with a
+verdict, outward bounds of the ratio's endpoint values; every other row
+takes its own enclosure, as :func:`numeric_mM` gives it.  Per block, one
+table of generator values along a stacked ``s`` axis feeds one array step
+over ``(checks x rows)`` per pair of generator kinds.  The other checks of
+a block read one table of measure values and family ``s`` sweeps
+(:class:`_Values`), summed in one compensated sum over their stacked
+terms.  Each block keeps every check's first-index ``argmax``/``argmin``
+(:class:`_Tally`), and one more over these, in trial order, picks the
+run's worst trial.
 
 :func:`brute_force_mM` is the deliberately plain oracle for the bound
 engine - a dense linear grid with no refinement, on a different
@@ -255,14 +255,13 @@ def _family_checks() -> list[_Check]:
     return checks
 
 
-#: the sandwich checks of one pair of generator kinds: their ``rows`` in the
-#: check list, their generators' rows ``num`` and ``den`` in the spec table,
-#: the index ``ratio`` of each one's record in ``ratios``, the group's distinct
-#: records (a tuple), and their :meth:`bounds._Pair.verdict` ``direction`` (0
-#: where there is none) and ``sign``
-_Group = namedtuple("_Group", "rows num den ratio ratios direction sign")
-#: a group's checks proven on an envelope (:meth:`_Sandwiches.prove`)
-_Family = namedtuple("_Family", "rows num den direction sign m M numeric")
+#: the sandwich checks of one pair of generator kinds, each decided once by
+#: its record's :meth:`bounds._Pair.verdict`: their ``rows`` in the check
+#: list, their generators' rows ``num`` and ``den`` in the spec table, their
+#: records ``pairs`` (a tuple), the ``sign`` of g (a column), the flat rows
+#: (4 spec + slot) of the bounds that ``m`` and ``M`` divide, and the checks
+#: with no verdict (``numeric``), whose sign and rows are placeholders
+_Group = namedtuple("_Group", "rows num den pairs sign m M numeric")
 
 
 def _frozen(a) -> np.ndarray:
@@ -295,42 +294,19 @@ class _Sandwiches:
                 members.setdefault((pair.num.gen, pair.den.gen), []).append(k)
         groups = []
         for ks in members.values():
-            distinct = {}
-            ratio = [distinct.setdefault(pairs[k], len(distinct)) for k in ks]
-            rows = [(index[pairs[k].num], index[pairs[k].den]) for k in ks]
-            verdicts = zip(*(pair.verdict() for pair in distinct))
-            groups.append(_Group(*map(_frozen, (ks, *zip(*rows), ratio)), tuple(distinct),
-                                 *map(_frozen, verdicts)))
-        self.groups = tuple(groups)
-
-    def prove(self, lo: float, hi: float) -> list:
-        """Per :data:`_Group`, a :data:`_Family` on the envelope [lo, hi] of
-        every block's ratios: each check's ``direction`` (0 where not
-        monotone or where g has a zero; +1 on a zero-width envelope) and
-        ``sign`` (of g at lo): its record's verdict, or the record's scalar
-        :class:`_Ratio` where it has none or [lo, hi] leaves :data:`_SPAN`.
-        ``m`` and ``M`` are the flat rows (4 spec + slot) of the bounds each
-        constant divides: at r (m) and R (M) where g rises, else the
-        reverse; a lower bound of |g| (numerator's lower over denominator's
-        upper) for m if g > 0 and M if g < 0.  ``numeric`` lists the
-        unproven ``(check, record)``."""
-        families, inside = [], _SPAN[0] <= lo <= hi <= _SPAN[1]
-        for group in self.groups:
-            direction, sign = group.direction.copy(), group.sign.copy()
-            for k in np.flatnonzero((direction == 0) | (not inside)).tolist():
-                g = _Ratio(group.ratios[k], lo, hi)
-                direction[k], sign[k] = g.direction() if lo < hi else 1, g.ends[0].s
-            direction = (direction if lo < hi else np.ones_like(direction))[group.ratio]
-            sign = sign[group.ratio]
+            group = tuple(pairs[k] for k in ks)
+            num, den = np.array([(index[pair.num], index[pair.den]) for pair in group]).T.copy()
+            direction, sign = np.array([pair.verdict() for pair in group]).T
+            numeric = np.flatnonzero(direction == 0)
+            sign[numeric] = 1.0
+            # m at r and M at R where g rises, else the reverse; a lower bound of
+            # |g| (numerator's lower over denominator's upper) for m if g > 0, M if g < 0
             end, neg = (direction <= 0).astype(int), 2 * (sign < 0)
-            num, den = 4 * group.num, 4 * group.den
-            families.append(_Family(
-                group.rows, group.num, group.den, direction, sign[:, None],
-                (num + neg + end, den + 2 - neg + end), (num + 3 - neg - end, den + 1 + neg - end),
-                [(c, group.ratios[group.ratio[c]])
-                 for c in np.flatnonzero(direction == 0).tolist()],
-            ))
-        return families
+            m = tuple(map(_frozen, (4 * num + neg + end, 4 * den + 2 - neg + end)))
+            M = tuple(map(_frozen, (4 * num + 3 - neg - end, 4 * den + 1 + neg - end)))
+            groups.append(_Group(*map(_frozen, (ks, num, den)), group, _frozen(sign[:, None]),
+                                 m, M, tuple(numeric.tolist())))
+        self.groups = tuple(groups)
 
     def table(self, P: np.ndarray, Q: np.ndarray) -> tuple:
         """``(r, R, bounds, div)`` of a block of pairs: each row's ratio
@@ -344,32 +320,34 @@ class _Sandwiches:
         L, _, e = log_curvatures(self.records, np.concatenate([r, R]))
         with np.errstate(over="ignore"):
             mag = np.exp(L)
-        # the relative padding needs a normal exp(L); past it widen to 0, max / 2, 2 * tiny
-        lo = np.minimum(mag * (1.0 - 2.0 * e), 0.5 * _HUGE) * (mag >= _TINY)
-        hi = np.maximum(mag * (1.0 + 2.0 * e), 2.0 * _TINY)
+        # exp(L) (1 -+ 2e) bounds exp(L -+ e) while e < 1/2; past that the bounds widen
+        # to [+0, inf], and to +0, max / 2 and 2 tiny where exp(L) leaves the normal range
+        near = e < 0.5
+        lo = np.where(near & (mag >= _TINY), np.minimum(mag * (1.0 - 2.0 * e), 0.5 * _HUGE), 0.0)
+        hi = np.where(near, np.maximum(mag * (1.0 + 2.0 * e), 2.0 * _TINY), np.inf)
         bounds = np.concatenate([lo, hi], axis=1).reshape(len(self.specs), 4, P.shape[0])
         div = [np.empty((0, P.shape[0]))] + [csiszar_bulk(stack, P, Q) for stack in self.stacks]
         return r, R, bounds, np.concatenate(div)
 
-    def slacks(self, P: np.ndarray, Q: np.ndarray, families: list):
-        """``(family, m, M, slack)`` per :data:`_Family` of ``families``
-        (:meth:`prove`), one at a time, as ``(checks x rows)`` arrays over
-        the block's rows: the sandwich constants of each check on each row's
-        [r, R], for a ratio proven monotone quotients of the padded bounds at
-        its ends, so ``m <= inf g`` and ``M >= sup g`` by construction,
-        elsewhere each row's enclosure by the record's :class:`_Ratio`; and the
-        normalized slack min(C1 - m C2, M C2 - C1) / max(1, |C1|)."""
+    def slacks(self, P: np.ndarray, Q: np.ndarray):
+        """``(group, m, M, slack)`` per :data:`_Group`, as ``(checks x rows)``
+        arrays: each check's constants on each row's [r, R] and the slack
+        min(C1 - m C2, M C2 - C1) / max(1, |C1|).  Where the check has a
+        verdict and [r, R] lies in :data:`bounds._SPAN`, m and M are quotients
+        of the padded bounds at the ends, so ``m <= inf g`` and ``M >= sup g``
+        by construction; elsewhere the row's own :class:`_Ratio` encloses g."""
         r, R, bounds, div = self.table(P, Q)
         bounds = bounds.reshape(-1, r.shape[0])
-        for family in families:
+        far = np.flatnonzero((r < _SPAN[0]) | (R > _SPAN[1])).tolist()
+        for group in self.groups:
             with np.errstate(divide="ignore", over="ignore"):
-                m, M = (family.sign * (bounds.take(a, axis=0) / bounds.take(b, axis=0))
-                        for a, b in (family.m, family.M))
-            for k, pair in family.numeric:
-                for i in range(r.shape[0]):
-                    m[k, i], M[k, i], _ = _Ratio(pair, float(r[i]), float(R[i])).extrema()
-            c1, c2 = div.take(family.num, axis=0), div.take(family.den, axis=0)
-            yield family, m, M, np.minimum(c1 - m * c2, M * c2 - c1) / np.maximum(1.0, np.abs(c1))
+                m, M = (group.sign * (bounds.take(a, axis=0) / bounds.take(b, axis=0))
+                        for a, b in (group.m, group.M))
+            for k in range(len(group.pairs)) if far else group.numeric:
+                for i in range(r.shape[0]) if k in group.numeric else far:
+                    m[k, i], M[k, i], _ = _Ratio(group.pairs[k], float(r[i]), float(R[i])).extrema()
+            c1, c2 = div.take(group.num, axis=0), div.take(group.den, axis=0)
+            yield group, m, M, np.minimum(c1 - m * c2, M * c2 - c1) / np.maximum(1.0, np.abs(c1))
 
 
 def sandwich_slack_bulk(
@@ -378,9 +356,9 @@ def sandwich_slack_bulk(
     """Per-row normalized sandwich slack min(C1 - m C2, M C2 - C1) / max(1, |C1|).
 
     The rows form one block, ``P`` and ``Q`` non-empty 2-D arrays of one
-    shape: endpoint constants are used only after the curvature ratio is
-    proven monotone on the rows' pooled ratio envelope; otherwise each row
-    takes its own enclosure, as :func:`numeric_mM` gives it.
+    shape, whose quotients must be finite and positive: each row takes
+    endpoint constants where the curvature ratio's verdict covers its
+    [r, R], else its own enclosure, as :func:`numeric_mM` gives it.
     """
     P, Q = np.asarray(P), np.asarray(Q)
     if P.ndim != 2 or P.shape != Q.shape or not P.size:
@@ -388,8 +366,9 @@ def sandwich_slack_bulk(
                               f"got shapes {P.shape} and {Q.shape}")
     sandwiches = _Sandwiches([_pair(family, s, t)])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = P / Q  # a zero mass gives an end that prove refuses
-    (*_, slack), = sandwiches.slacks(P, Q, sandwiches.prove(ratios.min(), ratios.max()))
+        ratios = P / Q  # a zero mass gives a quotient refused here
+    simplex._require_interval(ratios.min(), ratios.max())
+    (*_, slack), = sandwiches.slacks(P, Q)
     return slack[0]
 
 
@@ -521,15 +500,12 @@ def run(config: VerifyConfig) -> VerificationReport:
 
     The loop over size blocks is the outer one: the other checks of a block
     read one shared :class:`_Values`, and its sandwich checks one table of
-    the plan's :class:`_Sandwiches`, proven on the envelope of all blocks.
+    the plan's :class:`_Sandwiches`, whose proofs the plan holds.
     Violations are recorded (with a shrunk witness), never raised.
     """
     start = time.perf_counter()
     blocks = _sample_trials(config)
     checks, plain, keys, sandwiches = _plan(tuple(config.subjects))
-    lo = min(float((P / Q).min()) for _, P, Q in blocks)
-    hi = max(float((P / Q).max()) for _, P, Q in blocks)
-    families = sandwiches.prove(lo, hi)
     tally = _Tally([check.kind for check in checks], config.rel_tol, len(blocks))
     for b, (idx, P, Q) in enumerate(blocks):
         shared = _Values(P, Q, keys)
@@ -537,8 +513,8 @@ def run(config: VerifyConfig) -> VerificationReport:
         for row, k in enumerate(plain.tolist()):
             values[row] = checks[k].fn(shared)
         tally.add(b, idx, values, plain)
-        for family, _, _, slacks in sandwiches.slacks(P, Q, families):
-            tally.add(b, idx, slacks, family.rows)
+        for group, _, _, slacks in sandwiches.slacks(P, Q):
+            tally.add(b, idx, slacks, group.rows)
     worst, _, block, row = tally.worst()
     results: dict[str, CheckResult] = {}
     for k, (check, passes) in enumerate(zip(checks, tally.passes.tolist())):
@@ -644,8 +620,7 @@ def brute_force_mM(
     ``points >= 100_000`` for oracle duty.  Consecutive calls on one
     ``[r, R]`` (per thread) build its grid once.
     """
-    if not 0.0 < r <= R < np.inf:
-        raise InvalidArgument(f"need 0 < r <= R < inf, got [{r}, {R}]")
+    simplex._require_interval(r, R)
     simplex._require_integer("points", points, 2, ConfigInvalid)
     idx, work, held = workspace = _grid_workspace(points)
     xs, lx, lx1, lden, out, scratch = work

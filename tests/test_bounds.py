@@ -37,6 +37,7 @@ from divbound.errors import (
     NonPositiveArgument,
     RegionViolation,
 )
+from divbound.families import Family
 from divbound.generators import D2_FORMS, Gen, GeneratorSpec
 from divbound.measures import (
     chi_square,
@@ -549,9 +550,7 @@ class TestClosedForm:
                 assert cert.m <= g_ratio(*family_generators(family, s, t),
                                          np.array([0.3, 5.0])).min()
         P, Q = np.array([[0.15, 0.85], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.1, 0.9]])
-        sandwiches = verify._Sandwiches(ratios)
-        families = sandwiches.prove(float((P / Q).min()), float((P / Q).max()))
-        for _, m, M, _ in sandwiches.slacks(P, Q, families):
+        for _, m, M, _ in verify._Sandwiches(ratios).slacks(P, Q):
             assert np.all(m <= M)
 
     def test_unevaluable_printed_text_is_an_erratum(self):
@@ -771,6 +770,42 @@ class TestClosedForm:
                         lambda: verify.sandwich_slack_bulk(family, s, t, block, block[::-1])):
             with pytest.raises(InvalidArgument, match=re.escape(repr(family))):
                 certify()
+
+
+class TestArguments:
+    """Every entry point that takes a family or a ratio interval refuses a
+    value of the wrong type with an InvalidArgument naming it."""
+
+    @pytest.mark.parametrize("family", ["I", 1, None, Family.PHI])
+    @pytest.mark.parametrize("call", [
+        lambda f: in_region(f, 0.0, 0.0),
+        lambda f: region_grid(f),
+        lambda f: printed_mM(f, 2.0, 1.0, 0.5, 2.0),
+        lambda f: verify.tightness_scan(f, 2.0, 1.0, 2, 1),
+        lambda f: family_generators(f, 2.0, 1.0),
+        lambda f: active_branch(f, 2.0, 1.0),
+    ])
+    def test_family_of_another_type(self, call, family):
+        with pytest.raises(InvalidArgument, match=re.escape(repr(family))):
+            call(family)
+
+    @pytest.mark.parametrize("call", [
+        lambda r: numeric_mM(*family_generators(F.I, 2.0, 1.0), r, 2.0),
+        lambda r: closed_form_mM(F.I, 2.0, 1.0, r, 2.0),
+        lambda r: generators.convexity_scan(GeneratorSpec(Gen.PHI, 2.0), r, 2.0),
+        lambda r: verify.brute_force_mM(*family_generators(F.I, 2.0, 1.0), r, 2.0, 100),
+    ])
+    @pytest.mark.parametrize("r", ["1", "0.5", np.array([0.5]), None])
+    def test_interval_end_of_another_type(self, call, r):
+        with pytest.raises(InvalidArgument, match=re.escape(repr(r))):
+            call(r)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_plain_grid_oracle_refuses_a_non_positive_end_as_the_engine(self, r):
+        num, den = family_generators(F.I, 2.0, 1.0)
+        for call in (numeric_mM, lambda *a: verify.brute_force_mM(*a, 100)):
+            with pytest.raises(NonPositiveArgument, match=re.escape(f"[{r}, 2.0]")):
+                call(num, den, r, 2.0)
 
 
 def _battery() -> list[tuple]:

@@ -21,12 +21,14 @@ from divbound.bounds import (
     closed_form_mM,
     corollary_table,
     family_generators,
+    g_ratio,
     in_region,
     numeric_mM,
     region_grid,
 )
 from divbound.errors import (
     ConfigInvalid,
+    DegenerateDenominator,
     DivboundError,
     InvalidArgument,
     RegionViolation,
@@ -160,9 +162,8 @@ class TestRun:
 def _unshared_report(config: VerifyConfig) -> str:
     """The report built check by check: every check runs on each block
     alone, on a value table of its own (a sandwich check's ``fn`` is
-    sandwich_slack_bulk, which proves the ratio on the block's own
-    envelope), and the worst trial is the full-array argmax/argmin over all
-    trials."""
+    sandwich_slack_bulk, which reads its ratio's verdict anew), and the
+    worst trial is the full-array argmax/argmin over all trials."""
     blocks = _sample_trials(config)
     checks = {}
     for check in _build_checks(config.subjects):
@@ -698,32 +699,49 @@ def _fresh_plans(monkeypatch):
 
 
 def _harness_ratios():
-    """The distinct ratios of every sandwich check, as the harness decides
-    them: ``(record, direction, sign)``, direction 0 where the plan holds
-    no verdict."""
+    """The distinct records of every sandwich check, each with its verdict:
+    ``(record, direction, sign)``, direction 0 where it has none.  The plan's
+    groups hold each check's verdict: its sign, and whether it has one."""
+    ratios = {}
     for group in verify._plan(("all", "bounds-grid"))[3].groups:
-        yield from zip(group.ratios, group.direction.tolist(), group.sign.tolist())
+        for k, (pair, sign) in enumerate(zip(group.pairs, group.sign[:, 0].tolist())):
+            direction, verdict_sign = pair.verdict()
+            held = k in group.numeric, sign
+            assert held == ((True, 1.0) if not direction else (False, verdict_sign))
+            ratios.setdefault(id(pair), (pair, direction, verdict_sign))
+    return list(ratios.values())
 
 
-def _same_decisions(ratios, lo, hi):
-    """``_Sandwiches(ratios).prove(lo, hi)`` on the records ``ratios`` makes
-    the decisions of one scalar _Ratio per ratio, on a record of its own:
-    its direction() (+1 on a zero-width envelope) and the sign of g at lo,
-    or raises the scalar ratio's error."""
-    try:
-        scalar = [_Ratio(_Pair(pair.num, pair.den), lo, hi) for pair in ratios]
-    except DivboundError as exc:
-        with pytest.raises(type(exc)):
-            _Sandwiches(ratios).prove(lo, hi)
-        return
-    expected = [(g.direction() if lo < hi else 1, g.ends[0].s) for g in scalar]
-    got = [None] * len(ratios)
-    for family in _Sandwiches(ratios).prove(lo, hi):
-        for row, direction, sign in zip(family.rows.tolist(), family.direction.tolist(),
-                                        family.sign[:, 0].tolist()):
-            got[row] = direction, sign
-    assert got == expected, (lo, hi)
-    assert not any(sign == 0.0 and np.signbit(sign) for _, sign in got)
+def _row_rule(sandwiches, lo, hi) -> int:
+    """The constants of every check of ``sandwiches`` on one row with ratio
+    envelope [lo, hi]: the row's own enclosure, bit for bit numeric_mM's,
+    exactly where the check's record has no verdict or [lo, hi] leaves
+    [1e-30, 1e30]; elsewhere endpoint quotients, with m <= M.  Returns the
+    number of own enclosures."""
+    P, Q = np.array([[0.5 * lo, 0.5 * hi]]), np.full((1, 2), 0.5)
+    assert ((P / Q).min(), (P / Q).max()) == (lo, hi)
+    own = []
+
+    class Own(_Ratio):
+        def extrema(self):
+            own.append(self.pair)
+            return super().extrema()
+
+    # only the constants are read: f-divergences may overflow at far ratios
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(verify, "_Ratio", Own)
+        groups = list(sandwiches.slacks(P, Q))
+    inside, expected = 1e-30 <= lo and hi <= 1e30, []
+    for group, m, M, _ in groups:
+        for k, pair in enumerate(group.pairs):
+            if inside and pair.verdict()[0]:
+                assert m[k, 0] <= M[k, 0], (pair.num, pair.den, lo, hi)
+            else:
+                expected.append(pair)
+                got = m[k, 0], M[k, 0]
+                assert got == numeric_mM(pair.num, pair.den, lo, hi), (pair.num, pair.den, lo, hi)
+    assert own == expected
+    return len(own)
 
 
 def _verdicts_hold(lo, hi) -> int:
@@ -740,47 +758,41 @@ def _verdicts_hold(lo, hi) -> int:
 
 class TestPlanVerdicts:
     """The plan's verdicts, the scalar ratio's decisions on [1e-30, 1e30],
-    are its decisions on every envelope within it."""
+    are its decisions on every envelope within it; with the span they decide
+    which rows take endpoint constants."""
 
     def test_harness_envelopes_of_seeds_1_to_40(self):
-        ratios = [pair for pair, _, _ in _harness_ratios()]
         verdicts = 0
         for seed in range(1, 41):
             blocks = _sample_trials(VerifyConfig(trials=1000, seed=seed))
             lo = min(float((P / Q).min()) for _, P, Q in blocks)
             hi = max(float((P / Q).max()) for _, P, Q in blocks)
             verdicts += _verdicts_hold(lo, hi)
-            _same_decisions(ratios, lo, hi)
         assert verdicts == 40 * 616
 
     @pytest.mark.parametrize("x", [0.05, 1.0, 1.5, 40.0])
     def test_zero_width_envelope(self, x):
         assert _verdicts_hold(x, x) == 616
-        _same_decisions([pair for pair, _, _ in _harness_ratios()], x, x)
+        assert _row_rule(verify._plan(("all", "bounds-grid"))[3], x, x) == 0
 
-    def test_every_ratio_is_scalar_outside_the_filter_range(self, monkeypatch):
-        # the verdicts are read only on envelopes within [1e-30, 1e30]
+    def test_rows_outside_the_span_take_their_own_enclosure(self):
+        # the verdicts hold only within [1e-30, 1e30]
         sandwiches = verify._plan(("all", "bounds-grid"))[3]
         for lo, hi in ((1e-31, 1.0), (1.0, 1e31)):
-            proved = []
-            alone = _Ratio.direction
-            monkeypatch.setattr(_Ratio, "direction", lambda self: proved.append(1) or alone(self))
-            sandwiches.prove(lo, hi)
-            assert len(proved) == 616
-            monkeypatch.undo()
-            _same_decisions([pair for pair, _, _ in _harness_ratios()], lo, hi)
+            assert _row_rule(sandwiches, lo, hi) == 649
 
-    def test_no_ratio_is_scalar_on_a_harness_envelope(self, monkeypatch):
+    def test_no_row_of_seeds_1_to_40_takes_its_own_enclosure(self, monkeypatch):
         sandwiches = verify._plan(("all", "bounds-grid"))[3]
-        monkeypatch.setattr(_Ratio, "__init__", lambda *a: pytest.fail("scalar ratio"))
-        sandwiches.prove(0.003, 400.0)
-        sandwiches.prove(1e-30, 1e30)
+        monkeypatch.setattr(verify, "_Ratio", lambda *a: pytest.fail("own enclosure"))
+        for seed in range(1, 41):
+            for _, P, Q in _sample_trials(VerifyConfig(trials=1000, seed=seed)):
+                assert len(list(sandwiches.slacks(P, Q))) == len(sandwiches.groups)
 
     def test_exact_coefficients_give_the_same_verdicts(self, monkeypatch, cold_memo):
         # with an error bound no float value can clear, every verdict comes
         # from the exact integers, but II(2, 2)'s: UPSILON(2)''/PHI(2)'' =
         # 1/4 has no terms in x at all, so its magnitude forms are 0
-        ratios = list(_harness_ratios())
+        ratios = _harness_ratios()
         monkeypatch.setattr(bounds, "_FILTER", 1.0)
         exact, alone = [], bounds._Pair.exact.fget
         monkeypatch.setattr(bounds._Pair, "exact",
@@ -789,18 +801,21 @@ class TestPlanVerdicts:
             assert _Pair(pair.num, pair.den).verdict() == (direction, sign), (pair.num, pair.den)
         assert len(set(exact)) == 615
         assert family_generators(F.II, 2.0, 2.0) not in exact
-        _same_decisions([_Pair(pair.num, pair.den) for pair, _, _ in ratios], 0.003, 400.0)
+        # and so are the exact decisions on a harness envelope
+        assert _verdicts_hold(0.003, 400.0) == 616
 
     def test_refused_ratios_raise_as_alone(self):
         # PHI(2) over XI(5): the linear factor 5x - 1 of XI(5)'' is negative
-        # below x = 1/5, so the ratio has no verdict
+        # below x = 1/5, so the ratio has no verdict, and a row reaching
+        # below 1/5 raises as numeric_mM does there
         refused = _Pair(PHI2, GeneratorSpec(Gen.XI, 5.0))
         assert refused.verdict() == (0, 0.0)
-        ratios = [_Pair(PHI2, GeneratorSpec(Gen.XI, 2.0)), refused]
-        for lo, hi in ((0.1, 2.0), (0.3, 2.0), (0.0, 2.0), (2.0, 1.0), (1.0, np.inf)):
-            _same_decisions(ratios, lo, hi)
-        with pytest.raises(DivboundError):
-            _Sandwiches(ratios).prove(0.1, 2.0)
+        sandwiches = _Sandwiches([_Pair(PHI2, GeneratorSpec(Gen.XI, 2.0)), refused])
+        assert _row_rule(sandwiches, 0.3, 2.0) == 1
+        with pytest.raises(DegenerateDenominator):
+            numeric_mM(refused.num, refused.den, 0.1, 2.0)
+        with pytest.raises(DegenerateDenominator):
+            _row_rule(sandwiches, 0.1, 2.0)
 
     def test_property(self):
         hyp = pytest.importorskip("hypothesis")
@@ -816,26 +831,34 @@ class TestPlanVerdicts:
                    st.lists(st.tuples(param, param), min_size=1, max_size=6), end, end)
         def check(f1, f2, pairs, x, y):
             lo, hi = min(x, y), max(x, y)
-            ratios = [_Pair(GeneratorSpec(f1, s), GeneratorSpec(f2, t)) for s, t in pairs]
-            _same_decisions(ratios, lo, hi)
-            if 1e-30 <= lo and hi <= 1e30:
-                for ratio in ratios:
-                    verdict = ratio.verdict()
-                    if verdict[0]:
-                        g = _Ratio(_Pair(ratio.num, ratio.den), lo, hi)
-                        assert verdict == (g.direction(), g.ends[0].s), (g.num, g.den)
+            inside = 1e-30 <= lo and hi <= 1e30
+            for ratio in (_Pair(GeneratorSpec(f1, s), GeneratorSpec(f2, t)) for s, t in pairs):
+                try:
+                    numeric_mM(ratio.num, ratio.den, lo, hi)
+                except DivboundError as exc:
+                    if not (inside and ratio.verdict()[0]):
+                        # a row's own enclosure raises as numeric_mM does
+                        with pytest.raises(type(exc)):
+                            _row_rule(_Sandwiches([ratio]), lo, hi)
+                        continue
+                _row_rule(_Sandwiches([ratio]), lo, hi)
+                verdict = ratio.verdict()
+                if inside and verdict[0]:
+                    g = _Ratio(_Pair(ratio.num, ratio.den), lo, hi)
+                    assert verdict == (g.direction(), g.ends[0].s), (g.num, g.den)
 
         check()
 
-    def test_slack_bulk_matches_scalar_proofs(self, monkeypatch):
-        # reading the verdicts changes no bit of the slacks
+    def test_slack_bulk_without_verdicts_moves_by_rounding_only(self, monkeypatch):
+        # without verdicts every row takes its own enclosure; the slacks
+        # keep their values up to the rounding allowances of the constants
         P, Q = sample_pair_matrix(6, 30, seed=99, concentration=0.5)
         cases = [(c.family, c.s, c.t) for c in corollary_table()] + [
             (family, s, t) for family in F for s, t in region_grid(family)]
         read = [sandwich_slack_bulk(*case, P, Q) for case in cases]
         monkeypatch.setattr(_Pair, "verdict", lambda pair: (0, 0.0))
         for case, slack in zip(cases, read):
-            assert np.array_equal(sandwich_slack_bulk(*case, P, Q), slack, equal_nan=True), case
+            assert sandwich_slack_bulk(*case, P, Q) == pytest.approx(slack, rel=1e-9, abs=1e-12)
 
     def test_printed_directions_on_the_validation_grid(self):
         # every grid point has a verdict, in its branch's printed direction
@@ -869,8 +892,9 @@ class TestPlanVerdicts:
         for lo, hi in [(0.003, 400.0), (1e-30, 1e-29), (1e29, 1e30)] + ends.tolist():
             g = _Ratio(_Pair(num, den), lo, hi)
             assert (g.direction(), g.ends[0].s) == (1, 1.0), (lo, hi)
-        (family,) = _Sandwiches([_Pair(num, den)]).prove(0.003, 400.0)
-        assert (family.direction.tolist(), family.sign.tolist()) == ([1], [[1.0]])
+        sandwiches = _Sandwiches([_Pair(num, den)])
+        assert sandwiches.groups[0].sign.tolist() == [[1.0]]
+        assert _row_rule(sandwiches, 0.003, 400.0) == 0
 
 
 class TestPlan:
@@ -896,12 +920,13 @@ class TestPlan:
         checks, plain, keys, sandwiches = verify._plan(("all", "bounds-grid"))
         assert isinstance(checks, tuple) and isinstance(keys, tuple) and len(keys) == 29
         arrays = [plain, sandwiches.records] + [stack.s for stack in sandwiches.stacks]
-        # each group's records are a tuple, immutable too
-        assert all(type(group.ratios) is tuple for group in sandwiches.groups)
-        arrays += [array for group in sandwiches.groups for array in group
-                   if array is not group.ratios]
+        # each group's records and unproven checks are tuples, immutable too,
+        # and so are its pairs of bound rows
+        for group in sandwiches.groups:
+            assert type(group.pairs) is type(group.numeric) is tuple
+            arrays += [group.rows, group.num, group.den, group.sign, *group.m, *group.M]
         assert sum(len(group.rows) for group in sandwiches.groups) == 649
-        assert sum(len(group.ratios) for group in sandwiches.groups) == 616
+        assert len({id(pair) for group in sandwiches.groups for pair in group.pairs}) == 616
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -921,16 +946,27 @@ class TestGroupProof:
     def test_proof_follows_the_ratio(self, family, s, t, expected):
         ratios = self.P / self.Q
         assert (ratios.min(), ratios.max()) == (0.4, 2.0)
-        (checks,) = _Sandwiches([_Pair(*family_generators(family, s, t))]).prove(0.4, 2.0)
-        assert checks.direction.tolist() == [expected]
+        r, R = ratios.min(axis=1), ratios.max(axis=1)
+        pair = _Pair(*family_generators(family, s, t))
+        assert pair.verdict()[0] == expected
+        ((_, m, M, _),) = _Sandwiches([pair]).slacks(self.P, self.Q)
+        if not expected:  # each row its own enclosure
+            for i in range(2):
+                assert (m[0, i], M[0, i]) == numeric_mM(pair.num, pair.den, r[i], R[i])
+            return
+        # endpoint values in the verdict's direction, padded outward
+        low, high = (g_ratio(pair.num, pair.den, x) for x in ((r, R) if expected > 0 else (R, r)))
+        assert np.all(m[0] <= low) and np.all(M[0] >= high)
+        assert m[0] == pytest.approx(low, rel=1e-13) and M[0] == pytest.approx(high, rel=1e-13)
 
-    def test_zero_width_envelope_counts_as_increasing(self, monkeypatch):
-        # the plan decides the ratio once (I(0, 0) has no verdict); prove
-        # then asks no direction
-        sandwiches = _Sandwiches([_Pair(*family_generators(F.I, 0.0, 0.0))])
-        monkeypatch.setattr(_Ratio, "direction", lambda self: pytest.fail("proved"))
-        (checks,) = sandwiches.prove(1.5, 1.5)
-        assert checks.direction.tolist() == [1]
+    def test_zero_width_row_asks_no_direction(self, monkeypatch):
+        # the plan decides each ratio once (I(0, 0) has no verdict, II(2, 1)
+        # has one); a row with r == R asks no direction, and one without a
+        # verdict takes its own enclosure, the value padded both ways
+        sandwiches = _Sandwiches([_Pair(*family_generators(f, s, t))
+                                  for f, s, t in ((F.I, 0.0, 0.0), (F.II, 2.0, 1.0))])
+        monkeypatch.setattr(_Ratio, "direction", lambda self: pytest.fail("decided"))
+        assert _row_rule(sandwiches, 1.5, 1.5) == 1
 
     def test_unproven_block_encloses_each_row(self):
         from divbound.bounds import sandwich_check
@@ -946,8 +982,8 @@ class TestGroupProof:
 
 class TestBlockTableSoundness:
     def test_constants_hold_g_at_50_digits(self):
-        # every proven row's m and M hold g at both of its ends, evaluated
-        # at 50 digits from the f'' forms, at random in-region corners with
+        # every row's m and M hold g at both of its ends, evaluated at 50
+        # digits from the f'' forms, at random in-region corners with
         # |s|, |t| <= 40 and ratios far from 1
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(10)
@@ -962,23 +998,19 @@ class TestBlockTableSoundness:
         for seed in (1, 2):
             P, Q = sample_pair_matrix(6, 30, seed=seed, concentration=0.3)
             r, R = (P / Q).min(axis=1), (P / Q).max(axis=1)
-            sandwiches = _Sandwiches(ratios)
-            proofs = sandwiches.prove(float(r.min()), float(R.max()))
             # some f-divergences and slacks overflow here; only the
             # constants are read
             with np.errstate(over="ignore", invalid="ignore"):
-                families = list(sandwiches.slacks(P, Q, proofs))
-            for family, m, M, _ in families:
-                for k in np.flatnonzero(family.direction):
-                    proven += 1
-                    ratio = ratios[family.rows[k]]
+                groups = list(_Sandwiches(ratios).slacks(P, Q))
+            for group, m, M, _ in groups:
+                proven += len(group.pairs) - len(group.numeric)
+                for k, ratio in enumerate(group.pairs):
                     for i in range(30):
                         lo, hi = mpmath.mpf(m[k, i]), mpmath.mpf(M[k, i])
                         for x in (r[i], R[i]):
                             g = mp_curvature_ratio(ratio.num, ratio.den, float(x))
                             assert lo <= g <= hi, (ratio.num, ratio.den, float(x))
         assert proven >= 500
-
 
     def test_bounds_hold_curvatures_past_the_double_range(self):
         # |f''| at 50 digits lies within the table's bounds, also where it
@@ -1003,6 +1035,26 @@ class TestBlockTableSoundness:
                 end, row = divmod(j, P.shape[0])
                 lo, hi = bounds[i, end, row], bounds[i, 2 + end, row]
                 assert mpmath.mpf(lo) <= d2 <= mpmath.mpf(hi), (spec, x)
+
+    def test_bounds_hold_curvatures_past_an_allowance_of_one_half(self):
+        # a rounding allowance e of ln|f''| past 1/2 (|s| of 1e15 and up)
+        # widens the bounds to [+0, inf], so no quotient by them turns
+        # negative or falls short
+        mpmath = pytest.importorskip("mpmath")
+        P, Q = sample_pair_matrix(4, 6, seed=3)
+        specs = [GeneratorSpec(Gen.PHI, s) for s in (1e15, -1e15, 3e14, 1e30)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            table, bounds, _ = _block_table(specs, P, Q)
+        ratios = P / Q
+        ends = np.concatenate([ratios.min(axis=1), ratios.max(axis=1)]).tolist()
+        for spec in specs:
+            i = table.index(spec)
+            for j, x in enumerate(ends):
+                d2 = abs(mp_curvature_ratio(spec, PHI2, x))
+                end, row = divmod(j, P.shape[0])
+                lo, hi = bounds[i, end, row], bounds[i, 2 + end, row]
+                assert not np.signbit(lo) and mpmath.mpf(lo) <= d2 <= mpmath.mpf(hi), (spec, x)
+        assert np.isinf(bounds).any() and (bounds == 0.0).any()
 
 
 class TestTightness:
@@ -1112,17 +1164,15 @@ class TestOneRecordPerRatio:
             read.clear()
             closed_form_mM(family, s, t, 0.5, 2.0)
             assert read[0] is check.pair is bounds._record(family, s, t), check.id
-        records = [pair for group in sandwiches.groups for pair in group.ratios]
-        assert len({id(pair) for pair in records}) == len(records) == 616
+        records = [pair for group in sandwiches.groups for pair in group.pairs]
+        assert len(records) == 649 and len({id(pair) for pair in records}) == 616
         assert {id(check.pair) for check in sandwich} == {id(pair) for pair in records}
 
     def test_no_record_per_row_on_a_non_monotone_ratio(self, monkeypatch, cold_memo):
-        # III(2.539, 2.156) has no verdict and is not monotone on either
-        # envelope, so every row takes its own enclosure of the one record
+        # III(2.539, 2.156) has no verdict, so every row takes its own
+        # enclosure of the one record
         P, Q = sample_pair_matrix(4, 200, seed=28)
-        (family,) = _Sandwiches([_Pair(*family_generators(F.III, 2.539, 2.156))]).prove(
-            float((P[:2] / Q[:2]).min()), float((P[:2] / Q[:2]).max()))
-        assert family.numeric
+        assert _Pair(*family_generators(F.III, 2.539, 2.156)).verdict() == (0, 0.0)
         built, init = [], _Pair.__init__
         monkeypatch.setattr(_Pair, "__init__", lambda pair, *a: built.append(a) or init(pair, *a))
         counts = []
@@ -1132,6 +1182,60 @@ class TestOneRecordPerRatio:
             sandwich_slack_bulk(F.III, 2.539, 2.156, P[:rows], Q[:rows])
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+
+class TestRowOutsideTheSpan:
+    """A row whose ratio envelope leaves [1e-30, 1e30] takes its own
+    enclosure; the other rows of its block keep the endpoint constants."""
+
+    # row 0 has r = 2e-35, row 1 lies within the span
+    P = np.array([[1e-35, 1.0 - 1e-35], [0.3, 0.7]])
+    Q = np.array([[0.5, 0.5], [0.6, 0.4]])
+    CASES = [(F.I, 2.0, 1.0), (F.II, 2.0, 1.0), (F.V, 0.0, 0.0)]
+
+    def _constants(self, family, s, t):
+        pair = bounds._pair(family, s, t)
+        assert pair.verdict()[0]
+        ((_, m, M, _),) = _Sandwiches([pair]).slacks(self.P, self.Q)
+        return pair, m[0, 0], M[0, 0]
+
+    @pytest.mark.parametrize("family,s,t", CASES)
+    def test_outside_row_is_its_own_enclosure(self, family, s, t):
+        r, R = (self.P / self.Q).min(axis=1), (self.P / self.Q).max(axis=1)
+        assert r[0] < 1e-30 <= r[1]
+        num, den = family_generators(family, s, t)
+        m, M = numeric_mM(num, den, r[0], R[0])
+        c1, c2 = (csiszar_bulk(spec, self.P, self.Q)[0] for spec in (num, den))
+        slack = sandwich_slack_bulk(family, s, t, self.P, self.Q)[0]
+        assert slack == min(c1 - m * c2, M * c2 - c1) / max(1.0, abs(c1))
+        assert self._constants(family, s, t)[1:3] == (m, M)
+
+    @pytest.mark.parametrize("family,s,t", CASES)
+    def test_inside_row_keeps_its_slack(self, family, s, t):
+        alone = sandwich_slack_bulk(family, s, t, self.P[1:], self.Q[1:])
+        assert sandwich_slack_bulk(family, s, t, self.P, self.Q)[1] == alone[0]
+
+    @pytest.mark.parametrize("family,s,t", CASES)
+    def test_outside_constants_hold_g_at_50_digits(self, family, s, t):
+        mpmath = pytest.importorskip("mpmath")
+        pair, m, M = self._constants(family, s, t)
+        r, R = float((self.P / self.Q)[0].min()), float((self.P / self.Q)[0].max())
+        for x in np.geomspace(r, R, 41).tolist() + [r, R]:
+            g = mp_curvature_ratio(pair.num, pair.den, x)
+            assert mpmath.mpf(m) <= g <= mpmath.mpf(M), x
+
+
+def test_bulk_slack_digest():
+    # sandwich_slack_bulk over every distinct (family, s, t) of the
+    # all-subjects plan, in plan order: a change to any bit fails here
+    cases = [(c.family, c.s, c.t) for c in corollary_table()]
+    cases += [(family, s, t) for family in F for s, t in region_grid(family)]
+    cases = list(dict.fromkeys(cases))
+    assert len(cases) == 616
+    P, Q = sample_pair_matrix(6, 40, seed=2029)
+    slacks = np.concatenate([sandwich_slack_bulk(*case, P, Q) for case in cases])
+    assert (hashlib.sha256(slacks.tobytes()).hexdigest()
+            == "a11061b6d10883a6aadb151f0327d6877c9619f346dd8459eb070577d99513db")
 
 
 #: sha256 of two harness reports over every subject, recorded before sandwich
